@@ -7,8 +7,8 @@ Subcommands:
   altgraph    alternating-cycle analysis of a HAT action
 
 Exit codes: 0 all asserted facts pass; 2 partial or flagged verification;
-1 hard error.  The HATLAB_THREADS environment variable sets the worker
-count for the pair search's independent per-candidate branches.
+1 hard error.  The HATLAB_THREADS environment variable sets the default
+worker count for ``example all`` (``--jobs`` overrides it).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def cmd_example(args):
     print("example %s: %s in %.1fs" % (name, "PASS" if report.passed else "FAIL", report.seconds))
     if report.passed:
         return 0
-    return 2 if report.incomplete else 2
+    return 2
 
 
 def cmd_pairsearch(args):

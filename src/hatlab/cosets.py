@@ -282,7 +282,8 @@ def derived_subgroup(G: PermutationGroup) -> PermutationGroup:
         comms.append(commutator(a, b))
     D = normal_closure(G, comms)
     for a, b in combinations(G.gens, 2):
-        assert commutator(a, b) in D
+        if commutator(a, b) not in D:
+            raise AssertionError("a generator commutator lies outside the derived subgroup")
     return D
 
 

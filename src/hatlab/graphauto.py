@@ -309,7 +309,8 @@ def automorphism_group(
     G = PermutationGroup(gens, graph.n)
     for p in G.gens:
         for u, v in graph.edges:
-            assert graph.has_edge(int(p.images[u]), int(p.images[v]))
+            if not graph.has_edge(int(p.images[u]), int(p.images[v])):
+                raise AssertionError("automorphism generator breaks an edge")
     return G
 
 

@@ -8,6 +8,10 @@ the chain already reaches that ceiling).  The chain order is always a lower
 bound for the group order (every stored permutation is a product of input
 generators), so matching an upper bound certifies completeness.
 
+Each level's Schreier tree is extended incrementally as strong generators
+arrive and fully rebuilt only when it would pass its shallow-tree depth
+bound (Seress, *Permutation Group Algorithms*, §4.2).
+
 Base points are chosen smallest-moved-first, and all randomness is seeded,
 so chains are reproducible run to run.
 """
@@ -31,7 +35,7 @@ class ResourceExhausted(RuntimeError):
 class _Level:
     """One level of the stabilizer chain: a base point and its Schreier tree."""
 
-    __slots__ = ("base", "degree", "gens", "tree_gens", "nav", "orbit", "orbit_arr")
+    __slots__ = ("base", "degree", "gens", "tree_gens", "nav", "depth", "orbit", "orbit_arr")
 
     def __init__(self, base: int, degree: int):
         self.base = base
@@ -39,68 +43,71 @@ class _Level:
         self.gens = []        # strong generators introduced at this level
         self.tree_gens = []   # (g, g_inv) pairs: level generators + shortcuts
         self.nav = {base: None}  # point -> (tree_gen_index, polarity) of incoming edge
+        self.depth = {base: 0}   # point -> number of edges from base in the tree
         self.orbit = [base]   # discovery order
         self.orbit_arr = np.array([base], dtype=np.int64)
 
-    def rebuild(self, group_gens):
-        """BFS the orbit of ``base`` under ``group_gens``, keeping the tree shallow.
+    def extend(self, g: Permutation, g_inv: Permutation, g_lists) -> None:
+        """Add tree generator g, whose image lists (g, g^-1) are ``g_lists``.
 
-        Whenever a point would sit deeper than 2 * len(tree_gens), the path to
-        its parent is added as a shortcut generator and the BFS restarts.
+        The old orbit points only need g; BFS under every generator runs
+        from the new points alone.  Past the depth bound the whole tree is
+        rebuilt, with a shortcut added.
         """
-        self.tree_gens = [(g, g.inverse()) for g in group_gens]
-        while True:
-            if self._bfs():
-                return
+        self.tree_gens.append((g, g_inv))
+        old = len(self.orbit)
+        while not self._bfs(old, g_lists):
+            self.nav = {self.base: None}
+            self.depth = {self.base: 0}
+            self.orbit = [self.base]
+            old = 0
 
-    def _bfs(self) -> bool:
-        self.nav = {self.base: None}
-        order = [self.base]
-        depth = {self.base: 0}
+    def _bfs(self, old: int, newest_lists) -> bool:
+        """BFS onward from ``self.orbit``; the first ``old`` points take only
+        the newest tree generator.  On a point deeper than the bound, adds
+        the path to its parent as a shortcut generator and returns False."""
+        tree_gens = self.tree_gens
+        nav, depth, order = self.nav, self.depth, self.orbit
+        newest = len(tree_gens) - 1
+        limit = 2 * len(tree_gens) + 2
+        every = None
         head = 0
-        limit = 2 * len(self.tree_gens) + 2
         while head < len(order):
             a = order[head]
+            if head < old:
+                moves = ((newest, newest_lists),)
+            else:
+                if every is None:
+                    every = [
+                        (g.images.tolist(), ginv.images.tolist()) for g, ginv in tree_gens
+                    ]
+                moves = enumerate(every)
             head += 1
-            for idx, (g, ginv) in enumerate(self.tree_gens):
-                for pol, gg in ((0, g), (1, ginv)):
-                    b = int(gg.images[a])
-                    if b in self.nav:
+            d = depth[a] + 1
+            for idx, imgs in moves:
+                for pol in (0, 1):
+                    b = imgs[pol][a]
+                    if b in nav:
                         continue
-                    d = depth[a] + 1
                     if d > limit:
-                        shortcut = self.transversal_from(order, a)
-                        self.tree_gens.append((shortcut, shortcut.inverse()))
+                        shortcut = self.transversal(a)
+                        tree_gens.append((shortcut, shortcut.inverse()))
                         return False
-                    self.nav[b] = (idx, pol)
+                    nav[b] = (idx, pol)
                     depth[b] = d
                     order.append(b)
-        self.orbit = order
         self.orbit_arr = np.array(order, dtype=np.int64)
         return True
 
-    def transversal_from(self, order, a) -> Permutation:
-        # used only mid-rebuild, before orbit/orbit_arr are final
-        return self._trace(a)
-
     def transversal(self, a: int) -> Permutation:
         """u_a with base^(u_a) = a."""
-        return self._trace(a)
-
-    def _trace(self, a: int) -> Permutation:
-        edges = []
+        p = None
         while a != self.base:
             idx, pol = self.nav[a]
-            edges.append((idx, pol))
-            back = self.tree_gens[idx][1 - pol]
-            a = int(back.images[a])
-        p = None
-        for idx, pol in reversed(edges):
             g = self.tree_gens[idx][pol]
-            p = g if p is None else p * g
-        if p is None:
-            return Permutation.identity(self.degree)
-        return p
+            p = g if p is None else g * p
+            a = int(self.tree_gens[idx][1 - pol].images[a])
+        return Permutation.identity(self.degree) if p is None else p
 
     def cancel_into(self, p: Permutation) -> Permutation:
         """Right-multiply p by u_a^{-1} where a = base^p, so base is fixed."""
@@ -202,18 +209,20 @@ class PermutationGroup:
         self._order = _chain_order(levels)
 
     def _chain_add(self, levels, p, start=0) -> bool:
-        """Sift p; on a nontrivial residue, install it as a strong generator
-        and rebuild the trees it can affect."""
+        """Sift p; install a nontrivial residue as a strong generator and
+        extend the trees of the levels it generates incrementally (a tree is
+        fully rebuilt only past its depth bound)."""
         residue, depth = _sift(levels, p, start)
         if residue.is_identity():
             return False
         if depth == len(levels):
             b = residue.first_moved()
             levels.append(_Level(b, self.degree))
-        lvl = levels[depth]
-        lvl.gens.append(residue)
+        levels[depth].gens.append(residue)
+        inv = residue.inverse()
+        lists = (residue.images.tolist(), inv.images.tolist())
         for i in range(depth + 1):
-            levels[i].rebuild(_level_gens(levels, i))
+            levels[i].extend(residue, inv, lists)
         return True
 
     def _sandwich_certified(self, levels) -> bool:
@@ -231,22 +240,19 @@ class PermutationGroup:
     def _schreier_complete(self, levels):
         """Deterministic completion: sift every Schreier generator, bottom-up.
 
-        Each level's tree is rebuilt from its current generating set before
-        being scanned, so stale orbits left by level-local installs are
-        refreshed before they matter.
+        Trees are always current, so each level is scanned as it stands; any
+        install restarts from the bottom.  ``cancel_into(u_a * g)`` is the
+        Schreier generator u_a * g * u_{a^g}^-1.
         """
         i = len(levels) - 1
         while i >= 0:
             lvl = levels[i]
             gens_i = _level_gens(levels, i)
-            before = len(lvl.orbit)
-            lvl.rebuild(gens_i)
-            restart = len(lvl.orbit) != before
+            restart = False
             for a in lvl.orbit:
                 u_a = lvl.transversal(a)
                 for g in gens_i:
-                    b = int(g.images[a])
-                    schreier = u_a * g * lvl.transversal(b).inverse()
+                    schreier = lvl.cancel_into(u_a * g)
                     if self._chain_add(levels, schreier, start=i + 1):
                         restart = True
             if restart:
@@ -392,16 +398,8 @@ class PermutationGroup:
         if total % len(orb) != 0:
             raise AssertionError("orbit size does not divide group order")
         sub_order = total // len(orb)
-
-        def schreier_stream():
-            for a in orb.points:
-                u_a = orb.transversal(a)
-                for g in self.gens:
-                    b = int(g.images[a])
-                    yield u_a * g * orb.transversal(b).inverse()
-
         return PermutationGroup.from_generator_stream(
-            schreier_stream(), self.degree, order=sub_order, parent=self
+            orb.schreier_generators(self.gens), self.degree, order=sub_order, parent=self
         )
 
     @classmethod
@@ -497,18 +495,10 @@ class Orbit:
 
     def transversal(self, a: int) -> Permutation:
         """t_a with base^(t_a) = a."""
-        edges = []
-        while a != self.base:
-            idx = self._nav[a]
-            edges.append(idx)
-            a = int(self._ginv[idx].images[a])
         p = None
-        for idx in reversed(edges):
-            g = self._gens[idx]
-            p = g if p is None else p * g
-        if p is None:
-            return Permutation.identity(self.degree)
-        return p
+        for idx in self.transversal_word(a):
+            p = self._gens[idx] if p is None else p * self._gens[idx]
+        return Permutation.identity(self.degree) if p is None else p
 
     def transversal_word(self, a: int):
         """Generator indices whose left-to-right product is t_a."""
@@ -518,6 +508,13 @@ class Orbit:
             edges.append(idx)
             a = int(self._ginv[idx].images[a])
         return list(reversed(edges))
+
+    def schreier_generators(self, gens):
+        """Schreier's lemma, lazily: t_a * g * t_{a^g}^-1 for each point a, g."""
+        for a in self.points:
+            t_a = self.transversal(a)
+            for g in gens:
+                yield t_a * g * self.transversal(int(g.images[a])).inverse()
 
 
 class _Rattle:

@@ -372,6 +372,7 @@ def normalizer_in_sym(S: PermutationGroup, size_limit=SYM_NORM_SIZE_LIMIT):
     N = group_from_elements(S.degree, elems)
     for g in N.gens:
         for s in S.gens:
-            assert s.conj(g) in S
+            if s.conj(g) not in S:
+                raise AssertionError("normalizer generator does not normalize S")
     N._elements_cache = dict(sorted(elems.items()))
     return N

@@ -30,7 +30,7 @@ from .cosets import (
     small_subgroups,
 )
 from .fpgroups import AmalgamSpec, amalgam_by_name, todd_coxeter
-from .group import PermutationGroup, group_2part
+from .group import PermutationGroup, _dedupe, group_2part
 from .normalizers import normalizer_in_sym
 from .perm import Permutation
 from .signatures import group_name
@@ -119,6 +119,12 @@ def conjugacy_class_representatives(Hu: PermutationGroup, candidates):
     return reps
 
 
+def _require(ok: bool, what: str):
+    """A check that stays on under ``python -O``."""
+    if not ok:
+        raise AssertionError(what)
+
+
 @dataclass
 class PairSearchResult:
     amalgam: str
@@ -139,19 +145,19 @@ class PairSearchResult:
         and m in the already-certified groups instead (the generation
         equalities were established when the groups were built).
         """
-        assert self.m.images[0] == 0, "m does not stabilize coset 0"
-        assert all(int(g.images[0]) == 0 for g in self.M.gens)
-        assert self.h * self.h in self.Hu_image, "h^2 outside the L-image"
-        assert self.M.order() * self.n == self.H.order()
-        assert is_primitive(self.H), "M is not maximal in H"
-        assert self.h in self.H and self.m in self.M
-        assert all(g in self.H for g in self.Hu_image.gens)
-        assert all(g in self.M for g in self.Mu_image.gens)
+        _require(int(self.m.images[0]) == 0, "m does not stabilize coset 0")
+        _require(all(int(g.images[0]) == 0 for g in self.M.gens), "M moves coset 0")
+        _require(self.h * self.h in self.Hu_image, "h^2 outside the L-image")
+        _require(self.M.order() * self.n == self.H.order(), "|H:M| != n")
+        _require(is_primitive(self.H), "M is not maximal in H")
+        _require(self.h in self.H and self.m in self.M, "h outside H or m outside M")
+        _require(all(g in self.H for g in self.Hu_image.gens), "L-image outside H")
+        _require(all(g in self.M for g in self.Mu_image.gens), "X-image outside M")
         if full:
             big = PermutationGroup(list(self.Hu_image.gens) + [self.h], self.n)
-            assert big.order() == self.H.order(), "<L-image, h> != H"
+            _require(big.order() == self.H.order(), "<L-image, h> != H")
             small = PermutationGroup(list(self.Mu_image.gens) + [self.m], self.n)
-            assert small.order() == self.M.order(), "<X-image, m> != M"
+            _require(small.order() == self.M.order(), "<X-image, m> != M")
         return True
 
     def as_dict(self):
@@ -177,21 +183,6 @@ class SearchOutcome:
     results: list
     complete: bool
     stats: dict = field(default_factory=dict)
-
-
-def _schreier_generators(gens, orbit):
-    """Generators of the stabilizer of orbit.base (Schreier's lemma), lazily."""
-    out = []
-    seen = set()
-    for a in orbit.points:
-        u_a = orbit.transversal(a)
-        for g in gens:
-            b = int(g.images[a])
-            s = u_a * g * orbit.transversal(b).inverse()
-            if not s.is_identity() and s.key() not in seen:
-                seen.add(s.key())
-                out.append(s)
-    return out
 
 
 def _corefree_under(elems_keys, elems, conj_gens):
@@ -300,7 +291,7 @@ def maximal_half_arc_pairs(
             M_order, rem = divmod(H_order, n)
             if rem:
                 raise AssertionError("orbit size does not divide |H|")
-            M_schreier = _schreier_generators(H.gens, H.orbit(0))
+            M_schreier = _dedupe(H.orbit(0).schreier_generators(H.gens))
             mu_elem_dict = {p.key(): p for p in phi_Mu_elems}
             if not _corefree_under(mu_elem_dict, mu_elem_dict, M_schreier):
                 continue

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hatlab.group import PermutationGroup, closure_elements
+from hatlab import group as group_mod
+from hatlab.group import Orbit, PermutationGroup, _level_gens, closure_elements
 from hatlab.perm import Permutation
 
 from oracles import closure_order
@@ -142,3 +143,101 @@ def test_random_element_is_member():
     rng = random.Random(3)
     for _ in range(10):
         assert G.random_element(rng) in G
+
+
+# -- incremental Schreier trees against independent oracles -----------------
+
+
+def _check_trees(G, closure):
+    """Chain order, level orbits, transversals and tree depths of G against
+    the closure (element keys) and an independently built Orbit."""
+    levels = G.levels()
+    assert G.order() == len(closure)
+    bases = [lvl.base for lvl in levels]
+    for i, lvl in enumerate(levels):
+        ref = Orbit(_level_gens(levels, i), G.degree, lvl.base)
+        assert set(lvl.orbit) == set(ref.points)
+        assert len(lvl.orbit) == len(ref) == len(lvl.nav)
+        assert lvl.orbit_arr.tolist() == lvl.orbit
+        bound = 2 * len(lvl.tree_gens) + 2
+        for a in lvl.orbit:
+            u = lvl.transversal(a)
+            assert u(lvl.base) == a
+            assert all(u(b) == b for b in bases[:i])
+            assert u.key() in closure
+            hops, b = 0, a
+            while b != lvl.base:
+                idx, pol = lvl.nav[b]
+                b = lvl.tree_gens[idx][1 - pol](b)
+                hops += 1
+            assert lvl.depth[a] == hops <= bound
+
+
+def _random_pair(rng, n):
+    gens = []
+    for _ in range(2):
+        imgs = list(range(n))
+        rng.shuffle(imgs)
+        gens.append(Permutation(imgs))
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_incremental_trees_match_oracles(seed, monkeypatch):
+    rng = random.Random(1000 + seed)
+    cases = [(n, _random_pair(rng, n)) for n in (4, 4, 5, 5, 6, 6, 7, 8)]
+    if seed == 0:
+        cases.append((9, _random_pair(rng, 9)))
+    for n, gens in cases:
+        closure = closure_elements(gens, n)
+        _check_trees(PermutationGroup(gens), closure)
+        # no random sampling: the Schreier pass alone completes the chain
+        with monkeypatch.context() as m:
+            m.setattr(group_mod, "_STATIONARY_ROUNDS", 0)
+            _check_trees(PermutationGroup(gens), closure)
+
+
+def test_incremental_trees_depth_overflow_rebuilds(monkeypatch):
+    # the reflection comes first and leaves a two-point orbit; extending it
+    # by the 31-cycle walks a path past the depth bound mid-extension
+    n = 31
+    cycle = Permutation([(i + 1) % n for i in range(n)])
+    reflection = Permutation([(-i) % n for i in range(n)])
+    failed = []
+    real_bfs = group_mod._Level._bfs
+
+    def counting_bfs(self, old, newest_lists):
+        ok = real_bfs(self, old, newest_lists)
+        if not ok:
+            failed.append(old)
+        return ok
+
+    monkeypatch.setattr(group_mod._Level, "_bfs", counting_bfs)
+    G = PermutationGroup([reflection, cycle]).build_chain()
+    assert any(old > 1 for old in failed)
+    top = G.levels()[0]
+    assert len(top.tree_gens) > len(_level_gens(G.levels(), 0))  # shortcuts
+    _check_trees(G, closure_elements([cycle, reflection], n))
+    assert G.order() == 62
+
+
+def test_schreier_pass_completes_pgl27(monkeypatch):
+    # PGL(2,7) on the projective line, infinity = 7: order 336 is neither
+    # |Sym(8)| nor |Alt(8)|, and no order is claimed
+    gens = [g("(0 1 2 3 4 5 6)", 8), g("(1 3 2 6 4 5)", 8), g("(0 7)(1 6)(2 3)(4 5)")]
+    calls = []
+    real = PermutationGroup._schreier_complete
+
+    def counting(self, levels):
+        calls.append(len(levels))
+        return real(self, levels)
+
+    monkeypatch.setattr(PermutationGroup, "_schreier_complete", counting)
+    monkeypatch.setattr(group_mod, "_STATIONARY_ROUNDS", 0)
+    G = PermutationGroup(gens).build_chain()
+    closure = closure_elements(gens, 8)
+    assert len(closure) == 336
+    _check_trees(G, closure)
+    assert calls
+    assert len(G.strong_generators()) > len(gens)
+    assert g("(0 1)", 8) not in G

@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import hatlab
 
 from hatlab.fpgroups import amalgam_by_name
 from hatlab.pairsearch import (
@@ -90,3 +97,35 @@ def test_s4_amalgam_is_empty():
     out = search_amalgam("S4")
     assert out.complete
     assert out.results == []
+
+
+_TAMPERED_UNDER_O = """
+import dataclasses
+from hatlab.pairsearch import search_amalgam
+from hatlab.perm import Permutation
+
+if __debug__:
+    raise SystemExit("not running under -O")
+res = search_amalgam("A4s").results[0]
+res.verify_invariants(full=False)
+bad = dataclasses.replace(res, m=Permutation.from_cycles(res.n, [(0, 1)]))
+try:
+    bad.verify_invariants(full=False)
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_verify_invariants_survives_python_O():
+    src = str(Path(hatlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised: m does not stabilize coset 0"
