@@ -31,12 +31,6 @@ class HatOrientation:
     o_plus: list
     o_minus: list
 
-    def out_neighbors(self, v):
-        return self.dplus.out[v]
-
-    def in_neighbors(self, v):
-        return self.dplus.into[v]
-
 
 def hat_orientation(action: VertexAction) -> HatOrientation:
     """One of the two orientations induced by a HAT action: the orbit of the

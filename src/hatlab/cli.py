@@ -34,10 +34,15 @@ def _write_json(path, payload):
             fh.write(text + "\n")
 
 
+def _default_witness_path():
+    """The shipped example-4.2 witness file, or None when it is absent."""
+    path = os.path.join(os.path.dirname(__file__), "data", "ex42_witness.json")
+    return path if os.path.exists(path) else None
+
+
 def _run_one(name):
     if name == "4.2":
-        default = os.path.join(os.path.dirname(__file__), "data", "ex42_witness.json")
-        return run_example_42(witness_path=default if os.path.exists(default) else None)
+        return run_example_42(witness_path=_default_witness_path())
     return RUNNERS[name]()
 
 
@@ -70,10 +75,9 @@ def cmd_example(args):
     if name == "4.2":
         witness_path = args.witness
         if witness_path is None:
-            default = os.path.join(os.path.dirname(__file__), "data", "ex42_witness.json")
-            witness_path = default if os.path.exists(default) else None
+            witness_path = _default_witness_path()
         if witness_path is None and args.budget:
-            witness = search_ex42_witness(seed=0, budget=args.budget)
+            witness = search_ex42_witness(budget=args.budget)
             report = run_example_42(witness=witness)
         else:
             report = run_example_42(witness_path=witness_path)
@@ -176,7 +180,7 @@ def cmd_altgraph(args):
 
 
 def cmd_witness42(args):
-    witness = search_ex42_witness(seed=args.seed, budget=args.budget, verbose=True)
+    witness = search_ex42_witness(budget=args.budget, verbose=True)
     if witness is None:
         print("no witness found within budget", file=sys.stderr)
         return 2
@@ -213,13 +217,11 @@ def build_parser():
 
     ag = sub.add_parser("altgraph", help="alternating-cycle analysis")
     ag.add_argument("--graph", required=True)
-    ag.add_argument("--group", help="ambient group file (optional, unused checks)")
     ag.add_argument("--subgroup", required=True, help="HAT subgroup file")
     ag.add_argument("--json")
     ag.set_defaults(func=cmd_altgraph)
 
     wt = sub.add_parser("witness42", help="regenerate the example-4.2 witness")
-    wt.add_argument("--seed", type=int, default=0)
     wt.add_argument("--budget", type=float, default=3600.0)
     wt.add_argument("--out", default="ex42_witness.json")
     wt.set_defaults(func=cmd_witness42)

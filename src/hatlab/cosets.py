@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .group import PermutationGroup, ResourceExhausted
+from .group import PermutationGroup, ResourceExhausted, closure_elements
 from .perm import Permutation
 
 
@@ -28,9 +28,9 @@ def coset_canonical(H: PermutationGroup, x: Permutation) -> Permutation:
     """
     p = x
     for lvl in H.levels():
-        imgs = p.images[lvl.orbit_arr]
+        imgs = p.images[lvl.points_arr]
         j = int(np.argmin(imgs))
-        a = int(lvl.orbit_arr[j])
+        a = int(lvl.points_arr[j])
         if a != lvl.base:
             p = lvl.transversal(a) * p
     return p
@@ -93,9 +93,6 @@ class CosetAction:
     def degree(self):
         return len(self.space)
 
-    def apply(self, x: Permutation) -> Permutation:
-        return self.space.action_of(x)
-
     def kernel(self) -> PermutationGroup:
         return core(self.G, self.H, _space=self.space)
 
@@ -127,25 +124,30 @@ def core(G: PermutationGroup, H: PermutationGroup, max_index=10**6, _space=None)
 
 
 def _core_fixpoint(G, H):
-    elems = dict(H.element_set())
-    ident_key = G.identity().key()
+    from .normalizers import group_from_elements
+
+    elems = _conjugation_invariant_part(H.element_set(), G.gens)
+    return group_from_elements(G.degree, elems, parent=G)
+
+
+def _conjugation_invariant_part(elems, conj_gens):
+    """The largest subset of the element dict (key -> perm) closed under
+    conjugation by conj_gens.  For the elements of a subgroup H this is the
+    core of H in <H, conj_gens>; it always holds the identity."""
+    alive = dict(elems)
     while True:
         doomed = []
-        for k, u in elems.items():
-            if k == ident_key:
+        for k, u in alive.items():
+            if u.is_identity():
                 continue
-            for g in G.gens:
-                c = u.conj(g)
-                if c.key() not in elems:
+            for g in conj_gens:
+                if u.conj(g).key() not in alive:
                     doomed.append(k)
                     break
         if not doomed:
-            break
+            return alive
         for k in doomed:
-            del elems[k]
-    from .normalizers import group_from_elements
-
-    return group_from_elements(G.degree, elems, parent=G)
+            del alive[k]
 
 
 def _core_via_combined(G, H, max_index=10**6, _space=None):
@@ -161,7 +163,7 @@ def _core_via_combined(G, H, max_index=10**6, _space=None):
     kernel_gens = []
     kernel_order = 1
     for lvl in big.levels()[m:]:
-        kernel_order *= len(lvl.orbit)
+        kernel_order *= len(lvl)
         for p in lvl.gens:
             kernel_gens.append(Permutation(p.images[m:] - m, validate=False))
     return G.subgroup(kernel_gens, order=kernel_order)
@@ -310,8 +312,11 @@ def small_subgroups(G: PermutationGroup, order_bound: int):
             for p in candidates:
                 if p.key() in key_set:
                     continue
-                closed = _closure_capped(elems + [p], order_bound)
-                if closed is None or order_bound % len(closed) != 0:
+                try:
+                    closed = closure_elements(elems + [p], G.degree, limit=order_bound)
+                except ResourceExhausted:
+                    continue  # too big
+                if order_bound % len(closed) != 0:
                     continue
                 fs = frozenset(closed)
                 if fs not in seen:
@@ -324,26 +329,6 @@ def small_subgroups(G: PermutationGroup, order_bound: int):
         out.append(G.subgroup(nontrivial, order=len(elems)))
     out.sort(key=lambda S: (S.order(), sorted(S.element_set().keys())))
     return out
-
-
-def _closure_capped(elems, cap):
-    found = {p.key(): p for p in elems}
-    ident = Permutation.identity(elems[0].degree)
-    found.setdefault(ident.key(), ident)
-    frontier = list(found.values())
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in elems:
-                q = p * g
-                k = q.key()
-                if k not in found:
-                    if len(found) >= cap:
-                        return None
-                    found[k] = q
-                    nxt.append(q)
-        frontier = nxt
-    return found
 
 
 def double_coset(A: PermutationGroup, x: Permutation, B: PermutationGroup, budget=10**7):
@@ -379,13 +364,3 @@ def wreath_square(P: PermutationGroup):
     gens = [embed1(g) for g in P.gens] + [embed2(g) for g in P.gens] + [swap]
     X = PermutationGroup(gens, 2 * n, order=P.order() ** 2 * 2)
     return X, embed1, embed2, swap
-
-
-def intersect_small(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
-    """A ∩ B where at least one side is small enough to enumerate."""
-    if A.order() > B.order():
-        A, B = B, A
-    elems = [p for p in A.elements() if p in B]
-    return PermutationGroup(
-        [p for p in elems if not p.is_identity()], A.degree, order=len(elems)
-    )

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 
 from .group import PermutationGroup
-from .perm import Permutation
+from .perm import Permutation, evaluate_word
 
 SENTINEL = -1
 
@@ -216,10 +216,7 @@ class CosetTable:
         return PermutationGroup(self.generator_perms, self.n, order=order)
 
     def evaluate(self, word) -> Permutation:
-        p = Permutation.identity(self.n)
-        for idx, exp in word:
-            p = p * self.generator_perms[idx] ** exp
-        return p
+        return evaluate_word(word, self.generator_perms)
 
 
 def todd_coxeter(pres: FpPresentation, subgroup_words=(), coset_limit=10**6) -> CosetTable:

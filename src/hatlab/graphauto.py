@@ -56,9 +56,6 @@ class _Partition:
     def sizes(self):
         return tuple(len(self.cells[cid]) for cid in self.order)
 
-    def is_discrete(self):
-        return all(len(self.cells[cid]) == 1 for cid in self.order)
-
     def labeling(self):
         """vertex -> position map as a Permutation (discrete partitions only)."""
         n = self.cell_of.size
@@ -184,7 +181,8 @@ class _Search:
                 raise ValueError("seed permutation is not an automorphism")
 
     def _orbit_reps(self, cell, prefix):
-        """Partition cell into orbits of the found automorphisms fixing prefix."""
+        """``find`` over cell: find(v) names v's orbit under the found
+        automorphisms fixing prefix."""
         gens = [
             p for p in self.auts if all(int(p.images[b]) == b for b in prefix)
         ]
@@ -205,10 +203,7 @@ class _Search:
                         ra, rb = find(v), find(w)
                         if ra != rb:
                             parent[max(ra, rb)] = min(ra, rb)
-        reps = {}
-        for v in sorted(parent):
-            reps.setdefault(find(v), v)
-        return parent, find
+        return find
 
     def run(self):
         self._descend(self.root, [], [])
@@ -248,7 +243,7 @@ class _Search:
             # orbit pruning against automorphisms fixing the prefix
             skip = False
             if tried and self.auts:
-                parent, find = self._orbit_reps(cell, prefix)
+                find = self._orbit_reps(cell, prefix)
                 rv = find(v)
                 for t in tried:
                     if find(t) == rv:

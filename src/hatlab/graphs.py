@@ -186,9 +186,6 @@ class VertexAction:
                 if not self.graph.has_edge(int(g.images[u]), int(g.images[v])):
                     raise ValueError("generator does not preserve adjacency")
 
-    def restrict(self, subgroup: PermutationGroup) -> "VertexAction":
-        return VertexAction(subgroup, self.graph)
-
 
 def coset_graph(G: PermutationGroup, H: PermutationGroup, D, max_index=10**6):
     """Cos(G, H, D): vertices are right cosets of H, with Hx ~ Hy iff
@@ -322,14 +319,10 @@ def quotient_graph(action: VertexAction, N: PermutationGroup) -> QuotientResult:
     graph = action.graph
     n = graph.n
     orbit_of = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for v in range(n):
-        if orbit_of[v] >= 0:
-            continue
-        orb = N.orbit(v)
-        for p in orb.points:
-            orbit_of[p] = count
-        count += 1
+    orbits = N.orbits()
+    for i, orb in enumerate(orbits):
+        orbit_of[orb.points_arr] = i
+    count = len(orbits)
     if count == 1:
         return QuotientResult(Graph(1, []), orbit_of, 1, False, True)
     edges = set()

@@ -32,50 +32,63 @@ class ResourceExhausted(RuntimeError):
     """A search or enumeration exceeded its configured budget."""
 
 
-class _Level:
-    """One level of the stabilizer chain: a base point and its Schreier tree."""
+class Orbit:
+    """Orbit of a base point with a shallow Schreier tree (Seress,
+    *Permutation Group Algorithms*, §4.2), built by ``extend``.
 
-    __slots__ = ("base", "degree", "gens", "tree_gens", "nav", "depth", "orbit", "orbit_arr")
+    A stabilizer-chain level is an orbit whose ``gens`` holds the strong
+    generators introduced at that level.
+    """
+
+    __slots__ = ("base", "degree", "gens", "tree_gens", "nav", "depth", "points", "points_arr")
 
     def __init__(self, base: int, degree: int):
         self.base = base
         self.degree = degree
-        self.gens = []        # strong generators introduced at this level
-        self.tree_gens = []   # (g, g_inv) pairs: level generators + shortcuts
+        self.gens = []        # strong generators introduced at this chain level
+        self.tree_gens = []   # (g, g_inv) pairs: tree generators + shortcuts
         self.nav = {base: None}  # point -> (tree_gen_index, polarity) of incoming edge
         self.depth = {base: 0}   # point -> number of edges from base in the tree
-        self.orbit = [base]   # discovery order
-        self.orbit_arr = np.array([base], dtype=np.int64)
+        self.points = [base]  # discovery order
+        self.points_arr = np.array([base], dtype=np.int64)
 
-    def extend(self, g: Permutation, g_inv: Permutation, g_lists) -> None:
-        """Add tree generator g, whose image lists (g, g^-1) are ``g_lists``.
+    def __len__(self):
+        return len(self.points)
 
-        The old orbit points only need g; BFS under every generator runs
-        from the new points alone.  Past the depth bound the whole tree is
-        rebuilt, with a shortcut added.
+    def __contains__(self, point):
+        return point in self.nav
+
+    def extend(self, new) -> None:
+        """Add the tree generators ``new``, a list of ``_tree_gen`` triples.
+
+        The old orbit points only need the new generators; BFS under every
+        generator runs from the new points alone.  Past the depth bound the
+        whole tree is rebuilt, with a shortcut added.
         """
-        self.tree_gens.append((g, g_inv))
-        old = len(self.orbit)
-        while not self._bfs(old, g_lists):
+        first = len(self.tree_gens)
+        self.tree_gens += [(g, g_inv) for g, g_inv, _ in new]
+        newest = [(first + i, lists) for i, (_, _, lists) in enumerate(new)]
+        old = len(self.points)
+        while not self._bfs(old, newest):
             self.nav = {self.base: None}
             self.depth = {self.base: 0}
-            self.orbit = [self.base]
+            self.points = [self.base]
             old = 0
 
-    def _bfs(self, old: int, newest_lists) -> bool:
-        """BFS onward from ``self.orbit``; the first ``old`` points take only
-        the newest tree generator.  On a point deeper than the bound, adds
-        the path to its parent as a shortcut generator and returns False."""
+    def _bfs(self, old: int, newest) -> bool:
+        """BFS onward from ``self.points``; the first ``old`` points take only
+        the ``newest`` (index, image lists) tree generators.  On a point
+        deeper than the bound, adds the path to its parent as a shortcut
+        generator and returns False."""
         tree_gens = self.tree_gens
-        nav, depth, order = self.nav, self.depth, self.orbit
-        newest = len(tree_gens) - 1
+        nav, depth, order = self.nav, self.depth, self.points
         limit = 2 * len(tree_gens) + 2
         every = None
         head = 0
         while head < len(order):
             a = order[head]
             if head < old:
-                moves = ((newest, newest_lists),)
+                moves = newest
             else:
                 if every is None:
                     every = [
@@ -96,7 +109,7 @@ class _Level:
                     nav[b] = (idx, pol)
                     depth[b] = d
                     order.append(b)
-        self.orbit_arr = np.array(order, dtype=np.int64)
+        self.points_arr = np.array(order, dtype=np.int64)
         return True
 
     def transversal(self, a: int) -> Permutation:
@@ -118,6 +131,20 @@ class _Level:
             p = p * back
             a = int(p.images[self.base])
         return p
+
+    def schreier_generators(self, gens):
+        """Schreier's lemma, lazily: u_a * g * u_{a^g}^-1 for each orbit
+        point a, in discovery order, and each g in gens."""
+        for a in self.points:
+            u_a = self.transversal(a)
+            for g in gens:
+                yield self.cancel_into(u_a * g)
+
+
+def _tree_gen(g: Permutation):
+    """(g, g^-1, image lists of both), as ``Orbit.extend`` takes them."""
+    inv = g.inverse()
+    return g, inv, (g.images.tolist(), inv.images.tolist())
 
 
 def _dedupe(perms):
@@ -145,9 +172,7 @@ class PermutationGroup:
     applies.
     """
 
-    def __init__(
-        self, generators, degree=None, *, order=None, seed=0, parent=None, base_prefix=()
-    ):
+    def __init__(self, generators, degree=None, *, order=None, parent=None, base_prefix=()):
         gens = list(generators)
         if degree is None:
             if not gens:
@@ -162,7 +187,6 @@ class PermutationGroup:
         self._claimed_order = order
         self._levels = None
         self._order = None
-        self._seed = seed
         self._base_prefix = tuple(base_prefix)
         self._elements_cache = None
         if parent is not None:
@@ -175,11 +199,11 @@ class PermutationGroup:
     def _ensure_chain(self):
         if self._levels is not None:
             return
-        levels = [_Level(b, self.degree) for b in self._base_prefix]
+        levels = [Orbit(b, self.degree) for b in self._base_prefix]
         for g in self.gens:
             self._chain_add(levels, g)
         if self.gens:
-            rng = _Rattle(self.gens, random.Random(self._seed))
+            rng = _Rattle(self.gens, random.Random(0))
             target = self._claimed_order
             if target is not None:
                 stall = 0
@@ -217,12 +241,11 @@ class PermutationGroup:
             return False
         if depth == len(levels):
             b = residue.first_moved()
-            levels.append(_Level(b, self.degree))
+            levels.append(Orbit(b, self.degree))
         levels[depth].gens.append(residue)
-        inv = residue.inverse()
-        lists = (residue.images.tolist(), inv.images.tolist())
+        new = [_tree_gen(residue)]
         for i in range(depth + 1):
-            levels[i].extend(residue, inv, lists)
+            levels[i].extend(new)
         return True
 
     def _sandwich_certified(self, levels) -> bool:
@@ -241,20 +264,15 @@ class PermutationGroup:
         """Deterministic completion: sift every Schreier generator, bottom-up.
 
         Trees are always current, so each level is scanned as it stands; any
-        install restarts from the bottom.  ``cancel_into(u_a * g)`` is the
-        Schreier generator u_a * g * u_{a^g}^-1.
+        install restarts from the bottom.
         """
         i = len(levels) - 1
         while i >= 0:
             lvl = levels[i]
-            gens_i = _level_gens(levels, i)
             restart = False
-            for a in lvl.orbit:
-                u_a = lvl.transversal(a)
-                for g in gens_i:
-                    schreier = lvl.cancel_into(u_a * g)
-                    if self._chain_add(levels, schreier, start=i + 1):
-                        restart = True
+            for schreier in lvl.schreier_generators(_level_gens(levels, i)):
+                if self._chain_add(levels, schreier, start=i + 1):
+                    restart = True
             if restart:
                 i = len(levels) - 1
             else:
@@ -322,7 +340,7 @@ class PermutationGroup:
                 return
             lvl = self._levels[i]
             for rest in rec(i + 1):
-                for a in lvl.orbit:
+                for a in lvl.points:
                     yield rest * lvl.transversal(a)
 
         return rec(0)
@@ -336,7 +354,7 @@ class PermutationGroup:
         self._ensure_chain()
         p = Permutation.identity(self.degree)
         for lvl in reversed(self._levels):
-            p = p * lvl.transversal(rng.choice(lvl.orbit))
+            p = p * lvl.transversal(rng.choice(lvl.points))
         return p
 
     # -- orbits and actions ----------------------------------------------
@@ -344,7 +362,9 @@ class PermutationGroup:
     def orbit(self, point: int) -> "Orbit":
         if not 0 <= point < self.degree:
             raise ValueError("point %d out of range" % point)
-        return Orbit(self.gens, self.degree, point)
+        orb = Orbit(point, self.degree)
+        orb.extend([_tree_gen(g) for g in self.gens])
+        return orb
 
     def orbits(self):
         seen = np.zeros(self.degree, dtype=bool)
@@ -448,13 +468,6 @@ class PermutationGroup:
     def subgroup(self, generators, *, order=None) -> "PermutationGroup":
         return PermutationGroup(generators, self.degree, order=order, parent=self)
 
-    def conjugate_subgroup(self, sub: "PermutationGroup", h: Permutation):
-        return self.subgroup([g.conj(h) for g in sub.gens], order=sub._claimed_order)
-
-    def is_subgroup(self, other: "PermutationGroup") -> bool:
-        """Whether self <= other."""
-        return all(g in other for g in self.gens)
-
     def normalizes(self, sub: "PermutationGroup") -> bool:
         return all(s.conj(g) in sub for g in self.gens for s in sub.gens)
 
@@ -462,68 +475,13 @@ class PermutationGroup:
         return big.normalizes(self)
 
 
-class Orbit:
-    """Orbit of a point with a Schreier tree for transversal elements."""
-
-    __slots__ = ("points", "points_arr", "_nav", "_gens", "_ginv", "base", "degree")
-
-    def __init__(self, gens, degree, point):
-        self.base = point
-        self.degree = degree
-        self._gens = list(gens)
-        self._ginv = [g.inverse() for g in self._gens]
-        nav = {point: None}
-        order = [point]
-        head = 0
-        while head < len(order):
-            a = order[head]
-            head += 1
-            for idx, g in enumerate(self._gens):
-                b = int(g.images[a])
-                if b not in nav:
-                    nav[b] = idx
-                    order.append(b)
-        self.points = order
-        self.points_arr = np.array(order, dtype=np.int64)
-        self._nav = nav
-
-    def __len__(self):
-        return len(self.points)
-
-    def __contains__(self, point):
-        return point in self._nav
-
-    def transversal(self, a: int) -> Permutation:
-        """t_a with base^(t_a) = a."""
-        p = None
-        for idx in self.transversal_word(a):
-            p = self._gens[idx] if p is None else p * self._gens[idx]
-        return Permutation.identity(self.degree) if p is None else p
-
-    def transversal_word(self, a: int):
-        """Generator indices whose left-to-right product is t_a."""
-        edges = []
-        while a != self.base:
-            idx = self._nav[a]
-            edges.append(idx)
-            a = int(self._ginv[idx].images[a])
-        return list(reversed(edges))
-
-    def schreier_generators(self, gens):
-        """Schreier's lemma, lazily: t_a * g * t_{a^g}^-1 for each point a, g."""
-        for a in self.points:
-            t_a = self.transversal(a)
-            for g in gens:
-                yield t_a * g * self.transversal(int(g.images[a])).inverse()
-
-
 class _Rattle:
     """Seeded product-replacement sampler over a fixed generating set."""
 
-    def __init__(self, gens, rng, extra=6, accus=4):
+    def __init__(self, gens, rng):
         self.rng = rng
-        self.pool = [Permutation.identity(gens[0].degree)] * extra + list(gens)
-        self.accu = [Permutation.identity(gens[0].degree)] * accus
+        self.pool = [Permutation.identity(gens[0].degree)] * 6 + list(gens)
+        self.accu = [Permutation.identity(gens[0].degree)] * 4
         self.k = 0
         for _ in range(max(40, 6 * len(self.pool))):
             self._stir()
@@ -552,7 +510,7 @@ def _level_gens(levels, i):
 def _chain_order(levels) -> int:
     order = 1
     for lvl in levels:
-        order *= len(lvl.orbit)
+        order *= len(lvl)
     return order
 
 
@@ -605,6 +563,10 @@ def closure_elements(gens, degree, limit=2 * 10**6):
 def group_2part(n: int) -> int:
     """Largest power of 2 dividing n."""
     return n & (-n)
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
 
 
 def write_group_file(G: PermutationGroup) -> str:

@@ -172,17 +172,12 @@ class SymNormalizerData:
             self.points_by_key.setdefault(self.stab_key[v], []).append(v)
         # orbits with transversal element indices: point -> index of sigma with rep^sigma = point
         self.orbits = []
-        seen = set()
-        for v in range(self.n):
-            if v in seen:
-                continue
-            orb = S.orbit(v)
+        for orb in S.orbits():
             sigma = {}
             for a in orb.points:
                 t = orb.transversal(a)
                 sigma[a] = self.index_of[self._member_key(t)]
-            self.orbits.append((v, orb.points, sigma))
-            seen.update(orb.points)
+            self.orbits.append((orb.base, orb.points, sigma))
 
     def _member_key(self, p):
         k = p.key()
@@ -307,8 +302,14 @@ class SymNormalizerData:
                 return 0
         return bound
 
-    def realizations(self, alpha):
-        """Yield every g in Sym(n) with s^g = alpha(s) for all s in S."""
+    def realizations(self, alpha, prune=None):
+        """Yield every g in Sym(n) with s^g = alpha(s) for all s in S.
+
+        Orbits are assigned one at a time.  ``prune``, when given, sees the
+        partial image array after each assignment (-1 where still unknown)
+        and cuts the branch when it returns True; it must only cut branches
+        that hold no wanted realization.
+        """
         orbit_keys = []
         for rep, pts, sigma in self.orbits:
             key = self.stab_key[rep]
@@ -336,16 +337,17 @@ class SymNormalizerData:
                 used.add(head)
                 for a in pts:
                     g[a] = self.elems[alpha[sigma[a]]].images[q]
-                yield from assign(k + 1)
+                if prune is None or not prune(g):
+                    yield from assign(k + 1)
                 used.discard(head)
+            if prune is not None:
+                g[pts] = -1  # unknown again for the prune of earlier orbits
 
         yield from assign(0)
 
-    def all_elements(self, size_limit=SYM_NORM_SIZE_LIMIT, alpha_filter=None):
+    def all_elements(self, size_limit=SYM_NORM_SIZE_LIMIT):
         elems = {}
         for alpha in self.automorphisms():
-            if alpha_filter is not None and not alpha_filter(alpha):
-                continue
             if self.realization_bound(alpha) > 40 * size_limit:
                 raise ResourceExhausted(
                     "symmetric normalizer enumeration is hopeless "

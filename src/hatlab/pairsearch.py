@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cosets import (
+    _conjugation_invariant_part,
     core,
     coset_action,
     coset_canonical as _coset_canonical,
@@ -30,7 +31,7 @@ from .cosets import (
     small_subgroups,
 )
 from .fpgroups import AmalgamSpec, amalgam_by_name, todd_coxeter
-from .group import PermutationGroup, _dedupe, group_2part
+from .group import PermutationGroup, _dedupe, _is_power_of_two, group_2part
 from .normalizers import normalizer_in_sym
 from .perm import Permutation
 from .signatures import group_name
@@ -185,30 +186,10 @@ class SearchOutcome:
     stats: dict = field(default_factory=dict)
 
 
-def _corefree_under(elems_keys, elems, conj_gens):
-    """Whether the largest conj_gens-invariant subgroup inside the element
-    set is trivial (the fixpoint core computation on explicit elements)."""
-    alive = dict(elems)
-    while True:
-        doomed = []
-        for k, u in alive.items():
-            if u.is_identity():
-                continue
-            for g in conj_gens:
-                if u.conj(g).key() not in alive:
-                    doomed.append(k)
-                    break
-        if not doomed:
-            return len(alive) == 1
-        for k in doomed:
-            del alive[k]
-
-
 def maximal_half_arc_pairs(
     realized: RealizedAmalgam,
     deep: bool = False,
     time_budget: float | None = None,
-    normalizer_size_limit: int = 4 * 10**6,
     progress=None,
 ) -> SearchOutcome:
     """All (H, M, Hu, Mu, h, m) tuples for one amalgam, in deterministic order.
@@ -242,7 +223,7 @@ def maximal_half_arc_pairs(
             complete = False
             stats.setdefault("skippedDegrees", []).append(n)
             continue
-        phi_Hu_gens = [act.space.action_of(g) for g in Hu.gens]
+        phi_Hu_gens = act._phi_gens
         phi_Hu = PermutationGroup(phi_Hu_gens, n, order=Hu.order())
         phi_Huv = PermutationGroup(
             [act.space.action_of(g) for g in realized.Huv.gens], n,
@@ -254,13 +235,13 @@ def maximal_half_arc_pairs(
         phi_Hu_elems = {p.key(): p for p in phi_Hu.elements()}
         phi_Mu_elems = [p for p in phi_Mu.elements()]
 
-        Nuv = normalizer_in_sym(phi_Huv, size_limit=normalizer_size_limit)
+        Nuv = normalizer_in_sym(phi_Huv)
         h_list = [
             p
-            for _, p in sorted(Nuv.element_set().items(), key=lambda kv: kv[1].key_tuple())
+            for p in sorted(Nuv.element_set().values(), key=lambda p: p.images.tolist())
             if (p * p).key() in phi_Hu_elems
             and p.key() not in phi_Hu_elems
-            and _is_2power(p.order())
+            and _is_power_of_two(p.order())
         ]
         # h-candidates in one right coset of the L-image produce the same
         # group H = <image(L), h>, the same M, and the same forward-element
@@ -285,7 +266,7 @@ def maximal_half_arc_pairs(
             H = PermutationGroup(H_gens, n)
             if not H.is_transitive() or not is_primitive(H):
                 continue
-            if not _corefree_under(phi_Hu_elems, phi_Hu_elems, H.gens):
+            if len(_conjugation_invariant_part(phi_Hu_elems, H.gens)) != 1:
                 continue
             H_order = H.order()
             M_order, rem = divmod(H_order, n)
@@ -293,7 +274,7 @@ def maximal_half_arc_pairs(
                 raise AssertionError("orbit size does not divide |H|")
             M_schreier = _dedupe(H.orbit(0).schreier_generators(H.gens))
             mu_elem_dict = {p.key(): p for p in phi_Mu_elems}
-            if not _corefree_under(mu_elem_dict, mu_elem_dict, M_schreier):
+            if len(_conjugation_invariant_part(mu_elem_dict, M_schreier)) != 1:
                 continue
             found_m = None
             for i_elem in phi_Hu.elements():
@@ -337,10 +318,6 @@ def maximal_half_arc_pairs(
 
     stats["seconds"] = round(time.time() - t0, 3)
     return SearchOutcome(spec_name, results, complete, stats)
-
-
-def _is_2power(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
 
 
 def _reverses_an_arc(m, mu_elems, mu_keys):

@@ -91,9 +91,6 @@ class Permutation:
             self._key = self.images.tobytes()
         return self._key
 
-    def key_tuple(self):
-        return tuple(int(i) for i in self.images)
-
     def __hash__(self):
         return hash(self.key())
 
@@ -108,10 +105,6 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         return int(self.images[point])
-
-    def apply(self, points):
-        """Image of an array of points (vectorized)."""
-        return self.images[points]
 
     # -- arithmetic
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cosets import core, is_maximal_subgroup
 from .graphs import Graph, VertexAction, cycle_graph, induced_quotient_action, quotient_graph
 from .graphauto import is_isomorphic
-from .group import PermutationGroup
+from .group import PermutationGroup, _is_power_of_two
 from .normalizers import normalizer
 from .perm import Permutation
 from .signatures import group_name
@@ -65,13 +65,6 @@ def edge_orbit_count(action: VertexAction) -> int:
     return len(merged)
 
 
-def _arc_stabilizer(group: PermutationGroup, arc):
-    sub = group
-    for v in arc:
-        sub = sub.point_stabilizer(v)
-    return sub
-
-
 def _extensions(graph: Graph, arc):
     head = arc[-1]
     prev = arc[-2] if len(arc) >= 2 else None
@@ -86,7 +79,7 @@ def s_arc_transitive(action: VertexAction, s: int) -> bool:
         return False
     arc = [0]
     for step in range(1, s + 1):
-        stab = _arc_stabilizer(group, arc)
+        stab = group.pointwise_stabilizer(arc)
         exts = _extensions(graph, arc)
         if not exts:
             return False
@@ -199,10 +192,6 @@ class TheoremCase:
     def as_dict(self):
         t = "1/2" if self.t == HALF else self.t
         return {"theoremCase": self.label, "t": t, "witnesses": self.witnesses}
-
-
-def _is_power_of_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def classify_theorem_case(

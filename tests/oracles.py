@@ -15,6 +15,19 @@ def closure_order(gens, degree):
     return len(closure_elements(gens, degree))
 
 
+def orbit_points(gens, point):
+    """The orbit of point under gens, by forward breadth-first search."""
+    seen = {point}
+    order = [point]
+    for a in order:
+        for g in gens:
+            b = int(g.images[a])
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+    return order
+
+
 def element_scan_normalizer(ambient_elems, sub_elems):
     sub_keys = {p.key() for p in sub_elems}
     out = []

@@ -67,6 +67,12 @@ def test_cli_example_43(tmp_path):
     assert payload["passed"] is True
 
 
+def test_cli_example_42_default_witness(capsys):
+    # no --witness: the shipped witness file is found and every fact passes
+    assert main(["example", "4.2"]) == 0
+    assert "example 4.2: PASS" in capsys.readouterr().out
+
+
 def test_cli_error_paths(capsys):
     assert main(["aut", "/nonexistent/file.graph"]) == 1
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hatlab.cosets import (
@@ -145,8 +147,6 @@ def test_is_maximal_examples():
 
 
 def test_maximality_matches_lattice_on_small_groups():
-    import random
-
     rng = random.Random(11)
     checked = 0
     for _ in range(30):
@@ -191,6 +191,26 @@ def test_small_subgroups_d8():
     # oracle: exhaustive subgroup enumeration filtered to orders dividing 4
     oracle = [s for s in all_subgroups(list(D.elements()), 4) if 4 % len(s) == 0]
     assert len(subs) == len(oracle)
+    assert {frozenset(S.element_set()) for S in subs} == set(oracle)
+    # seeded random groups of degree <= 6, each bound against the lattice
+    rng = random.Random(61)
+    done = 0
+    while done < 6:
+        n = rng.randrange(4, 7)
+        gens = []
+        for _ in range(2):
+            imgs = list(range(n))
+            rng.shuffle(imgs)
+            gens.append(Permutation(imgs))
+        G = PermutationGroup(gens, n)
+        if not 6 <= G.order() <= 48:
+            continue
+        lattice = all_subgroups(list(G.elements()), n)
+        for bound in (2, 4, 8):
+            keys = [frozenset(S.element_set()) for S in small_subgroups(G, bound)]
+            assert len(keys) == len(set(keys))
+            assert set(keys) == {s for s in lattice if bound % len(s) == 0}
+        done += 1
 
 
 def test_small_subgroups_bound_one():

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from hatlab import group as group_mod
-from hatlab.group import Orbit, PermutationGroup, _level_gens, closure_elements
+from hatlab.group import PermutationGroup, _level_gens, closure_elements
 from hatlab.perm import Permutation
 
-from oracles import closure_order
+from oracles import closure_order, orbit_points
 
 
 def g(s, n=None):
@@ -150,17 +150,17 @@ def test_random_element_is_member():
 
 def _check_trees(G, closure):
     """Chain order, level orbits, transversals and tree depths of G against
-    the closure (element keys) and an independently built Orbit."""
+    the closure (element keys) and a plain forward BFS orbit."""
     levels = G.levels()
     assert G.order() == len(closure)
     bases = [lvl.base for lvl in levels]
     for i, lvl in enumerate(levels):
-        ref = Orbit(_level_gens(levels, i), G.degree, lvl.base)
-        assert set(lvl.orbit) == set(ref.points)
-        assert len(lvl.orbit) == len(ref) == len(lvl.nav)
-        assert lvl.orbit_arr.tolist() == lvl.orbit
+        ref = orbit_points(_level_gens(levels, i), lvl.base)
+        assert set(lvl.points) == set(ref)
+        assert len(lvl.points) == len(ref) == len(lvl.nav)
+        assert lvl.points_arr.tolist() == lvl.points
         bound = 2 * len(lvl.tree_gens) + 2
-        for a in lvl.orbit:
+        for a in lvl.points:
             u = lvl.transversal(a)
             assert u(lvl.base) == a
             assert all(u(b) == b for b in bases[:i])
@@ -204,15 +204,15 @@ def test_incremental_trees_depth_overflow_rebuilds(monkeypatch):
     cycle = Permutation([(i + 1) % n for i in range(n)])
     reflection = Permutation([(-i) % n for i in range(n)])
     failed = []
-    real_bfs = group_mod._Level._bfs
+    real_bfs = group_mod.Orbit._bfs
 
-    def counting_bfs(self, old, newest_lists):
-        ok = real_bfs(self, old, newest_lists)
+    def counting_bfs(self, old, newest):
+        ok = real_bfs(self, old, newest)
         if not ok:
             failed.append(old)
         return ok
 
-    monkeypatch.setattr(group_mod._Level, "_bfs", counting_bfs)
+    monkeypatch.setattr(group_mod.Orbit, "_bfs", counting_bfs)
     G = PermutationGroup([reflection, cycle]).build_chain()
     assert any(old > 1 for old in failed)
     top = G.levels()[0]

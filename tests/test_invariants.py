@@ -7,7 +7,7 @@ from hatlab.graphs import Digraph, VertexAction, complete_bipartite_minus_matchi
 from hatlab.graphauto import automorphism_group
 from hatlab.group import PermutationGroup, closure_elements
 from hatlab.normalizers import normalizer
-from hatlab.perm import Permutation, evaluate_word
+from hatlab.perm import Permutation
 from hatlab.symmetry import json_report, local_action
 
 from oracles import all_subgroups
@@ -31,23 +31,13 @@ def test_chain_level_order_identity():
     suffix_orders = []
     total = 1
     for lvl in reversed(levels):
-        total *= len(lvl.orbit)
+        total *= len(lvl.points)
         suffix_orders.append(total)
     suffix_orders.reverse()
     for i, lvl in enumerate(levels):
         below = suffix_orders[i + 1] if i + 1 < len(levels) else 1
-        assert len(lvl.orbit) * below == suffix_orders[i]
+        assert len(lvl.points) * below == suffix_orders[i]
     assert suffix_orders[0] == G.order()
-
-
-def test_orbit_transversal_words_compose():
-    gens = [g("(0 1 2 3)"), g("(0 1)", 4)]
-    G = PermutationGroup(gens)
-    orb = G.orbit(2)
-    for a in orb.points:
-        word = orb.transversal_word(a)
-        p = evaluate_word([(i, 1) for i in word], gens)
-        assert p(2) == a
 
 
 def test_core_contains_all_normal_subgroups_small_corpus():

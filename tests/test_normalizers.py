@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from hatlab.examples import _cannot_square_to
 from hatlab.group import PermutationGroup, ResourceExhausted
 from hatlab.normalizers import (
+    SymNormalizerData,
     centralizer,
     centralizer_in_sym,
     normalizer,
@@ -105,6 +109,38 @@ def test_normalizer_in_sym_matches_scan_on_random_small_groups():
         oracle = element_scan_normalizer(sym_elems[n], list(S.elements()))
         assert N.order() == len(oracle)
         done += 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_realizations_prune_matches_square_filter(seed):
+    """realizations(alpha, prune=...) is the plain enumeration filtered to
+    x*x == t, in the same order."""
+    rng = random.Random(300 + seed)
+    cases = hits = 0
+    while cases < 4:
+        n = rng.randrange(4, 9)
+        gens = []
+        for _ in range(rng.choice([1, 2])):
+            imgs = list(range(n))
+            rng.shuffle(imgs)
+            gens.append(Permutation(imgs))
+        S = PermutationGroup(gens, n)
+        if not 2 <= S.order() <= 24:
+            continue
+        data = SymNormalizerData(S)
+        for alpha in data.automorphisms():
+            if data.realization_bound(alpha) > 500:
+                continue
+            plain = list(data.realizations(alpha))
+            squares = {(x * x).key(): x * x for x in plain}
+            targets = [S.identity(), rng.choice(data.elems)]
+            targets += [q for k, q in sorted(squares.items()) if k in data.index_of][:3]
+            for t in targets:
+                wanted = [x for x in plain if x * x == t]
+                assert list(data.realizations(alpha, prune=_cannot_square_to(t))) == wanted
+                hits += len(wanted)
+        cases += 1
+    assert hits > 0
 
 
 def test_coset_scan_branch():
