@@ -203,18 +203,22 @@ def block_system(G: PermutationGroup, beta: int, alpha: int = 0):
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
-def minimal_blocks(G: PermutationGroup):
-    """All minimal nontrivial block systems of a transitive group."""
+def _nontrivial_block_systems(G: PermutationGroup):
+    """Yield block_system(G, beta) for each beta whose system is nontrivial."""
     n = G.degree
     if not G.is_transitive():
         raise ValueError("block systems require a transitive group")
     if n <= 2:
-        return []
-    systems = set()
+        return
     for beta in range(1, n):
         sys_ = block_system(G, beta)
         if 1 < len(sys_) < n:
-            systems.add(sys_)
+            yield sys_
+
+
+def minimal_blocks(G: PermutationGroup):
+    """All minimal nontrivial block systems of a transitive group."""
+    systems = set(_nontrivial_block_systems(G))
     out = []
     for s in systems:
         finer_exists = False
@@ -237,15 +241,7 @@ def _refines(t, s):
 
 
 def is_primitive(G: PermutationGroup) -> bool:
-    n = G.degree
-    if not G.is_transitive():
-        raise ValueError("primitivity requires a transitive group")
-    if n <= 2:
-        return True
-    for beta in range(1, n):
-        if 1 < len(block_system(G, beta)) < n:
-            return False
-    return True
+    return next(_nontrivial_block_systems(G), None) is None
 
 
 def is_maximal_subgroup(G: PermutationGroup, M: PermutationGroup, max_index=10**6) -> bool:

@@ -146,14 +146,13 @@ def run_example_41() -> ExampleReport:
     GD = PermutationGroup(list(G_img.gens) + [d_img], graph.n)
     rep.record("normalizerIsGColonD", True, GD.order() == N.order() and all(p in N for p in GD.gens))
     rep.record("normalizerMaximal", True, is_maximal_subgroup(aut, N))
-    rep.record("normalEdgeTransitive", True,
-               transitivity_report(VertexAction(N, graph)).edge_transitive)
+    act_N = VertexAction(N, graph)
+    rep_N = transitivity_report(act_N)
+    rep.record("normalEdgeTransitive", True, rep_N.edge_transitive)
     rep.record("cayleyNonNormal", True, N.order() < aut.order())
+    rep.record("M_halfArcTransitive", "1/2", rep_N.as_dict()["sDegree"])
 
-    rep_M = transitivity_report(VertexAction(N, graph))
-    rep.record("M_halfArcTransitive", "1/2", rep_M.as_dict()["sDegree"])
-
-    ori = hat_orientation(VertexAction(N, graph))
+    ori = hat_orientation(act_N)
     system = alternating_cycle_system(ori)
     rep.record("attachment", 1, system.attachment)
     i, j = system.cycles_at[0]
@@ -163,7 +162,7 @@ def run_example_41() -> ExampleReport:
     rep.extras["alternatingCycles"] = system.count
     rep.extras["bmQuotientIsGraph"] = system.attachment == 1
 
-    alt, alt_action, att = alternating_graph(VertexAction(N, graph), system)
+    alt, alt_action, att = alternating_graph(act_N, system)
     aut_alt = automorphism_group(alt, transitive_seed=alt_action.group)
     rep.record("altAutOrder", 3528, aut_alt.order())
     alt_rep = transitivity_report(VertexAction(aut_alt, alt))

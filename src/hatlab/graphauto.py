@@ -123,19 +123,13 @@ def _refine(graph: Graph, part: _Partition, pending):
     return part
 
 
-def _initial_partition(graph: Graph, colors=None):
-    n = graph.n
-    if colors is None:
-        groups = {}
-        for v in range(n):
-            groups.setdefault(graph.degree(v), []).append(v)
-        cells = [groups[d] for d in sorted(groups)]
-    else:
-        groups = {}
-        for v in range(n):
-            groups.setdefault(colors[v], []).append(v)
-        cells = [groups[c] for c in sorted(groups)]
-    part = _Partition(n, cells)
+def _initial_partition(graph: Graph, v=None):
+    """The refined partition into cells of equal degree, in increasing
+    degree, after a first cell {v} when a vertex v is individualized."""
+    groups = {}
+    for u in range(graph.n):
+        groups.setdefault((u != v, graph.degree(u)), []).append(u)
+    part = _Partition(graph.n, [groups[c] for c in sorted(groups)])
     return _refine(graph, part, list(part.order))
 
 
@@ -312,16 +306,7 @@ def automorphism_group(
 def automorphism_stabilizer(graph: Graph, v: int, seed_gens=(), node_budget=200000):
     """Generators of the automorphisms fixing vertex v."""
     n = graph.n
-    part = _Partition(n, [[v], [u for u in range(n) if u != v]])
-    # keep the degree distinction as well
-    part = _refine(graph, part, list(part.order))
-    degs = graph.degrees()
-    if len(set(degs)) > 1:
-        # cells must also respect degrees; refine from a colored start instead
-        colors = [(0 if u == v else 1, degs[u]) for u in range(n)]
-        order = sorted(set(colors))
-        part = _Partition(n, [[u for u in range(n) if colors[u] == c] for c in order])
-        part = _refine(graph, part, list(part.order))
+    part = _initial_partition(graph, v)
     search = _Search(graph, part, seed_gens=seed_gens, node_budget=node_budget)
     search.run()
     gens = [p for p in search.auts if int(p.images[v]) == v]

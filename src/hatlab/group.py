@@ -299,17 +299,6 @@ class PermutationGroup:
         residue, _ = _sift(self._levels, p, 0)
         return residue.is_identity()
 
-    def contains(self, p: Permutation) -> bool:
-        return p in self
-
-    def sift(self, p: Permutation) -> Permutation:
-        self._ensure_chain()
-        return _sift(self._levels, p, 0)[0]
-
-    def base(self):
-        self._ensure_chain()
-        return [lvl.base for lvl in self._levels]
-
     def levels(self):
         self._ensure_chain()
         return self._levels
@@ -462,7 +451,8 @@ class PermutationGroup:
         sub = self
         for v in points:
             sub = sub.point_stabilizer(v)
-        sub.parent = self
+        if sub is not self:
+            sub.parent = self
         return sub
 
     def subgroup(self, generators, *, order=None) -> "PermutationGroup":
@@ -484,9 +474,9 @@ class _Rattle:
         self.accu = [Permutation.identity(gens[0].degree)] * 4
         self.k = 0
         for _ in range(max(40, 6 * len(self.pool))):
-            self._stir()
+            self.sample()
 
-    def _stir(self) -> Permutation:
+    def sample(self) -> Permutation:
         rng = self.rng
         i = rng.randrange(1, len(self.pool))
         p = self.pool[i]
@@ -498,9 +488,6 @@ class _Rattle:
         self.k = (self.k + 1) % len(self.accu)
         self.accu[self.k] = r = self.accu[self.k] * self.pool[j]
         return r
-
-    def sample(self) -> Permutation:
-        return self._stir()
 
 
 def _level_gens(levels, i):

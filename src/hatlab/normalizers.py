@@ -7,8 +7,9 @@ computed exactly by a different route: every normalizing permutation g
 induces an automorphism of S by conjugation, and for a fixed automorphism
 alpha the solutions are assembled orbit by orbit (the image of one point per
 orbit determines g on the whole orbit, and a point q is a valid image of p
-iff the point stabilizers satisfy S_q = alpha(S_p)).  Enumerating Aut(S) and
-those assembly choices yields N_{Sym(n)}(S) with no search over Sym(n).
+iff the point stabilizers satisfy S_q = alpha(S_p)).  Enumerating Aut(S)
+(images of a generating sequence, each extended to a homomorphism) and those
+assembly choices yields N_{Sym(n)}(S) with no search over Sym(n).
 
 Budgets are explicit; exceeding one raises ResourceExhausted rather than
 returning a truncated answer.
@@ -16,7 +17,7 @@ returning a truncated answer.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -170,38 +171,25 @@ class SymNormalizerData:
         self.points_by_key = {}
         for v in range(self.n):
             self.points_by_key.setdefault(self.stab_key[v], []).append(v)
-        # orbits with transversal element indices: point -> index of sigma with rep^sigma = point
+        # orbits with transversal element indices: point -> index of sigma with
+        # rep^sigma = point; head_of maps each point to its orbit's rep
         self.orbits = []
+        self._head_of = {}
         for orb in S.orbits():
-            sigma = {}
-            for a in orb.points:
-                t = orb.transversal(a)
-                sigma[a] = self.index_of[self._member_key(t)]
+            sigma = {a: self.index_of[orb.transversal(a).key()] for a in orb.points}
             self.orbits.append((orb.base, orb.points, sigma))
-
-    def _member_key(self, p):
-        k = p.key()
-        if k not in self.index_of:
-            raise AssertionError("transversal element outside S")
-        return k
-
-    def _multiplication_table_row(self, i):
-        if not hasattr(self, "_mul"):
-            self._mul = {}
-        row = self._mul.get(i)
-        if row is None:
-            pi = self.elems[i]
-            row = [self.index_of[(pi * q).key()] for q in self.elems]
-            self._mul[i] = row
-        return row
+            for a in orb.points:
+                self._head_of[a] = orb.base
 
     def automorphisms(self):
         """All automorphisms of S as index permutations of the element list.
 
-        Depth-first over images of a generating sequence, closing the
-        partial map multiplicatively after each assignment so inconsistent
-        branches die immediately.  Candidate images are filtered by the
-        (order, class size, cycle type) invariant.
+        Depth-first over images of a generating sequence g_1, g_2, ...: the
+        images of g_1..g_k extend to at most one homomorphism on <g_1..g_k>,
+        found by BFS over right multiplication, phi(p g_j) = phi(p) t_j.  A
+        branch dies when an edge clashes or when an element and its image
+        differ in the (order, class size, cycle type) invariant, from which
+        the candidate images are also drawn.
         """
         elems = self.elems
         m = len(elems)
@@ -232,75 +220,77 @@ class SymNormalizerData:
             candidates_of.setdefault(inv_class[i], []).append(i)
 
         ident_idx = next(i for i, p in enumerate(elems) if p.is_identity())
+        table = np.stack([p.images for p in elems])
+        # rows[t][p] is the index of elems[p] * elems[t]
+        rows = [[self.index_of[r.tobytes()] for r in t.images[table]] for t in elems]
 
-        # generating sequence, greedily preferring rare invariants
+        def extend(gens, images):
+            """phi as an index list (-1 outside <gens>), or None."""
+            phi = [-1] * m
+            phi[ident_idx] = ident_idx
+            edges = [(rows[s], rows[t]) for s, t in zip(gens, images)]
+            queue = [ident_idx]
+            for p in queue:
+                fp = phi[p]
+                for rs, rt in edges:
+                    q, t = rs[p], rt[fp]
+                    known = phi[q]
+                    if known == -1:
+                        if inv_class[q] != inv_class[t]:
+                            return None
+                        phi[q] = t
+                        queue.append(q)
+                    elif known != t:
+                        return None
+            return phi
+
+        # generating sequence, greedily preferring rare invariants; extending
+        # the identity images spans the subgroup generated so far
         gens_idx = []
-        H = None
+        span = extend([], [])
         by_rarity = sorted(
             (i for i in range(m) if i != ident_idx),
             key=lambda i: (len(candidates_of[inv_class[i]]), elems[i].key()),
         )
         for i in by_rarity:
-            if H is None or elems[i] not in H:
+            if span[i] == -1:
                 gens_idx.append(i)
-                H = PermutationGroup([elems[j] for j in gens_idx], self.n)
-                if H.order() == m:
+                span = extend(gens_idx, gens_idx)
+                if -1 not in span:
                     break
 
-        mul = self._multiplication_table_row
         auts = []
 
-        def close(mapping, src, img):
-            """Add src->img to the partial multiplicative map; None on clash."""
-            out = dict(mapping)
-            queue = [(src, img)]
-            while queue:
-                s, t = queue.pop()
-                known = out.get(s)
-                if known is not None:
-                    if known != t:
-                        return None
-                    continue
-                if inv_class[s] != inv_class[t]:
-                    return None
-                out[s] = t
-                for s2, t2 in list(out.items()):
-                    queue.append((mul(s)[s2], mul(t)[t2]))
-                    queue.append((mul(s2)[s], mul(t2)[t]))
-            return out
-
-        base = {ident_idx: ident_idx}
-
-        def dfs(level, mapping):
+        def dfs(images, phi):
+            level = len(images)
             if level == len(gens_idx):
-                if len(mapping) == m and len(set(mapping.values())) == m:
-                    auts.append(tuple(mapping[i] for i in range(m)))
+                if len(set(phi)) == m:
+                    auts.append(tuple(phi))
                     if len(auts) > AUT_ENUM_LIMIT:
                         raise ResourceExhausted(
                             "more than %d automorphisms" % AUT_ENUM_LIMIT
                         )
                 return
-            src = gens_idx[level]
-            if src in mapping:
-                dfs(level + 1, mapping)
-                return
-            for img in candidates_of[inv_class[src]]:
-                nxt = close(mapping, src, img)
+            for img in candidates_of[inv_class[gens_idx[level]]]:
+                nxt = extend(gens_idx[: level + 1], images + [img])
                 if nxt is not None:
-                    dfs(level + 1, nxt)
+                    dfs(images + [img], nxt)
 
-        dfs(0, base)
+        dfs([], extend([], []))
         return auts
+
+    def _orbit_candidates(self, alpha):
+        """Per orbit (rep, points, sigma, cands): cands are the points q whose
+        stabilizer is alpha of rep's, the possible images of rep."""
+        return [
+            (rep, pts, sigma, self.points_by_key.get(
+                frozenset(alpha[i] for i in self.stab_key[rep]), []))
+            for rep, pts, sigma in self.orbits
+        ]
 
     def realization_bound(self, alpha) -> int:
         """Upper bound on the number of realizations of alpha."""
-        bound = 1
-        for rep, pts, sigma in self.orbits:
-            alpha_key = frozenset(alpha[i] for i in self.stab_key[rep])
-            bound *= len(self.points_by_key.get(alpha_key, []))
-            if bound == 0:
-                return 0
-        return bound
+        return prod(len(cands) for *_, cands in self._orbit_candidates(alpha))
 
     def realizations(self, alpha, prune=None):
         """Yield every g in Sym(n) with s^g = alpha(s) for all s in S.
@@ -310,26 +300,16 @@ class SymNormalizerData:
         and cuts the branch when it returns True; it must only cut branches
         that hold no wanted realization.
         """
-        orbit_keys = []
-        for rep, pts, sigma in self.orbits:
-            key = self.stab_key[rep]
-            alpha_key = frozenset(alpha[i] for i in key)
-            cands = self.points_by_key.get(alpha_key, [])
-            orbit_keys.append((rep, pts, sigma, cands))
-        if not hasattr(self, "_head_of"):
-            self._head_of = {}
-            for rep, pts, _ in self.orbits:
-                for a in pts:
-                    self._head_of[a] = rep
+        orbit_cands = self._orbit_candidates(alpha)
         head_of = self._head_of
         g = np.full(self.n, -1, dtype=np.int64)
         used = set()
 
         def assign(k):
-            if k == len(orbit_keys):
+            if k == len(orbit_cands):
                 yield Permutation(g.copy(), validate=False)
                 return
-            rep, pts, sigma, cands = orbit_keys[k]
+            rep, pts, sigma, cands = orbit_cands[k]
             for q in cands:
                 head = head_of[q]
                 if head in used:
@@ -345,24 +325,24 @@ class SymNormalizerData:
 
         yield from assign(0)
 
-    def all_elements(self, size_limit=SYM_NORM_SIZE_LIMIT):
+    def all_elements(self):
         elems = {}
         for alpha in self.automorphisms():
-            if self.realization_bound(alpha) > 40 * size_limit:
+            if self.realization_bound(alpha) > 40 * SYM_NORM_SIZE_LIMIT:
                 raise ResourceExhausted(
                     "symmetric normalizer enumeration is hopeless "
-                    "(per-automorphism bound above %d)" % (40 * size_limit)
+                    "(per-automorphism bound above %d)" % (40 * SYM_NORM_SIZE_LIMIT)
                 )
             for g in self.realizations(alpha):
                 elems[g.key()] = g
-                if len(elems) > size_limit:
+                if len(elems) > SYM_NORM_SIZE_LIMIT:
                     raise ResourceExhausted(
-                        "symmetric normalizer larger than %d elements" % size_limit
+                        "symmetric normalizer larger than %d elements" % SYM_NORM_SIZE_LIMIT
                     )
         return elems
 
 
-def normalizer_in_sym(S: PermutationGroup, size_limit=SYM_NORM_SIZE_LIMIT):
+def normalizer_in_sym(S: PermutationGroup):
     """N_{Sym(n)}(S) as a group whose full element list has been assembled.
 
     Every element is normalizing by construction (each realization is
@@ -370,7 +350,7 @@ def normalizer_in_sym(S: PermutationGroup, size_limit=SYM_NORM_SIZE_LIMIT):
     spot check.
     """
     data = SymNormalizerData(S)
-    elems = data.all_elements(size_limit)
+    elems = data.all_elements()
     N = group_from_elements(S.degree, elems)
     for g in N.gens:
         for s in S.gens:

@@ -99,10 +99,6 @@ class Permutation:
             return NotImplemented
         return self.images.size == other.images.size and self.key() == other.key()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __call__(self, point: int) -> int:
         return int(self.images[point])
 

@@ -6,6 +6,7 @@ lists, and partition checks enumerate candidate partitions directly.
 """
 
 from itertools import permutations as iter_permutations
+from itertools import product
 
 from hatlab.group import closure_elements
 from hatlab.perm import Permutation
@@ -40,6 +41,38 @@ def element_scan_normalizer(ambient_elems, sub_elems):
 
 def element_scan_centralizer(ambient_elems, x):
     return [g for g in ambient_elems if g * x == x * g]
+
+
+def automorphisms_by_images(elems, gens):
+    """Every automorphism of the group whose element list is elems, as a
+    tuple phi with elems[i] -> elems[phi[i]].
+
+    Every tuple of images for gens is spread along words in gens; the map it
+    gives counts only when it respects the full multiplication table and is a
+    bijection.
+    """
+    m = len(elems)
+    index = {p.key(): i for i, p in enumerate(elems)}
+    mul = [[index[(a * b).key()] for b in elems] for a in elems]
+    ident = next(i for i, p in enumerate(elems) if p.is_identity())
+    gen_idx = [index[g.key()] for g in gens]
+    found = set()
+    for images in product(range(m), repeat=len(gens)):
+        phi = {ident: ident}
+        words = [ident]
+        for p in words:
+            for s, t in zip(gen_idx, images):
+                q = mul[p][s]
+                if q not in phi:
+                    phi[q] = mul[phi[p]][t]
+                    words.append(q)
+        if len(phi) != m:
+            raise ValueError("gens do not generate the group")
+        if len(set(phi.values())) != m:
+            continue
+        if all(phi[mul[a][b]] == mul[phi[a]][phi[b]] for a in range(m) for b in range(m)):
+            found.add(tuple(phi[i] for i in range(m)))
+    return found
 
 
 def all_subgroups(elems, degree):

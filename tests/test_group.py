@@ -241,3 +241,13 @@ def test_schreier_pass_completes_pgl27(monkeypatch):
     assert calls
     assert len(G.strong_generators()) > len(gens)
     assert g("(0 1)", 8) not in G
+
+
+def test_pointwise_stabilizer_of_no_points_is_the_group_unchanged():
+    G = PermutationGroup([g("(0 1 2)")])
+    S = G.pointwise_stabilizer([])
+    assert S is G
+    assert G.parent is None
+    assert G.order() == 3
+    T = G.pointwise_stabilizer([0])
+    assert T.parent is G and T.order() == 1

@@ -13,7 +13,7 @@ from hatlab.normalizers import (
 )
 from hatlab.perm import Permutation
 
-from oracles import element_scan_centralizer, element_scan_normalizer
+from oracles import automorphisms_by_images, element_scan_centralizer, element_scan_normalizer
 
 
 def g(s, n=None):
@@ -99,16 +99,82 @@ def test_normalizer_in_sym_matches_scan_on_random_small_groups():
     done = 0
     while done < 6:
         n = rng.choice([4, 5, 6])
-        imgs = list(range(n))
-        rng.shuffle(imgs)
-        p = Permutation(imgs)
-        if p.is_identity():
+        gens = []
+        for _ in range(rng.choice([1, 2])):
+            imgs = list(range(n))
+            rng.shuffle(imgs)
+            gens.append(Permutation(imgs))
+        S = PermutationGroup(gens, n)
+        if S.order() == 1:
             continue
-        S = PermutationGroup([p])
         N = normalizer_in_sym(S)
         oracle = element_scan_normalizer(sym_elems[n], list(S.elements()))
         assert N.order() == len(oracle)
         done += 1
+
+
+def _check_automorphisms_against_oracle(S):
+    data = SymNormalizerData(S)
+    auts = data.automorphisms()
+    assert len(auts) == len(set(auts))
+    # automorphisms() keeps the automorphisms that preserve cycle types,
+    # the only ones conjugation inside Sym(n) can induce
+    oracle = {
+        phi
+        for phi in automorphisms_by_images(data.elems, S.gens)
+        if all(p.cycle_type() == data.elems[phi[i]].cycle_type() for i, p in enumerate(data.elems))
+    }
+    assert set(auts) == oracle
+    return len(auts)
+
+
+def test_automorphisms_match_brute_force_on_named_groups():
+    groups = {
+        "S3": PermutationGroup([g("(0 1 2)"), g("(0 1)", 3)]),
+        "V4": PermutationGroup([g("(0 1)(2 3)"), g("(0 2)(1 3)")]),
+        "D8": PermutationGroup([g("(0 1 2 3)"), g("(0 2)", 4)]),
+        # the regular representation of Q8 = <i, j>
+        "Q8": PermutationGroup([g("(0 1 2 3)(4 5 6 7)"), g("(0 4 2 6)(1 7 3 5)")]),
+        "A4": PermutationGroup([g("(0 1 2)", 4), g("(1 2 3)")]),
+        "S4": sym(4),
+        # transitive 3^2:4; unlike the groups above, it has assignments
+        # that pass the invariant on every element and still clash
+        "3^2:4": PermutationGroup([g("(0 5)(1 4)"), g("(0 1 3 2)(4 5)")]),
+    }
+    counts = {name: _check_automorphisms_against_oracle(S) for name, S in groups.items()}
+    # |Aut| is 6, 6, 8, 24, 24, 24, 72; the outer automorphism of D8 swaps
+    # a class of transpositions with a class of double transpositions
+    assert counts == {
+        "S3": 6, "V4": 6, "D8": 4, "Q8": 24, "A4": 24, "S4": 24, "3^2:4": 72,
+    }
+
+
+def test_automorphisms_match_brute_force_on_random_two_generator_groups():
+    rng = random.Random(43)
+    done = 0
+    while done < 12:
+        n = rng.randrange(4, 8)
+        gens = []
+        for _ in range(2):
+            imgs = list(range(n))
+            rng.shuffle(imgs)
+            gens.append(Permutation(imgs))
+        S = PermutationGroup(gens, n)
+        if not 2 <= S.order() <= 24:
+            continue
+        assert _check_automorphisms_against_oracle(S) >= 1
+        done += 1
+
+
+def test_automorphisms_budget_raises_on_elementary_abelian_16():
+    # C2^4 acting regularly: every nonidentity element has cycle type 2^8,
+    # so all |GL(4,2)| = 20160 automorphisms pass the invariant filter
+    S = PermutationGroup(
+        [Permutation([x ^ (1 << k) for x in range(16)]) for k in range(4)]
+    )
+    assert S.order() == 16
+    with pytest.raises(ResourceExhausted):
+        SymNormalizerData(S).automorphisms()
 
 
 @pytest.mark.parametrize("seed", range(3))
