@@ -7,8 +7,8 @@ Subcommands:
   altgraph    alternating-cycle analysis of a HAT action
 
 Exit codes: 0 all asserted facts pass; 2 partial or flagged verification;
-1 hard error.  The HATLAB_THREADS environment variable sets the default
-worker count for ``example all`` (``--jobs`` overrides it).
+1 hard error.  ``example all --jobs N`` runs the examples in N worker
+processes (default 1).
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ def _run_one(name):
 def cmd_example(args):
     name = args.which
     if name == "all":
-        jobs = args.jobs or int(os.environ.get("HATLAB_THREADS", "1"))
         names = sorted(RUNNERS)
-        if jobs > 1:
+        if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(pool.map(_run_one, names))
         else:
             reports = [_run_one(n) for n in names]
@@ -198,7 +197,7 @@ def build_parser():
     ex.add_argument("--json", help="write the report to this path ('-' for stdout)")
     ex.add_argument("--witness", help="witness file for example 4.2")
     ex.add_argument("--budget", type=float, default=None, help="seconds for witness search")
-    ex.add_argument("--jobs", type=int, default=None, help="parallel example workers (default HATLAB_THREADS)")
+    ex.add_argument("--jobs", type=int, default=1, help="parallel example workers (default 1)")
     ex.set_defaults(func=cmd_example)
 
     ps = sub.add_parser("pairsearch", help="amalgam pair search")

@@ -124,10 +124,10 @@ def core(G: PermutationGroup, H: PermutationGroup, max_index=10**6, _space=None)
 
 
 def _core_fixpoint(G, H):
-    from .normalizers import group_from_elements
-
     elems = _conjugation_invariant_part(H.element_set(), G.gens)
-    return group_from_elements(G.degree, elems, parent=G)
+    return PermutationGroup.from_generator_stream(
+        (p for _, p in sorted(elems.items())), G.degree, order=len(elems), parent=G
+    )
 
 
 def _conjugation_invariant_part(elems, conj_gens):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cosets import CosetSpace
-from .group import PermutationGroup
+from .group import PermutationGroup, read_counted_lines
 from .perm import Permutation
 
 
@@ -129,10 +129,8 @@ class Graph:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1 : m + 1]]
-        return cls(n, edges)
+        n, lines = read_counted_lines(text, "edges")
+        return cls(n, [tuple(map(int, ln.split())) for ln in lines])
 
 
 class Digraph:
@@ -161,10 +159,8 @@ class Digraph:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        n, m = map(int, lines[0].split())
-        arcs = [tuple(map(int, ln.split())) for ln in lines[1 : m + 1]]
-        return cls(n, arcs)
+        n, lines = read_counted_lines(text, "arcs")
+        return cls(n, [tuple(map(int, ln.split())) for ln in lines])
 
 
 class VertexAction:

@@ -202,35 +202,37 @@ class PermutationGroup:
         levels = [Orbit(b, self.degree) for b in self._base_prefix]
         for g in self.gens:
             self._chain_add(levels, g)
-        if self.gens:
-            rng = _Rattle(self.gens, random.Random(0))
-            target = self._claimed_order
-            if target is not None:
-                stall = 0
-                while _chain_order(levels) < target:
-                    if not self._chain_add(levels, rng.sample()):
-                        stall += 1
-                    else:
-                        stall = 0
-                    if stall > 400:
-                        self._schreier_complete(levels)
-                        break
-                if _chain_order(levels) != target:
-                    raise ValueError(
-                        "chain order %d does not match claimed order %d"
-                        % (_chain_order(levels), target)
-                    )
-            else:
-                stationary = 0
-                while stationary < _STATIONARY_ROUNDS:
-                    if self._chain_add(levels, rng.sample()):
-                        stationary = 0
-                    else:
-                        stationary += 1
-                if not self._sandwich_certified(levels):
-                    self._schreier_complete(levels)
+        self._complete(levels, self.gens, self._claimed_order)
         self._levels = levels
         self._order = _chain_order(levels)
+
+    def _complete(self, levels, gens, target):
+        """Complete the chain of <gens>: randomized Schreier-Sims, then a
+        rigorous finish (Seress, *Permutation Group Algorithms*, §4.2).
+
+        Seeded product-replacement samples are sifted into the chain.  With a
+        claimed order ``target`` sampling runs until the chain reaches it,
+        and the Schreier pass finishes after more than 400 idle samples; a
+        chain that ends anywhere but at the claim raises ValueError.  Without
+        a claim sampling stops after ``_STATIONARY_ROUNDS`` idle samples, and
+        the Alt/Sym sandwich or else the Schreier pass certifies the chain.
+        """
+        if gens and (target is None or _chain_order(levels) < target):
+            rng = _Rattle(gens, random.Random(0))
+            patience = _STATIONARY_ROUNDS if target is None else 401
+            idle = 0
+            while idle < patience and (target is None or _chain_order(levels) < target):
+                idle = 0 if self._chain_add(levels, rng.sample()) else idle + 1
+            if target is None:
+                if giant_type(gens, _chain_order(levels)) is None:
+                    self._schreier_complete(levels)
+            elif _chain_order(levels) < target:
+                self._schreier_complete(levels)
+        if target is not None and _chain_order(levels) != target:
+            raise ValueError(
+                "chain order %d does not match claimed order %d"
+                % (_chain_order(levels), target)
+            )
 
     def _chain_add(self, levels, p, start=0) -> bool:
         """Sift p; install a nontrivial residue as a strong generator and
@@ -247,18 +249,6 @@ class PermutationGroup:
         for i in range(depth + 1):
             levels[i].extend(new)
         return True
-
-    def _sandwich_certified(self, levels) -> bool:
-        """Order certification against the Alt/Sym ceiling of moved points."""
-        n = len(_moved_points(self.gens))
-        if n < 3:
-            return False
-        order = _chain_order(levels)
-        if order == factorial(n):
-            return True
-        if order == factorial(n) // 2 and all(g.is_even() for g in self.gens):
-            return True
-        return False
 
     def _schreier_complete(self, levels):
         """Deterministic completion: sift every Schreier generator, bottom-up.
@@ -414,10 +404,11 @@ class PermutationGroup:
     @classmethod
     def from_generator_stream(cls, stream, degree, *, order, parent=None):
         """Group from a generator stream known to generate a group of the
-        given order; generators are consumed only until the chain is complete.
+        given order; generators are consumed only until the chain reaches
+        that order, and ``_complete`` finishes a chain the stream left short.
         """
         levels = []
-        shell = cls([], degree, order=None, parent=None)
+        shell = cls([], degree)
         kept = []
         if order > 1:
             for p in stream:
@@ -425,23 +416,7 @@ class PermutationGroup:
                     kept.append(p)
                     if _chain_order(levels) == order:
                         break
-            if _chain_order(levels) != order and kept:
-                # raw adds do not close the chain; try cheap randomized
-                # completion against the known order first
-                rng = _Rattle(kept, random.Random(1))
-                stall = 0
-                while _chain_order(levels) < order and stall < 300:
-                    if shell._chain_add(levels, rng.sample()):
-                        stall = 0
-                    else:
-                        stall += 1
-            if _chain_order(levels) != order:
-                shell._schreier_complete(levels)
-        if _chain_order(levels) != order:
-            raise ValueError(
-                "generator stream exhausted at order %d, expected %d"
-                % (_chain_order(levels), order)
-            )
+        shell._complete(levels, kept, order)
         G = cls(kept, degree, order=order, parent=parent)
         G._levels = levels
         G._order = order
@@ -520,6 +495,24 @@ def _moved_points(gens):
     return moved
 
 
+def giant_type(gens, order):
+    """("sym", n) or ("alt", n) when <gens>, of the given order, is the full
+    symmetric or alternating group on its n >= 3 moved points, else None.
+
+    A group of order n! on n points is Sym(n); one of order n!/2 whose
+    generators are even is Alt(n).  A chain order below the true order only
+    makes this say None.
+    """
+    n = len(_moved_points(gens))
+    if n < 3:
+        return None
+    if order == factorial(n):
+        return ("sym", n)
+    if order == factorial(n) // 2 and all(g.is_even() for g in gens):
+        return ("alt", n)
+    return None
+
+
 # -- operations over groups ------------------------------------------------
 
 
@@ -563,13 +556,23 @@ def write_group_file(G: PermutationGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_group_file(text: str) -> PermutationGroup:
+def read_counted_lines(text: str, what: str):
+    """Split the text formats: a header ``size count``, then ``count`` lines
+    of ``what``.  Returns (size, lines); raises ValueError when fewer lines
+    follow than the header claims."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError("empty group file")
+        raise ValueError("empty input: no header line")
     head = lines[0].split()
-    degree, k = int(head[0]), int(head[1])
-    gens = [Permutation.parse(ln, degree) for ln in lines[1 : k + 1]]
-    if len(gens) != k:
-        raise ValueError("expected %d generators, found %d" % (k, len(gens)))
-    return PermutationGroup(gens, degree)
+    if len(head) != 2:
+        raise ValueError("header %r is not 'size count'" % lines[0])
+    size, count = int(head[0]), int(head[1])
+    body = lines[1 : count + 1]
+    if len(body) != count:
+        raise ValueError("expected %d %s, found %d" % (count, what, len(body)))
+    return size, body
+
+
+def read_group_file(text: str) -> PermutationGroup:
+    degree, lines = read_counted_lines(text, "generators")
+    return PermutationGroup([Permutation.parse(ln, degree) for ln in lines], degree)

@@ -1,8 +1,10 @@
 """Normalizers and centralizers.
 
-Inside an ambient group the strategy ladder is: full element scan while the
-ambient group is enumerable, then a scan over coset representatives while
-the index is moderate.  The normalizer in the full symmetric group is
+Inside an ambient group G both the normalizer N_G(S) and the centralizer
+C_G(x) = C_G(<x>) are unions of right cosets of S, found by one scan over
+coset representatives while |G:S| or |G| is moderate.  Past that, the
+natural Sym(n) and Alt(n) take the answer in Sym(n), cut to even
+permutations for Alt(n).  The normalizer in the full symmetric group is
 computed exactly by a different route: every normalizing permutation g
 induces an automorphism of S by conjugation, and for a fixed automorphism
 alpha the solutions are assembled orbit by orbit (the image of one point per
@@ -21,7 +23,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .group import PermutationGroup, ResourceExhausted
+from .group import PermutationGroup, ResourceExhausted, giant_type
 from .perm import Permutation
 
 SCAN_LIMIT = 10**5
@@ -31,73 +33,59 @@ SYM_NORM_DEGREE_LIMIT = 256
 SYM_NORM_SIZE_LIMIT = 4 * 10**6
 
 
-def group_from_elements(degree, elems, parent=None):
-    """Build a group from an explicit element dict key->perm, with known order."""
-    order = len(elems)
-    gens = []
-    H = None
-    for _, p in sorted(elems.items()):
-        if p.is_identity():
-            continue
-        if H is None or p not in H:
-            gens.append(p)
-            H = PermutationGroup(gens, degree)
-            if H.order() == order:
-                break
-    if parent is not None:
-        return parent.subgroup(gens, order=order)
-    return PermutationGroup(gens, degree, order=order)
-
-
 def normalizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
-    """N_G(S) by the scan ladder; exact or ResourceExhausted."""
+    """N_G(S) for S <= G; exact or ResourceExhausted."""
     if S.order() == 1:
         return G
-    if G.order() <= SCAN_LIMIT:
-        elems = {
-            p.key(): p
-            for p in G.elements()
-            if all(s.conj(p) in S for s in S.gens)
-        }
-        return group_from_elements(G.degree, elems, parent=G)
-    index, rem = divmod(G.order(), S.order())
-    if rem == 0 and index <= COSET_SCAN_LIMIT and all(g in G for g in S.gens):
-        return _normalizer_coset_scan(G, S)
-    if _is_natural_symmetric(G):
-        return normalizer_in_sym(S)
-    if _is_natural_alternating(G):
-        N = normalizer_in_sym(S)
-        return _even_part(N, parent=G)
-    raise ResourceExhausted(
-        "no normalizer strategy applies: |G|=%d, |G:S|~%s" % (G.order(), index)
-    )
+    N = _coset_scan(G, S, lambda r: all(s.conj(r) in S for s in S.gens))
+    if N is not None:
+        return N
+    return _in_giant(G, lambda: normalizer_in_sym(S), "normalizer")
 
 
-def _normalizer_coset_scan(G: PermutationGroup, S: PermutationGroup):
-    """Scan right-coset representatives of S in G; N_G(S) is a union of cosets."""
+def centralizer(G: PermutationGroup, x: Permutation) -> PermutationGroup:
+    """C_G(x) for x in G, by the normalizer's ladder with S = <x>."""
+    C = _coset_scan(G, G.subgroup([x]), lambda r: r * x == x * r)
+    if C is not None:
+        return C
+    return _in_giant(G, lambda: centralizer_in_sym(x), "centralizer")
+
+
+def _coset_scan(G: PermutationGroup, S: PermutationGroup, keep):
+    """The union of the right cosets Sr of S in G whose representative r
+    passes ``keep``, as a subgroup of G, or None when G is too big to scan.
+
+    ``keep`` must take the same value on every element of a coset and pick
+    out a subgroup; the normalizer and the centralizer of S are such unions.
+    The scan runs when |G:S| <= COSET_SCAN_LIMIT or |G| <= SCAN_LIMIT.
+    """
     from .cosets import CosetSpace
 
-    space = CosetSpace(G, S, max_index=COSET_SCAN_LIMIT + 1)
+    if not all(g in G for g in S.gens):
+        raise ValueError("S is not a subgroup of G")
+    index = G.order() // S.order()
+    if index > COSET_SCAN_LIMIT and G.order() > SCAN_LIMIT:
+        return None
+    space = CosetSpace(G, S, max_index=index)
     gens = list(S.gens)
     count = 0
     for r in space.reps:
-        if all(s.conj(r) in S for s in S.gens):
+        if keep(r):
             count += 1
             if not r.is_identity():
                 gens.append(r)
     return G.subgroup(gens, order=S.order() * count)
 
 
-def centralizer(G: PermutationGroup, x: Permutation) -> PermutationGroup:
-    if G.order() <= SCAN_LIMIT:
-        elems = {p.key(): p for p in G.elements() if p * x == x * p}
-        return group_from_elements(G.degree, elems, parent=G)
-    C = centralizer_in_sym(x)
-    if _is_natural_symmetric(G):
-        return C
-    if _is_natural_alternating(G):
-        return _even_part(C, parent=G)
-    raise ResourceExhausted("no centralizer strategy applies: |G|=%d" % G.order())
+def _in_giant(G: PermutationGroup, in_sym, what: str) -> PermutationGroup:
+    """``in_sym()``, the answer in Sym(n), cut down to G when G is the
+    natural Sym(n) or Alt(n) on its n points."""
+    kind = giant_type(G.gens, G.order())
+    if kind == ("sym", G.degree):
+        return in_sym()
+    if kind == ("alt", G.degree):
+        return _even_part(in_sym(), parent=G)
+    raise ResourceExhausted("no %s strategy applies: |G|=%d" % (what, G.order()))
 
 
 def centralizer_in_sym(x: Permutation) -> PermutationGroup:
@@ -117,14 +105,6 @@ def centralizer_in_sym(x: Permutation) -> PermutationGroup:
             a, b = cycs[i], cycs[i + 1]
             gens.append(Permutation.from_cycles(n, list(zip(a, b))))
     return PermutationGroup(gens, n, order=order)
-
-
-def _is_natural_symmetric(G):
-    return G.order() == factorial(G.degree)
-
-
-def _is_natural_alternating(G):
-    return G.order() == factorial(G.degree) // 2 and all(g.is_even() for g in G.gens)
 
 
 def _even_part(N: PermutationGroup, parent=None) -> PermutationGroup:
@@ -351,7 +331,9 @@ def normalizer_in_sym(S: PermutationGroup):
     """
     data = SymNormalizerData(S)
     elems = data.all_elements()
-    N = group_from_elements(S.degree, elems)
+    N = PermutationGroup.from_generator_stream(
+        (p for _, p in sorted(elems.items())), S.degree, order=len(elems)
+    )
     for g in N.gens:
         for s in S.gens:
             if s.conj(g) not in S:

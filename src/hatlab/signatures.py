@@ -5,15 +5,15 @@ length, element-order multiset); that quintuple separates every group named
 in a report (D8 from Q8, F5 from C20, S3*S4 from its order-144 lookalikes).
 Full isomorphism testing is deliberately out of scope.  Groups too large to
 enumerate are recognized only when they are full alternating or symmetric
-groups on their moved points, identified by order and parity.
+groups on their moved points (``group.giant_type``).
 """
 
 from __future__ import annotations
 
-from math import factorial, lcm
+from math import lcm
 
 from .cosets import coset_action, derived_subgroup
-from .group import PermutationGroup, _moved_points
+from .group import PermutationGroup, giant_type
 from .perm import Permutation
 
 _ENUM_LIMIT = 20000
@@ -22,7 +22,7 @@ _ENUM_LIMIT = 20000
 def signature(G: PermutationGroup):
     order = G.order()
     if order > _ENUM_LIMIT:
-        return _giant_signature(G)
+        return giant_type(G.gens, order) or ("big", order)
     orders = sorted(p.order() for p in G.elements())
     exponent = 1
     for k in set(orders):
@@ -48,17 +48,6 @@ def _abelianization_profile(G):
     act = coset_action(G, D)
     Q = act.image
     return tuple(sorted(p.order() for p in Q.elements()))
-
-
-def _giant_signature(G):
-    n = len(_moved_points(G.gens))
-    order = G.order()
-    even = all(g.is_even() for g in G.gens)
-    if even and order == factorial(n) // 2:
-        return ("alt", n)
-    if not even and order == factorial(n):
-        return ("sym", n)
-    return ("big", order)
 
 
 # reference constructions, degree-minimal

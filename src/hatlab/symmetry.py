@@ -273,11 +273,7 @@ def classify_theorem_case(
         raise AssertionError("core is not semiregular in the t=1 non-normal case")
     if _is_power_of_two(quo.orbit_count):
         raise AssertionError("quotient vertex count is a power of two")
-    normal_local = all(
-        p.conj(h) in loc_M.induced
-        for h in loc_H.induced.gens
-        for p in loc_M.induced.gens
-    )
+    normal_local = loc_M.induced.is_normal_in(loc_H.induced)
     witnesses["localActionNormal"] = bool(normal_local)
     if normal_local:
         raise AssertionError("t=1 non-normal pair with normal local action")
@@ -356,11 +352,7 @@ def normal_local_action_checks(graph: Graph, M: PermutationGroup, H: Permutation
     act_H = VertexAction(H, graph)
     loc_M = local_action(act_M, u)
     loc_H = local_action(act_H, u)
-    if not all(
-        p.conj(h) in loc_M.induced
-        for h in loc_H.induced.gens
-        for p in loc_M.induced.gens
-    ):
+    if not loc_M.induced.is_normal_in(loc_H.induced):
         raise ValueError("local action of M is not normal in that of H")
     nbrs = loc_M.neighbors
     orb_sets = []

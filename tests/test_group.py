@@ -251,3 +251,30 @@ def test_pointwise_stabilizer_of_no_points_is_the_group_unchanged():
     assert G.order() == 3
     T = G.pointwise_stabilizer([0])
     assert T.parent is G and T.order() == 1
+
+
+def test_claimed_order_without_generators_is_checked():
+    with pytest.raises(ValueError):
+        PermutationGroup([], 4, order=5).order()
+    assert PermutationGroup([], 4, order=1).order() == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_generator_stream_over_sorted_elements(seed):
+    rng = random.Random(2000 + seed)
+    done = 0
+    while done < 5:
+        n = rng.randrange(3, 8)
+        gens = [Permutation(rng.sample(range(n), n)) for _ in range(rng.choice([1, 2]))]
+        closure = closure_elements(gens, n)
+        if not 2 <= len(closure) <= 720:
+            continue
+        G = PermutationGroup.from_generator_stream(
+            (p for _, p in sorted(closure.items())), n, order=len(closure)
+        )
+        assert G.order() == len(closure)
+        assert all(p in G for p in closure.values())
+        for _ in range(20):
+            p = Permutation(rng.sample(range(n), n))
+            assert (p in G) == (p.key() in closure)
+        done += 1

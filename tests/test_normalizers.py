@@ -210,13 +210,12 @@ def test_realizations_prune_matches_square_filter(seed):
 
 
 def test_coset_scan_branch():
-    # ambient too large to scan by elements? force the coset branch by
-    # exercising it directly on a moderate example
-    from hatlab.normalizers import _normalizer_coset_scan
+    # the coset scan exercised directly on a moderate example
+    from hatlab.normalizers import _coset_scan
 
     G = sym(5)
     S = G.subgroup([g("(0 1 2 3 4)")])
-    N = _normalizer_coset_scan(G, S)
+    N = _coset_scan(G, S, lambda r: all(s.conj(r) in S for s in S.gens))
     assert N.order() == 20
 
 
@@ -259,3 +258,32 @@ def test_even_part():
     E = _even_part(G)
     assert E.order() == 60
     assert all(p.is_even() for p in E.gens)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_normalizer_and_centralizer_match_element_scans(seed):
+    """normalizer(G, S) and centralizer(G, x) equal the element scans as
+    sets, for S <= G cyclic or 2-generated."""
+    rng = random.Random(700 + seed)
+    done = 0
+    while done < 4:
+        n = rng.randrange(4, 8)
+        G = PermutationGroup([Permutation(rng.sample(range(n), n)) for _ in range(2)], n)
+        if not 2 <= G.order() <= 360:
+            continue
+        G_elems = list(G.elements())
+        x = G.random_element(rng)
+        gens = [x] + [G.random_element(rng) for _ in range(rng.choice([0, 1]))]
+        S = G.subgroup(gens)
+        N = normalizer(G, S)
+        oracle = element_scan_normalizer(G_elems, list(S.elements()))
+        assert set(N.element_set()) == {p.key() for p in oracle}
+        C = centralizer(G, x)
+        assert set(C.element_set()) == {p.key() for p in element_scan_centralizer(G_elems, x)}
+        done += 1
+
+
+def test_normalizer_rejects_a_non_subgroup():
+    G = sym(4)
+    with pytest.raises(ValueError):
+        normalizer(G.subgroup([g("(0 1 2)", 4)]), PermutationGroup([g("(0 1)", 4)]))
