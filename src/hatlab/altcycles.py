@@ -19,6 +19,8 @@ from .group import PermutationGroup
 from .perm import Permutation
 from .symmetry import arc_orbits
 
+SWAP_COSET_LIMIT = 512
+
 
 class AltCycleError(AssertionError):
     """A theorem-level invariant failed; indicates a bug or bad input."""
@@ -196,23 +198,23 @@ def bm_quotient_is_graph(system: AltCycleSystem) -> bool:
 
 
 def find_orientation_swapper(
-    aut: PermutationGroup, M: PermutationGroup, orientation: HatOrientation, rep_budget=512
+    aut: PermutationGroup, M: PermutationGroup, orientation: HatOrientation
 ):
     """Search for an automorphism swapping the two arc-orbit orientations.
 
     Scans right-coset representatives of M in the supplied automorphism
     group (the swap condition is constant on cosets).  Returns the element
-    or None; raises ResourceExhausted past the budget.
+    or None; raises ResourceExhausted past SWAP_COSET_LIMIT cosets.
     """
     from .cosets import CosetSpace
     from .group import ResourceExhausted
 
     index = aut.order() // M.order()
-    if index > rep_budget:
+    if index > SWAP_COSET_LIMIT:
         raise ResourceExhausted("swap search over %d cosets exceeds budget" % index)
     plus = set(orientation.o_plus)
     minus = set(orientation.o_minus)
-    space = CosetSpace(aut, M, max_index=rep_budget + 1)
+    space = CosetSpace(aut, M, max_index=SWAP_COSET_LIMIT + 1)
     for r in space.reps:
         mapped = {(int(r.images[u]), int(r.images[v])) for (u, v) in plus}
         if mapped == minus:

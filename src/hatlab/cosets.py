@@ -80,11 +80,9 @@ class CosetSpace:
 
 
 class CosetAction:
-    """Result of G acting on [G:H]: image group, kernel, representatives."""
+    """Result of G acting on [G:H]: the coset space and the image group."""
 
-    def __init__(self, G, H, space, image, phi_gens):
-        self.G = G
-        self.H = H
+    def __init__(self, space, image, phi_gens):
         self.space = space
         self.image = image
         self._phi_gens = phi_gens  # generator index -> image permutation
@@ -93,23 +91,17 @@ class CosetAction:
     def degree(self):
         return len(self.space)
 
-    def kernel(self) -> PermutationGroup:
-        return core(self.G, self.H, _space=self.space)
 
-
-def coset_action(G: PermutationGroup, H: PermutationGroup, max_index=10**6) -> CosetAction:
-    """Right-multiplication action of G on the right cosets of H.
-
-    The image is built with the exact order |G| / |Core_G(H)| once the kernel
-    is requested; the image group itself is certified independently.
-    """
-    space = CosetSpace(G, H, max_index)
+def coset_action(G: PermutationGroup, H: PermutationGroup) -> CosetAction:
+    """Right-multiplication action of G on the right cosets of H.  Its
+    kernel is ``core(G, H)``; the image group certifies its own chain."""
+    space = CosetSpace(G, H)
     phi_gens = [space.action_of(g) for g in G.gens]
     image = PermutationGroup(phi_gens, len(space))
-    return CosetAction(G, H, space, image, phi_gens)
+    return CosetAction(space, image, phi_gens)
 
 
-def core(G: PermutationGroup, H: PermutationGroup, max_index=10**6, _space=None):
+def core(G: PermutationGroup, H: PermutationGroup):
     """Core_G(H): the largest normal subgroup of G contained in H.
 
     Two strategies: when H is small enough to enumerate, keep the largest
@@ -120,7 +112,7 @@ def core(G: PermutationGroup, H: PermutationGroup, max_index=10**6, _space=None)
     """
     if H.order() <= 20000 and H.order() * G.degree <= 4 * 10**6:
         return _core_fixpoint(G, H)
-    return _core_via_combined(G, H, max_index, _space)
+    return _core_via_combined(G, H)
 
 
 def _core_fixpoint(G, H):
@@ -150,8 +142,8 @@ def _conjugation_invariant_part(elems, conj_gens):
             del alive[k]
 
 
-def _core_via_combined(G, H, max_index=10**6, _space=None):
-    space = _space if _space is not None else CosetSpace(G, H, max_index)
+def _core_via_combined(G, H):
+    space = CosetSpace(G, H)
     m = len(space)
     n = G.degree
     combined = []
@@ -172,8 +164,8 @@ def _core_via_combined(G, H, max_index=10**6, _space=None):
 # -- block systems -----------------------------------------------------------
 
 
-def block_system(G: PermutationGroup, beta: int, alpha: int = 0):
-    """Finest block system of the transitive group G with alpha, beta together.
+def block_system(G: PermutationGroup, beta: int):
+    """Finest block system of the transitive group G with 0 and beta together.
 
     Atkinson's union-find algorithm.  Returns the partition as a sorted tuple
     of sorted tuples.
@@ -187,8 +179,8 @@ def block_system(G: PermutationGroup, beta: int, alpha: int = 0):
             x = parent[x]
         return x
 
-    queue = [(alpha, beta)]
-    parent[find(beta)] = find(alpha)
+    queue = [(0, beta)]
+    parent[beta] = 0
     while queue:
         a, b = queue.pop()
         for g in G.gens:
@@ -203,50 +195,17 @@ def block_system(G: PermutationGroup, beta: int, alpha: int = 0):
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
-def _nontrivial_block_systems(G: PermutationGroup):
-    """Yield block_system(G, beta) for each beta whose system is nontrivial."""
-    n = G.degree
+def is_primitive(G: PermutationGroup) -> bool:
+    """Whether the transitive group G has only the trivial block systems: the
+    system joining 0 and beta is the whole domain for every beta."""
     if not G.is_transitive():
         raise ValueError("block systems require a transitive group")
-    if n <= 2:
-        return
-    for beta in range(1, n):
-        sys_ = block_system(G, beta)
-        if 1 < len(sys_) < n:
-            yield sys_
+    return all(len(block_system(G, beta)) == 1 for beta in range(1, G.degree))
 
 
-def minimal_blocks(G: PermutationGroup):
-    """All minimal nontrivial block systems of a transitive group."""
-    systems = set(_nontrivial_block_systems(G))
-    out = []
-    for s in systems:
-        finer_exists = False
-        for t in systems:
-            if t is not s and t != s and _refines(t, s):
-                finer_exists = True
-                break
-        if not finer_exists:
-            out.append(s)
-    return sorted(out)
-
-
-def _refines(t, s):
-    """Whether every block of t is contained in some block of s."""
-    where = {}
-    for i, blk in enumerate(s):
-        for v in blk:
-            where[v] = i
-    return all(len({where[v] for v in blk}) == 1 for blk in t)
-
-
-def is_primitive(G: PermutationGroup) -> bool:
-    return next(_nontrivial_block_systems(G), None) is None
-
-
-def is_maximal_subgroup(G: PermutationGroup, M: PermutationGroup, max_index=10**6) -> bool:
+def is_maximal_subgroup(G: PermutationGroup, M: PermutationGroup) -> bool:
     """M < G is maximal iff the action of G on [G:M] is primitive."""
-    act = coset_action(G, M, max_index)
+    act = coset_action(G, M)
     if act.degree == 1:
         raise ValueError("M equals G; maximality is undefined")
     return is_primitive(act.image)

@@ -16,7 +16,12 @@ from math import factorial
 
 import numpy as np
 
-from .altcycles import alternating_cycle_system, alternating_graph, hat_orientation
+from .altcycles import (
+    alternating_cycle_system,
+    alternating_graph,
+    bm_quotient_is_graph,
+    hat_orientation,
+)
 from .cosets import (
     CosetSpace,
     core,
@@ -27,12 +32,25 @@ from .cosets import (
 )
 from .fpgroups import FpPresentation, todd_coxeter
 from .graphauto import automorphism_group, is_isomorphic
-from .graphs import VertexAction, cayley_graph, coset_graph, cycle_graph
+from .graphs import (
+    VertexAction,
+    cayley_graph,
+    complete_bipartite_minus_matching,
+    coset_graph,
+    cycle_graph,
+    induced_quotient_action,
+    quotient_graph,
+)
 from .group import PermutationGroup
 from .normalizers import normalizer
 from .perm import Permutation
-from .signatures import group_name, same_type
-from .symmetry import classify_theorem_case, local_action, transitivity_report
+from .signatures import group_name
+from .symmetry import (
+    cayley_normality_report,
+    classify_theorem_case,
+    local_action,
+    transitivity_report,
+)
 
 
 @dataclass
@@ -141,16 +159,15 @@ def run_example_41() -> ExampleReport:
         [action.space.action_of(g) for g in G.gens], graph.n, order=G.order()
     )
     d_img = action.space.action_of(swap)
-    N = normalizer(aut, G_img)
-    rep.record("cayleyNormalizerOrder", 3528, N.order())
+    cay = cayley_normality_report(G_img, aut, graph)
+    N, act_N = cay["normalizer"], cay["action"]
+    rep.record("cayleyNormalizerOrder", 3528, cay["normalizerOrder"])
     GD = PermutationGroup(list(G_img.gens) + [d_img], graph.n)
     rep.record("normalizerIsGColonD", True, GD.order() == N.order() and all(p in N for p in GD.gens))
     rep.record("normalizerMaximal", True, is_maximal_subgroup(aut, N))
-    act_N = VertexAction(N, graph)
-    rep_N = transitivity_report(act_N)
-    rep.record("normalEdgeTransitive", True, rep_N.edge_transitive)
-    rep.record("cayleyNonNormal", True, N.order() < aut.order())
-    rep.record("M_halfArcTransitive", "1/2", rep_N.as_dict()["sDegree"])
+    rep.record("normalEdgeTransitive", True, cay["normalEdgeTransitive"])
+    rep.record("cayleyNonNormal", True, not cay["normal"])
+    rep.record("M_halfArcTransitive", "1/2", transitivity_report(act_N).as_dict()["sDegree"])
 
     ori = hat_orientation(act_N)
     system = alternating_cycle_system(ori)
@@ -160,7 +177,7 @@ def run_example_41() -> ExampleReport:
     rep.record("cyclesThroughIdentityMeetInIdentity", True, shared == frozenset([0]))
     rep.extras["radius"] = system.radius
     rep.extras["alternatingCycles"] = system.count
-    rep.extras["bmQuotientIsGraph"] = system.attachment == 1
+    rep.extras["bmQuotientIsGraph"] = bm_quotient_is_graph(system)
 
     alt, alt_action, att = alternating_graph(act_N, system)
     aut_alt = automorphism_group(alt, transitive_seed=alt_action.group)
@@ -182,8 +199,6 @@ def run_example_41() -> ExampleReport:
 
 
 def run_example_43() -> ExampleReport:
-    from .graphs import complete_bipartite_minus_matching
-
     t0 = time.time()
     rep = ExampleReport("4.3")
     graph = complete_bipartite_minus_matching(5)
@@ -260,25 +275,23 @@ def run_example_44() -> ExampleReport:
 
     aut = automorphism_group(graph, transitive_seed=R)
     rep.record("autOrder", 52488, aut.order())
-    loc = local_action(VertexAction(aut, graph), 0)
+    act_aut = VertexAction(aut, graph)
+    loc = local_action(act_aut, 0)
     rep.record("localOrder", 8, loc.order)
     rep.record("localType", "D8", loc.signature_name())
 
-    N = normalizer(aut, R)
-    rep.record("normalizerOrder", 13122, N.order())
+    cay = cayley_normality_report(R, aut, graph)
+    N, act_N = cay["normalizer"], cay["action"]
+    rep.record("normalizerOrder", 13122, cay["normalizerOrder"])
     rep.record("normalizerMaximal", True, is_maximal_subgroup(aut, N))
 
-    rep_aut = transitivity_report(VertexAction(aut, graph))
-    rep.record("aut_sDegree", 1, rep_aut.s_degree)
-    rep_N = transitivity_report(VertexAction(N, graph))
-    rep.record("N_halfArcTransitive", "1/2", rep_N.as_dict()["sDegree"])
+    rep.record("aut_sDegree", 1, transitivity_report(act_aut).s_degree)
+    rep.record("N_halfArcTransitive", "1/2", transitivity_report(act_N).as_dict()["sDegree"])
 
     K = core(aut, N)
     rep.record("coreInsideRegular", True, all(p in R for p in K.gens))
     rep.record("coreIndexInRegular", 3, R.order() // K.order())
-    from .graphs import quotient_graph
-
-    quo = quotient_graph(VertexAction(aut, graph), K)
+    quo = quotient_graph(act_aut, K)
     rep.record("quotientVertices", 3, quo.orbit_count)
     rep.record(
         "quotientIsC3", True, is_isomorphic(quo.quotient, cycle_graph(3)) is not None
@@ -286,13 +299,8 @@ def run_example_44() -> ExampleReport:
 
     case = classify_theorem_case(graph, N, aut, 0)
     rep.record("theoremCase", "c2", case.label)
-    from .signatures import _dihedral
-
-    act_N = VertexAction(N, graph)
-    from .graphs import induced_quotient_action
-
     NK = induced_quotient_action(act_N, K, quo)
-    rep.record("M_mod_K_isDihedral6", True, same_type(NK, _dihedral(3)))
+    rep.record("M_mod_K_isDihedral6", True, group_name(NK) == "S3")
 
     ori = hat_orientation(act_N)
     system = alternating_cycle_system(ori)

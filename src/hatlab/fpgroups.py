@@ -69,7 +69,6 @@ def parse_word(text: str, names) -> tuple:
         tokens.append(m.group(1))
         pos = m.end()
     index = {name: i for i, name in enumerate(names)}
-    it = iter(range(len(tokens)))
     state = {"i": 0}
 
     def peek():
@@ -175,11 +174,11 @@ def _letters(word, ngens):
 class CosetTable:
     """Complete coset table for a subgroup of a finitely presented group."""
 
-    def __init__(self, pres, subgroup_words, n, neighbors, collapse_log=None):
+    def __init__(self, pres, subgroup_words, n, neighbors, collapse_log):
         self.presentation = pres
         self.subgroup_words = list(subgroup_words)
         self.n = n
-        self.collapse_log = collapse_log or {}
+        self.collapse_log = collapse_log
         self._neighbors = neighbors  # n x 2*ngens, complete
         self.generator_perms = [
             Permutation([neighbors[c][2 * i] for c in range(n)])
@@ -311,23 +310,6 @@ def todd_coxeter(pres: FpPresentation, subgroup_words=(), coset_limit=10**6) -> 
     )
     ct.verify_closed()
     return ct
-
-
-def permutation_image(pres, subgroup_words=(), coset_limit=10**6, regular_order=None):
-    """Permutation group induced on the cosets, with a faithfulness flag.
-
-    Faithfulness is decided by comparing the image order with the order of
-    the regular representation (enumerated over the trivial subgroup, or
-    passed in when already known).
-    """
-    table = todd_coxeter(pres, subgroup_words, coset_limit)
-    image = table.group()
-    if regular_order is None:
-        if not subgroup_words:
-            regular_order = table.coset_count
-        else:
-            regular_order = todd_coxeter(pres, (), coset_limit).coset_count
-    return table, image, image.order() == regular_order
 
 
 # -- the amalgam catalog -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Graph automorphisms and canonical forms by individualization-refinement.
+"""Graph automorphisms and canonical labelings by individualization-refinement.
 
 The search is the classical one: refine an ordered partition until
 equitable, pick the first smallest non-singleton cell, branch on its
@@ -9,11 +9,12 @@ the automorphisms found so far (only those fixing the current prefix) and
 through path invariants (cell-size sequences), which are isomorphism
 invariants, so the canonical form does not depend on the input labeling.
 
-Known automorphisms may be seeded in to prune the search; each is verified
-against the graph first.  For vertex-transitive graphs the full group is
-assembled as <transitive seed, stabilizer of one vertex> with the order
-fixed by orbit-stabilizer, which avoids any search over the whole vertex
-set.
+For vertex-transitive graphs the full group is assembled as <transitive
+seed, stabilizer of one vertex> with the order fixed by orbit-stabilizer,
+which avoids any search over the whole vertex set; the seed's vertex
+stabilizer prunes that search, each seeded permutation verified against the
+graph first.  Every search visits at most NODE_BUDGET refinement nodes and
+raises ResourceExhausted past it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import numpy as np
 from .graphs import Graph
 from .group import PermutationGroup, ResourceExhausted
 from .perm import Permutation
+
+NODE_BUDGET = 200000
 
 
 class _Partition:
@@ -156,7 +159,7 @@ def _target_cell(part: _Partition):
 
 
 class _Search:
-    def __init__(self, graph, initial, seed_gens=(), node_budget=200000):
+    def __init__(self, graph, initial, seed_gens=()):
         self.graph = graph
         self.n = graph.n
         self.root = initial
@@ -167,7 +170,6 @@ class _Search:
         self.first_leaf = None  # (inv_path, labeling, cert)
         self.best = None  # (inv_path, cert, labeling)
         self.nodes = 0
-        self.node_budget = node_budget
 
     def _check_aut(self, p):
         for u, v in self.graph.edges:
@@ -205,7 +207,7 @@ class _Search:
 
     def _descend(self, part, prefix, inv_path):
         self.nodes += 1
-        if self.nodes > self.node_budget:
+        if self.nodes > NODE_BUDGET:
             raise ResourceExhausted("refinement search exceeded node budget")
         inv = part.sizes()
         inv_path = inv_path + [inv]
@@ -270,12 +272,9 @@ class _Search:
             self.best = (inv_path, cert, lab)
 
 
-def automorphism_group(
-    graph: Graph, known=None, transitive_seed=None, node_budget=200000
-) -> PermutationGroup:
+def automorphism_group(graph: Graph, transitive_seed=None) -> PermutationGroup:
     """The full automorphism group of the graph.
 
-    ``known`` seeds verified automorphisms into the search for pruning.
     ``transitive_seed`` may pass a vertex-transitive group of automorphisms;
     the result is then assembled as <seed, Aut_v> with order fixed by
     orbit-stabilizer, which is how the large Cayley/coset graphs stay cheap.
@@ -286,13 +285,13 @@ def automorphism_group(
         if not transitive_seed.is_transitive():
             raise ValueError("transitive_seed is not transitive")
         stab_seed = transitive_seed.point_stabilizer(0)
-        stab = automorphism_stabilizer(graph, 0, seed_gens=stab_seed.gens, node_budget=node_budget)
+        stab = automorphism_stabilizer(graph, 0, seed_gens=stab_seed.gens)
         order = graph.n * stab.order()
         return PermutationGroup(
             list(transitive_seed.gens) + list(stab.gens), graph.n, order=order
         )
     initial = _initial_partition(graph)
-    search = _Search(graph, initial, seed_gens=known or (), node_budget=node_budget)
+    search = _Search(graph, initial)
     search.run()
     gens = list(search.auts)
     G = PermutationGroup(gens, graph.n)
@@ -303,11 +302,11 @@ def automorphism_group(
     return G
 
 
-def automorphism_stabilizer(graph: Graph, v: int, seed_gens=(), node_budget=200000):
+def automorphism_stabilizer(graph: Graph, v: int, seed_gens=()):
     """Generators of the automorphisms fixing vertex v."""
     n = graph.n
     part = _initial_partition(graph, v)
-    search = _Search(graph, part, seed_gens=seed_gens, node_budget=node_budget)
+    search = _Search(graph, part, seed_gens=seed_gens)
     search.run()
     gens = [p for p in search.auts if int(p.images[v]) == v]
     if len(gens) != len(search.auts):
@@ -315,12 +314,12 @@ def automorphism_stabilizer(graph: Graph, v: int, seed_gens=(), node_budget=2000
     return PermutationGroup(gens, n)
 
 
-def canonical_labeling(graph: Graph, node_budget=200000):
+def canonical_labeling(graph: Graph):
     """(labeling, certificate): certificate equality is graph isomorphism."""
     if graph.n == 0:
         return Permutation.identity(0), b""
     initial = _initial_partition(graph)
-    search = _Search(graph, initial, node_budget=node_budget)
+    search = _Search(graph, initial)
     search.run()
     inv_path, cert, lab = search.best
     inv_bytes = repr(inv_path).encode()
@@ -330,18 +329,14 @@ def canonical_labeling(graph: Graph, node_budget=200000):
     return lab, full_cert
 
 
-def canonical_form(graph: Graph, node_budget=200000) -> bytes:
-    return canonical_labeling(graph, node_budget)[1]
-
-
-def is_isomorphic(g1: Graph, g2: Graph, node_budget=200000):
+def is_isomorphic(g1: Graph, g2: Graph):
     """A vertex bijection g1 -> g2 (as a list), or None."""
     if g1.n != g2.n or g1.m != g2.m:
         return None
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return None
-    lab1, cert1 = canonical_labeling(g1, node_budget)
-    lab2, cert2 = canonical_labeling(g2, node_budget)
+    lab1, cert1 = canonical_labeling(g1)
+    lab2, cert2 = canonical_labeling(g2)
     if cert1 != cert2:
         return None
     mapping = [int(lab2.inverse().images[int(lab1.images[v])]) for v in range(g1.n)]

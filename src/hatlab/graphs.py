@@ -1,5 +1,6 @@
 """Graphs, digraphs, vertex actions, and the standard constructions:
-coset graphs, Cayley graphs, special families, and normal quotients.
+coset graphs, Cayley graphs, cycles, K_{n,n} minus a perfect matching, and
+normal quotients.
 
 Vertex 0 of a coset graph is the coset H*1 and vertex 0 of a Cayley graph
 is the group identity, so constructions are byte-stable across runs.
@@ -96,28 +97,6 @@ class Graph:
             out.append((v, u))
         return out
 
-    def is_bipartite(self):
-        color = np.full(self.n, -1, dtype=np.int8)
-        for s in range(self.n):
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for w in self.adj[v]:
-                        if color[w] == -1:
-                            color[w] = 1 - color[v]
-                            nxt.append(w)
-                        elif color[w] == color[v]:
-                            return False
-                frontier = nxt
-        return True
-
-    def relabel(self, perm: Permutation) -> "Graph":
-        return Graph(self.n, [(perm(u), perm(v)) for u, v in self.edges])
-
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
 
@@ -183,7 +162,7 @@ class VertexAction:
                     raise ValueError("generator does not preserve adjacency")
 
 
-def coset_graph(G: PermutationGroup, H: PermutationGroup, D, max_index=10**6):
+def coset_graph(G: PermutationGroup, H: PermutationGroup, D):
     """Cos(G, H, D): vertices are right cosets of H, with Hx ~ Hy iff
     y x^-1 in D.  D must be inverse-closed and a union of H-double-cosets,
     and <H, D> must be all of G (equivalently the graph is connected).
@@ -201,7 +180,7 @@ def coset_graph(G: PermutationGroup, H: PermutationGroup, D, max_index=10**6):
         for h in H.gens:
             if (h * d).key() not in dkeys or (d * h).key() not in dkeys:
                 raise ValueError("D is not a union of H-double-cosets")
-    space = CosetSpace(G, H, max_index)
+    space = CosetSpace(G, H)
     n = len(space)
     # neighbors of Hx are the cosets H(dx); only one d per coset Hd matters
     d_reps = {}
@@ -286,14 +265,6 @@ def complete_bipartite_minus_matching(n):
         raise ValueError("need at least 2 vertices per side")
     edges = [(i, n + j) for i in range(n) for j in range(n) if i != j]
     return Graph(2 * n, edges)
-
-
-def special_graph(kind, n):
-    if kind == "cycle":
-        return cycle_graph(n)
-    if kind in ("kbm", "complete-bipartite-minus-perfect-matching"):
-        return complete_bipartite_minus_matching(n)
-    raise ValueError("unknown special graph kind %r" % kind)
 
 
 class QuotientResult:

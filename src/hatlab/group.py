@@ -270,11 +270,6 @@ class PermutationGroup:
 
     # -- queries -------------------------------------------------------------
 
-    def build_chain(self) -> "PermutationGroup":
-        """Force the base/strong-generating chain; returns self."""
-        self._ensure_chain()
-        return self
-
     def order(self) -> int:
         self._ensure_chain()
         return self._order
@@ -293,15 +288,8 @@ class PermutationGroup:
         self._ensure_chain()
         return self._levels
 
-    def strong_generators(self):
-        self._ensure_chain()
-        return [g for lvl in self._levels for g in lvl.gens]
-
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
-
-    def is_trivial(self) -> bool:
-        return not self.gens
 
     def elements(self):
         """All elements, in deterministic chain-transversal order.
@@ -329,13 +317,6 @@ class PermutationGroup:
             self._elements_cache = {p.key(): p for p in self.elements()}
         return self._elements_cache
 
-    def random_element(self, rng: random.Random) -> Permutation:
-        self._ensure_chain()
-        p = Permutation.identity(self.degree)
-        for lvl in reversed(self._levels):
-            p = p * lvl.transversal(rng.choice(lvl.points))
-        return p
-
     # -- orbits and actions ----------------------------------------------
 
     def orbit(self, point: int) -> "Orbit":
@@ -355,20 +336,20 @@ class PermutationGroup:
                 out.append(orb)
         return out
 
-    def is_transitive(self, domain=None) -> bool:
-        n = self.degree if domain is None else domain
+    def is_transitive(self) -> bool:
+        n = self.degree
         if n <= 1:
             return True
         return len(self.orbit(0)) == n
 
-    def transitivity_profile(self, domain=None):
-        """{transitive, semiregular, regular} on {0..domain-1}.
+    def transitivity_profile(self):
+        """{transitive, semiregular, regular} on the whole domain.
 
         Semiregular means every point stabilizer is trivial, checked through
         chain orders; regular adds transitivity.
         """
-        n = self.degree if domain is None else domain
-        transitive = self.is_transitive(n)
+        n = self.degree
+        transitive = self.is_transitive()
         order = self.order()
         seen = set()
         semiregular = True

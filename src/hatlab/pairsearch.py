@@ -49,8 +49,8 @@ class RealizedAmalgam:
         return self.spec.name
 
 
-def realize_amalgam(spec: AmalgamSpec, coset_limit=10**6) -> RealizedAmalgam:
-    table = todd_coxeter(spec.presentation, (), coset_limit)
+def realize_amalgam(spec: AmalgamSpec) -> RealizedAmalgam:
+    table = todd_coxeter(spec.presentation, ())
     if table.coset_count != spec.expected_orders[0]:
         raise AssertionError(
             "amalgam %s has order %d, expected %d"
@@ -342,6 +342,7 @@ def _reverses_an_arc(m, mu_elems, mu_keys):
 
 
 DEEP_REQUIRED = {"S3xS4", "7-AT"}
+GRAPH_VERTEX_LIMIT = 2000
 
 
 def search_amalgam(name: str, deep=False, time_budget=None, progress=None) -> SearchOutcome:
@@ -359,12 +360,13 @@ def search_amalgam(name: str, deep=False, time_budget=None, progress=None) -> Se
     )
 
 
-def verify_pair_result(res: PairSearchResult, graph_vertex_limit=2000):
+def verify_pair_result(res: PairSearchResult):
     """Independent verification of an emitted pair.
 
-    When the coset space [H : Hu-image] is small enough, the coset graph is
-    built and the transitivity claims are checked on it; otherwise only the
-    group-theoretic invariants are re-checked and the report is flagged.
+    When the coset space [H : Hu-image] has at most GRAPH_VERTEX_LIMIT
+    cosets, the coset graph is built and the transitivity claims are checked
+    on it; otherwise only the group-theoretic invariants are re-checked and
+    the report is flagged.
     """
     from .graphs import VertexAction, coset_graph
     from .symmetry import HALF, transitivity_report
@@ -376,7 +378,7 @@ def verify_pair_result(res: PairSearchResult, graph_vertex_limit=2000):
         "graphChecked": False,
     }
     index = res.H.order() // res.Hu_image.order()
-    if index > graph_vertex_limit:
+    if index > GRAPH_VERTEX_LIMIT:
         report["note"] = "coset graph too large to construct; group-theoretic checks only"
         return report
     from .cosets import double_coset

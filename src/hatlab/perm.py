@@ -147,9 +147,6 @@ class Permutation:
     def support(self):
         return np.flatnonzero(self.images != np.arange(self.images.size, dtype=_DTYPE))
 
-    def n_fixed(self) -> int:
-        return int((self.images == np.arange(self.images.size, dtype=_DTYPE)).sum())
-
     def cycles(self, include_fixed: bool = False):
         """Disjoint cycles, each rotated to start at its smallest point."""
         imgs = self.images

@@ -27,26 +27,27 @@ def signature(G: PermutationGroup):
     exponent = 1
     for k in set(orders):
         exponent = lcm(exponent, k)
+    derived = derived_subgroup(G)
     # derived series
     length = 0
-    D = G
+    D, nxt = G, derived
     while D.order() > 1:
-        nxt = derived_subgroup(D)
+        if nxt is None:
+            nxt = derived_subgroup(D)
         if nxt.order() == D.order():
             length = -1  # perfect tail, not solvable
             break
-        D = nxt
+        D, nxt = nxt, None
         length += 1
-    ab = _abelianization_profile(G)
+    ab = _abelianization_profile(G, derived)
     return ("small", order, exponent, ab, length, tuple(orders))
 
 
-def _abelianization_profile(G):
-    D = derived_subgroup(G)
-    if D.order() == G.order():
+def _abelianization_profile(G, derived):
+    """Element orders of G/G', given the derived subgroup G'."""
+    if derived.order() == G.order():
         return (1,)
-    act = coset_action(G, D)
-    Q = act.image
+    Q = coset_action(G, derived).image
     return tuple(sorted(p.order() for p in Q.elements()))
 
 
@@ -169,6 +170,3 @@ def _is_dihedral_signature(sig):
     ref = signature(_dihedral(n))
     return ref == sig
 
-
-def same_type(A: PermutationGroup, B: PermutationGroup) -> bool:
-    return signature(A) == signature(B)

@@ -52,8 +52,8 @@ def arc_orbits(action: VertexAction):
     return orbits
 
 
-def edge_orbit_count(action: VertexAction) -> int:
-    orbits = arc_orbits(action)
+def edge_orbit_count(orbits) -> int:
+    """The number of edge orbits, given the arc orbits from ``arc_orbits``."""
     rep_of = {}
     for i, orb in enumerate(orbits):
         for arc in orb:
@@ -118,10 +118,11 @@ class TransitivityReport:
         }
 
 
-def transitivity_report(action: VertexAction, max_s: int = MAX_S) -> TransitivityReport:
+def transitivity_report(action: VertexAction) -> TransitivityReport:
     """Classify the action: s-degree is the largest s with transitivity on
     s-arcs, 1/2 for half-arc-transitive actions, None when not both vertex-
-    and edge-transitive.  An action still transitive on max_s-arcs aborts.
+    and edge-transitive.  An action still transitive on (MAX_S + 1)-arcs
+    raises ValueError.
     """
     if not action.graph.is_connected():
         raise ValueError("transitivity reports require a connected graph")
@@ -129,7 +130,7 @@ def transitivity_report(action: VertexAction, max_s: int = MAX_S) -> Transitivit
     vt = group.is_transitive()
     orbits = arc_orbits(action)
     arc_count = len(orbits)
-    et = edge_orbit_count(action) == 1
+    et = edge_orbit_count(orbits) == 1
     at = arc_count == 1
     if not (vt and et):
         return TransitivityReport(vt, et, at, arc_count, None)
@@ -140,9 +141,9 @@ def transitivity_report(action: VertexAction, max_s: int = MAX_S) -> Transitivit
     s = 1
     while s_arc_transitive(action, s + 1):
         s += 1
-        if s > max_s:
+        if s > MAX_S:
             raise ValueError(
-                "action is transitive on %d-arcs; raise max_s if this is expected" % s
+                "action is transitive on %d-arcs; raise MAX_S if this is expected" % s
             )
     return TransitivityReport(vt, et, True, 1, s)
 
@@ -296,26 +297,6 @@ def classify_theorem_case(
     return TheoremCase("c1", 1, witnesses)
 
 
-def json_report(action: VertexAction, u: int = 0, classify_in=None):
-    """The machine-readable analysis record for one action.
-
-    ``classify_in`` may pass an overgroup H; the theorem case of the pair
-    (action.group, H) is then included.
-    """
-    rep = transitivity_report(action)
-    loc = local_action(action, u)
-    out = rep.as_dict()
-    out["localAction"] = loc.as_dict()
-    if classify_in is not None:
-        case = classify_theorem_case(action.graph, action.group, classify_in, u)
-        out["theoremCase"] = case.label
-        out["witnesses"] = case.witnesses
-    else:
-        out["theoremCase"] = None
-        out["witnesses"] = {}
-    return out
-
-
 # -- Cayley normality ---------------------------------------------------------
 
 
@@ -323,19 +304,20 @@ def cayley_normality_report(regular_sub: PermutationGroup, aut: PermutationGroup
     """Normalizer-based normality report for a Cayley graph realization.
 
     ``regular_sub`` must be regular on the vertices and consist of
-    automorphisms; ``aut`` is the full automorphism group.
+    automorphisms; ``aut`` is the full automorphism group.  The normalizer
+    N comes back as "normalizer" and its action on the graph as "action".
     """
     prof = regular_sub.transitivity_profile()
     if not prof["regular"]:
         raise ValueError("the Cayley group is not regular on the vertices")
     N = normalizer(aut, regular_sub)
     act_N = VertexAction(N, graph)
-    net = edge_orbit_count(act_N) == 1
     return {
         "normalizerOrder": int(N.order()),
-        "normalEdgeTransitive": bool(net),
+        "normalEdgeTransitive": edge_orbit_count(arc_orbits(act_N)) == 1,
         "normal": bool(N.order() == aut.order()),
         "normalizer": N,
+        "action": act_N,
     }
 
 

@@ -2,7 +2,9 @@
 
 Everything here avoids the stabilizer chain and the refinement machinery on
 purpose: closures are plain BFS products, scans iterate explicit element
-lists, and partition checks enumerate candidate partitions directly.
+lists, and partition checks enumerate candidate partitions directly.  The
+one exception is ``random_element``, which draws test inputs rather than
+expected values.
 """
 
 from itertools import permutations as iter_permutations
@@ -99,15 +101,23 @@ def all_subgroups(elems, degree):
     return subgroups
 
 
-def is_maximal_by_lattice(group_elems, sub_keys, degree):
-    """Maximality via the full subgroup lattice of a small group."""
-    key_to = {p.key(): p for p in group_elems}
-    whole = frozenset(key_to.keys())
-    subs = all_subgroups(group_elems, degree)
-    for t in subs:
+def is_maximal_by_lattice(group_elems, sub_keys, lattice):
+    """Maximality via the full subgroup lattice of a small group, as
+    ``all_subgroups`` returns it."""
+    whole = frozenset(p.key() for p in group_elems)
+    for t in lattice:
         if sub_keys < t < whole:
             return False
     return sub_keys < whole
+
+
+def random_element(G, rng):
+    """A random element of G: one random transversal element per chain
+    level, from the bottom level up."""
+    p = Permutation.identity(G.degree)
+    for lvl in reversed(G.levels()):
+        p = p * lvl.transversal(rng.choice(lvl.points))
+    return p
 
 
 def brute_force_graph_aut_order(n, edge_set):
@@ -159,3 +169,10 @@ def block_systems_exhaustive(gens, n):
         if ok:
             out.append(frozenset(sets))
     return out
+
+
+def finest_block_system(systems, n, beta):
+    """Among ``systems`` (as ``block_systems_exhaustive`` returns them) and
+    the one-block system, the finest that puts 0 and beta in one block."""
+    together = [s for s in systems if any(0 in b and beta in b for b in s)]
+    return max(together, key=len, default=frozenset([frozenset(range(n))]))

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from hatlab.cosets import (
+    block_system,
     core,
     coset_action,
     derived_subgroup,
     double_coset,
     is_maximal_subgroup,
     is_primitive,
-    minimal_blocks,
     small_subgroups,
     wreath_square,
 )
@@ -20,6 +20,7 @@ from oracles import (
     all_subgroups,
     block_systems_exhaustive,
     closure_order,
+    finest_block_system,
     is_maximal_by_lattice,
 )
 
@@ -40,7 +41,7 @@ def test_coset_action_on_self_is_degree_one():
     G = S4()
     act = coset_action(G, G)
     assert act.degree == 1
-    assert act.kernel().order() == G.order()
+    assert core(G, G).order() == G.order()
 
 
 def test_coset_action_s4_point_stabilizer():
@@ -48,7 +49,7 @@ def test_coset_action_s4_point_stabilizer():
     H = G.point_stabilizer(3)
     act = coset_action(G, H)
     assert act.degree == 4
-    assert act.kernel().order() == 1
+    assert core(G, H).order() == 1
     # image order via independent closure
     assert act.image.order() == closure_order(act.image.gens, 4)
     assert act.image.order() == 24
@@ -108,22 +109,72 @@ def test_core_combined_path_matches_fixpoint():
         assert all(p in b for p in a.gens)
 
 
+def _as_sets(system):
+    return frozenset(frozenset(b) for b in system)
+
+
+def _assert_block_systems_match(G):
+    """block_system(G, beta) for every beta, and is_primitive, against the
+    exhaustive partition scan; returns the scan."""
+    n = G.degree
+    oracle = block_systems_exhaustive(G.gens, n)
+    for beta in range(1, n):
+        assert _as_sets(block_system(G, beta)) == finest_block_system(oracle, n, beta)
+    assert is_primitive(G) == (oracle == [])
+    return oracle
+
+
 def test_blocks_of_cyclic_4():
     G = PermutationGroup([g("(0 1 2 3)")])
-    systems = minimal_blocks(G)
-    assert (((0, 2), (1, 3)),) == tuple(systems)
+    assert block_system(G, 2) == ((0, 2), (1, 3))
+    assert block_system(G, 1) == ((0, 1, 2, 3),)
     assert not is_primitive(G)
     # exhaustive oracle agrees on the full nontrivial system list
-    oracle = block_systems_exhaustive(G.gens, 4)
-    assert len(oracle) == 1
-    assert frozenset(frozenset(b) for b in systems[0]) in oracle
+    oracle = _assert_block_systems_match(G)
+    assert oracle == [_as_sets(((0, 2), (1, 3)))]
 
 
 def test_a4_is_primitive():
     A4 = PermutationGroup([g("(0 1 2)", 4), g("(1 2 3)", 4)])
     assert is_primitive(A4)
-    assert block_systems_exhaustive(A4.gens, 4) == []
-    assert minimal_blocks(A4) == []
+    assert _assert_block_systems_match(A4) == []
+
+
+def _block_preserving(rng, a, b):
+    """A random permutation of a*b points that permutes the blocks
+    {a*i, ..., a*i + a - 1}, relabelled by a random bijection."""
+    sigma = rng.sample(range(b), b)
+    imgs = [a * sigma[i] + j for i in range(b) for j in rng.sample(range(a), a)]
+    relabel = Permutation(rng.sample(range(a * b), a * b))
+    return Permutation(imgs).conj(relabel)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_primitivity_matches_exhaustive_blocks(seed):
+    """is_primitive and every block_system(G, beta) against the partition
+    scan, on seeded transitive groups of degree 4-8: random pairs, mostly
+    primitive, and pairs preserving a random block structure, among them
+    imprimitive groups whose point stabilizer has several orbits."""
+    rng = random.Random(800 + seed)
+    primitive = imprimitive = several_orbits = 0
+    while primitive < 6 or imprimitive < 12:
+        n = rng.randrange(4, 9)
+        splits = [(a, n // a) for a in range(2, n) if n % a == 0]
+        if splits and rng.random() < 0.7:
+            a, b = rng.choice(splits)
+            gens = [_block_preserving(rng, a, b) for _ in range(2)]
+        else:
+            gens = [Permutation(rng.sample(range(n), n)) for _ in range(2)]
+        G = PermutationGroup(gens, n)
+        if not G.is_transitive():
+            continue
+        if _assert_block_systems_match(G):
+            imprimitive += 1
+            if len(G.point_stabilizer(0).orbits()) > 2:
+                several_orbits += 1
+        else:
+            primitive += 1
+    assert several_orbits >= 4
 
 
 def test_degree_two_transitive_group_is_primitive():
@@ -140,8 +191,9 @@ def test_is_maximal_examples():
     # lattice oracle agreement inside D8
     D = D8()
     S = D.subgroup([g("(0 1)(2 3)", 4)])
+    elems = list(D.elements())
     lattice = is_maximal_by_lattice(
-        list(D.elements()), frozenset(p.key() for p in S.elements()), 4
+        elems, frozenset(p.key() for p in S.elements()), all_subgroups(elems, 4)
     )
     assert is_maximal_subgroup(D, S) == lattice
 
@@ -167,7 +219,7 @@ def test_maximality_matches_lattice_on_small_groups():
             sub = G.subgroup(
                 [p for p in elems if p.key() in sub_keys and not p.is_identity()]
             )
-            expected = is_maximal_by_lattice(elems, sub_keys, n)
+            expected = is_maximal_by_lattice(elems, sub_keys, subs)
             assert is_maximal_subgroup(G, sub) == expected
             checked += 1
     assert checked >= 10

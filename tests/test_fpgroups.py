@@ -8,7 +8,6 @@ from hatlab.fpgroups import (
     cyclic_reduce,
     free_reduce,
     parse_word,
-    permutation_image,
     todd_coxeter,
 )
 
@@ -93,21 +92,18 @@ def test_catalog_images_are_two_transitive_on_delta():
 
 def test_regular_image_is_faithful():
     spec = amalgam_by_name("A4s")
-    tab, image, faithful = permutation_image(spec.presentation, ())
-    assert faithful
-    assert image.order() == 12
+    tab = todd_coxeter(spec.presentation, ())
+    assert tab.group().order() == tab.coset_count == 12
 
 
 def test_pgl27_image_over_order42_subgroup():
     pres = FpPresentation.parse(
         "a b c".split(), ["a^2", "b^3", "c^4", "(a*b)^8", "c^-1*[a,b]"]
     )
-    tab, image, faithful = permutation_image(
-        pres, [pres.word("a*b*c"), pres.word("c*[b,c]")], regular_order=336
-    )
+    tab = todd_coxeter(pres, [pres.word("a*b*c"), pres.word("c*[b,c]")])
     assert tab.coset_count == 8
-    assert faithful
-    assert image.order() == 336
+    # faithful: the image is as large as the regular representation
+    assert tab.group().order() == todd_coxeter(pres, ()).coset_count == 336
 
 
 def test_order_identity_across_representations():

@@ -5,7 +5,7 @@ import pytest
 from hatlab.graphauto import (
     automorphism_group,
     automorphism_stabilizer,
-    canonical_form,
+    canonical_labeling,
     is_isomorphic,
 )
 from hatlab.graphs import Graph, complete_bipartite_minus_matching, cycle_graph
@@ -26,7 +26,7 @@ def random_relabel(rng, graph):
     imgs = list(range(graph.n))
     rng.shuffle(imgs)
     perm = Permutation(imgs)
-    return graph.relabel(perm), perm
+    return Graph(graph.n, [(perm(u), perm(v)) for u, v in graph.edges]), perm
 
 
 def test_cycle_aut_orders():
@@ -64,14 +64,14 @@ def test_canonical_form_invariant_under_relabeling():
         n = rng.randrange(2, 10)
         G = random_graph(rng, n)
         H, _ = random_relabel(rng, G)
-        assert canonical_form(G) == canonical_form(H)
+        assert canonical_labeling(G)[1] == canonical_labeling(H)[1]
 
 
 def test_canonical_form_distinguishes():
     # C6 vs two triangles: same degrees, different graphs
     c6 = cycle_graph(6)
     tri2 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert canonical_form(c6) != canonical_form(tri2)
+    assert canonical_labeling(c6)[1] != canonical_labeling(tri2)[1]
 
 
 def test_is_isomorphic_roundtrip():
@@ -115,7 +115,8 @@ def test_aut_order_multiple_of_known_subgroup():
     G = complete_bipartite_minus_matching(5)
     rot = Permutation.from_cycles(10, [tuple(range(5)), tuple(range(5, 10))])
     known = PermutationGroup([rot])
-    A = automorphism_group(G, known=known.gens)
+    A = automorphism_group(G)
+    assert all(p in A for p in known.gens)
     assert A.order() % known.order() == 0
     assert A.order() == 240
 
@@ -123,4 +124,4 @@ def test_aut_order_multiple_of_known_subgroup():
 def test_seed_rejects_non_automorphism():
     G = cycle_graph(5)
     with pytest.raises(ValueError):
-        automorphism_group(G, known=[Permutation.parse("(0 1)", 5)])
+        automorphism_stabilizer(G, 0, seed_gens=[Permutation.parse("(1 2)", 5)])

@@ -9,7 +9,6 @@ from hatlab.graphs import (
     coset_graph,
     cycle_graph,
     quotient_graph,
-    special_graph,
 )
 from hatlab.group import PermutationGroup
 from hatlab.perm import Permutation
@@ -55,19 +54,12 @@ def test_kbm_graph():
     G = complete_bipartite_minus_matching(5)
     assert G.n == 10
     assert G.valency() == 4
-    assert G.is_bipartite()
+    assert all(u < 5 <= v for u, v in G.edges)  # bipartite: sides 0-4 and 5-9
     assert G.is_connected()
     # K_{2,2} - 2K_2: two disjoint edges, disconnected but allowed
     H = complete_bipartite_minus_matching(2)
     assert H.m == 2
     assert not H.is_connected()
-
-
-def test_special_graph_dispatch():
-    assert special_graph("cycle", 4).n == 4
-    assert special_graph("kbm", 3).n == 6
-    with pytest.raises(ValueError):
-        special_graph("petersen", 5)
 
 
 def test_vertex_action_rejects_non_automorphism():

@@ -13,7 +13,12 @@ from hatlab.normalizers import (
 )
 from hatlab.perm import Permutation
 
-from oracles import automorphisms_by_images, element_scan_centralizer, element_scan_normalizer
+from oracles import (
+    automorphisms_by_images,
+    element_scan_centralizer,
+    element_scan_normalizer,
+    random_element,
+)
 
 
 def g(s, n=None):
@@ -272,8 +277,8 @@ def test_normalizer_and_centralizer_match_element_scans(seed):
         if not 2 <= G.order() <= 360:
             continue
         G_elems = list(G.elements())
-        x = G.random_element(rng)
-        gens = [x] + [G.random_element(rng) for _ in range(rng.choice([0, 1]))]
+        x = random_element(G, rng)
+        gens = [x] + [random_element(G, rng) for _ in range(rng.choice([0, 1]))]
         S = G.subgroup(gens)
         N = normalizer(G, S)
         oracle = element_scan_normalizer(G_elems, list(S.elements()))

@@ -51,7 +51,7 @@ def test_parity_and_cycles():
     assert Permutation.parse("(0 1 2)", 4).is_even() is True
     p = Permutation.parse("(0 1 2)(3 4)(5 6)", 8)
     assert p.cycle_type() == (2, 2, 3)
-    assert p.n_fixed() == 1
+    assert p.degree - len(p.support()) == 1
 
 
 def test_degree_mismatch():
