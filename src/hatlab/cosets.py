@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .group import PermutationGroup, ResourceExhausted, closure_elements
+from .group import PermutationGroup, ResourceExhausted, _level_gens, closure_elements, giant_type
 from .perm import Permutation
 
 
@@ -196,11 +196,23 @@ def block_system(G: PermutationGroup, beta: int):
 
 
 def is_primitive(G: PermutationGroup) -> bool:
-    """Whether the transitive group G has only the trivial block systems: the
-    system joining 0 and beta is the whole domain for every beta."""
+    """Whether the transitive group G has only the trivial block systems.
+
+    It builds no chain; without one every beta is tried.  With one, Sym(n)
+    and Alt(n) are primitive, and one beta per G_0-orbit suffices, a block
+    of 0 being a union of them (Holt, Eick and O'Brien, *Handbook*, ch. 4);
+    u_0 carries the first level's G_b orbits to G_0's."""
     if not G.is_transitive():
         raise ValueError("block systems require a transitive group")
-    return all(len(block_system(G, beta)) == 1 for beta in range(1, G.degree))
+    if not G.has_chain():
+        betas = range(1, G.degree)
+    elif G.degree < 3 or giant_type(G.gens, G.order()) is not None:
+        return True
+    else:
+        top, stab = G.levels()[0], PermutationGroup(_level_gens(G.levels(), 1), G.degree)
+        u0 = top.transversal(0)
+        betas = [u0(o.base) for o in stab.orbits() if o.base != top.base]
+    return all(len(block_system(G, beta)) == 1 for beta in betas)
 
 
 def is_maximal_subgroup(G: PermutationGroup, M: PermutationGroup) -> bool:
@@ -247,43 +259,58 @@ def derived_subgroup(G: PermutationGroup) -> PermutationGroup:
 def small_subgroups(G: PermutationGroup, order_bound: int):
     """All subgroups of G whose order divides order_bound (bound <= 16).
 
-    Layered single-element extensions starting from the trivial subgroup;
-    complete because every subgroup is reached by adding one generator at a
-    time, each intermediate subgroup again having order dividing the bound.
+    Layered extensions of the subgroups found so far by one cyclic subgroup
+    <p> each (p first of its generators), complete since every subgroup is
+    reached one generator at a time below the bound, joined as right cosets
+    (Dimino; Butler, LNCS 559).  A subgroup's generators are its elements in
+    ``closure_elements`` order from the first pair that reached it.
     """
     if order_bound > 16:
         raise ValueError("order bound %d exceeds 16" % order_bound)
+    first_of = {}  # cyclic subgroup -> its first generator in element order
+    for p in G.elements():
+        powers = [p]  # up to the identity, or past the bound
+        while not powers[-1].is_identity() and len(powers) <= order_bound:
+            powers.append(powers[-1] * p)
+        if len(powers) > 1 and order_bound % len(powers) == 0:
+            first_of.setdefault(frozenset(q.key() for q in powers), p)
     ident = G.identity()
-    candidates = [
-        p for p in G.elements() if not p.is_identity() and order_bound % p.order() == 0
-    ]
-    trivial = frozenset([ident.key()])
-    seen = {trivial: [ident]}
-    frontier = [trivial]
+    frontier = [frozenset([ident.key()])]
+    seen = {frontier[0]: ([ident], [])}  # key set -> (elements, generator images)
     while frontier:
         nxt = []
         for key_set in frontier:
-            elems = seen[key_set]
-            for p in candidates:
+            elems, gens = seen[key_set]
+            table = np.stack([s.images for s in elems])
+            for p in first_of.values():
                 if p.key() in key_set:
                     continue
-                try:
-                    closed = closure_elements(elems + [p], G.degree, limit=order_bound)
-                except ResourceExhausted:
-                    continue  # too big
-                if order_bound % len(closed) != 0:
+                joined = _coset_join(key_set, table, gens + [p.images], order_bound)
+                if joined is None or order_bound % len(joined) != 0 or joined in seen:
                     continue
-                fs = frozenset(closed)
-                if fs not in seen:
-                    seen[fs] = list(closed.values())
-                    nxt.append(fs)
+                closed = closure_elements(elems + [p], G.degree)
+                if frozenset(closed) != joined:
+                    raise AssertionError("coset closure disagrees with the plain closure")
+                seen[joined] = (list(closed.values()), gens + [p.images])
+                nxt.append(joined)
         frontier = nxt
-    out = []
-    for fs, elems in seen.items():
-        nontrivial = [p for p in elems if not p.is_identity()]
-        out.append(G.subgroup(nontrivial, order=len(elems)))
-    out.sort(key=lambda S: (S.order(), sorted(S.element_set().keys())))
-    return out
+    out = sorted((len(e), sorted(k), e[1:]) for k, (e, _) in seen.items())
+    return [G.subgroup(gens, order=size) for size, _, gens in out]
+
+
+def _coset_join(key_set, table, gens, limit):
+    """The keys of <gens> as right cosets S*r of S = <gens[:-1]> (keys
+    ``key_set``, image rows ``table``, identity first); None past limit."""
+    keys, reps = set(key_set), [table[0]]
+    for r in reps:
+        for g in gens:
+            x = g[r]  # r * g
+            if x.tobytes() not in keys:
+                if len(keys) + len(table) > limit:
+                    return None
+                keys.update(row.tobytes() for row in x[table])  # S * x
+                reps.append(x)
+    return frozenset(keys)
 
 
 def double_coset(A: PermutationGroup, x: Permutation, B: PermutationGroup, budget=10**7):

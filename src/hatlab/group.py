@@ -134,10 +134,14 @@ class Orbit:
 
     def schreier_generators(self, gens):
         """Schreier's lemma, lazily: u_a * g * u_{a^g}^-1 for each orbit
-        point a, in discovery order, and each g in gens."""
+        point a, in discovery order, and each g in gens; skips the identities
+        from g labelling the tree edge into a^g (the tree not rebuilt since)."""
         for a in self.points:
-            u_a = self.transversal(a)
+            nav, u_a = self.nav, self.transversal(a)
             for g in gens:
+                edge = nav.get(int(g.images[a]))
+                if edge is not None and self.nav is nav and self.tree_gens[edge[0]][edge[1]] == g:
+                    continue
                 yield self.cancel_into(u_a * g)
 
 
@@ -283,6 +287,10 @@ class PermutationGroup:
         self._ensure_chain()
         residue, _ = _sift(self._levels, p, 0)
         return residue.is_identity()
+
+    def has_chain(self) -> bool:
+        """Whether the stabilizer chain is built (``levels`` builds it)."""
+        return self._levels is not None
 
     def levels(self):
         self._ensure_chain()

@@ -11,7 +11,7 @@ alpha the solutions are assembled orbit by orbit (the image of one point per
 orbit determines g on the whole orbit, and a point q is a valid image of p
 iff the point stabilizers satisfy S_q = alpha(S_p)).  Enumerating Aut(S)
 (images of a generating sequence, each extended to a homomorphism) and those
-assembly choices yields N_{Sym(n)}(S) with no search over Sym(n).
+assembly choices streams N_{Sym(n)}(S), none stored, with no search over Sym(n).
 
 Budgets are explicit; exceeding one raises ResourceExhausted rather than
 returning a truncated answer.
@@ -19,12 +19,13 @@ returning a truncated answer.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import factorial, prod
 
 import numpy as np
 
 from .group import PermutationGroup, ResourceExhausted, giant_type
-from .perm import Permutation
+from .perm import _DTYPE, Permutation
 
 SCAN_LIMIT = 10**5
 COSET_SCAN_LIMIT = 10**4
@@ -142,22 +143,20 @@ class SymNormalizerData:
         self.n = S.degree
         self.elems = [p for _, p in sorted(S.element_set().items())]
         self.index_of = {p.key(): i for i, p in enumerate(self.elems)}
-        m = len(self.elems)
+        self.table = np.stack([p.images for p in self.elems])
         # stabilizer key per point: frozenset of element indices fixing it
-        fix = np.zeros((m, self.n), dtype=bool)
-        for i, p in enumerate(self.elems):
-            fix[i] = p.images == np.arange(self.n)
+        fix = self.table == np.arange(self.n)
         self.stab_key = [frozenset(np.flatnonzero(fix[:, v]).tolist()) for v in range(self.n)]
         self.points_by_key = {}
         for v in range(self.n):
             self.points_by_key.setdefault(self.stab_key[v], []).append(v)
-        # orbits with transversal element indices: point -> index of sigma with
-        # rep^sigma = point; head_of maps each point to its orbit's rep
+        # orbits (points, sigma), rep first, sigma[j] the index of an element
+        # taking rep to points[j]; head_of maps a point to its orbit's rep
         self.orbits = []
         self._head_of = {}
         for orb in S.orbits():
-            sigma = {a: self.index_of[orb.transversal(a).key()] for a in orb.points}
-            self.orbits.append((orb.base, orb.points, sigma))
+            sigma = [self.index_of[orb.transversal(a).key()] for a in orb.points]
+            self.orbits.append((orb.points_arr, np.array(sigma)))
             for a in orb.points:
                 self._head_of[a] = orb.base
 
@@ -200,9 +199,8 @@ class SymNormalizerData:
             candidates_of.setdefault(inv_class[i], []).append(i)
 
         ident_idx = next(i for i, p in enumerate(elems) if p.is_identity())
-        table = np.stack([p.images for p in elems])
         # rows[t][p] is the index of elems[p] * elems[t]
-        rows = [[self.index_of[r.tobytes()] for r in t.images[table]] for t in elems]
+        rows = [[self.index_of[r.tobytes()] for r in t.images[self.table]] for t in elems]
 
         def extend(gens, images):
             """phi as an index list (-1 outside <gens>), or None."""
@@ -260,12 +258,13 @@ class SymNormalizerData:
         return auts
 
     def _orbit_candidates(self, alpha):
-        """Per orbit (rep, points, sigma, cands): cands are the points q whose
-        stabilizer is alpha of rep's, the possible images of rep."""
+        """Per orbit (points, rows, cands): rows[j] = alpha(sigma[j]), and cands
+        the points q whose stabilizer is alpha of rep's, the images of rep."""
+        arr = np.asarray(alpha)
         return [
-            (rep, pts, sigma, self.points_by_key.get(
-                frozenset(alpha[i] for i in self.stab_key[rep]), []))
-            for rep, pts, sigma in self.orbits
+            (pts, arr[sigma], self.points_by_key.get(
+                frozenset(alpha[i] for i in self.stab_key[pts[0]]), []))
+            for pts, sigma in self.orbits
         ]
 
     def realization_bound(self, alpha) -> int:
@@ -280,63 +279,72 @@ class SymNormalizerData:
         and cuts the branch when it returns True; it must only cut branches
         that hold no wanted realization.
         """
+        for rows in self._realization_rows(alpha, prune):
+            for row in rows:
+                yield Permutation(row, validate=False)
+
+    def _realization_rows(self, alpha, prune=None):
+        """``realizations`` as image rows, the last orbit's candidates at once."""
         orbit_cands = self._orbit_candidates(alpha)
         head_of = self._head_of
-        g = np.full(self.n, -1, dtype=np.int64)
+        g = np.full(self.n, -1, dtype=_DTYPE)
         used = set()
 
         def assign(k):
-            if k == len(orbit_cands):
-                yield Permutation(g.copy(), validate=False)
+            pts, rows, cands = orbit_cands[k]
+            free = [q for q in cands if head_of[q] not in used]
+            if k == len(orbit_cands) - 1:
+                block = np.repeat(g[None, :], len(free), axis=0)
+                block[:, pts] = self.table[rows[:, None], free].T
+                if prune is not None:
+                    block = block[[not prune(b) for b in block]]
+                if len(block):
+                    yield block
                 return
-            rep, pts, sigma, cands = orbit_cands[k]
-            for q in cands:
-                head = head_of[q]
-                if head in used:
-                    continue
-                used.add(head)
-                for a in pts:
-                    g[a] = self.elems[alpha[sigma[a]]].images[q]
+            for q in free:
+                g[pts] = self.table[rows, q]
                 if prune is None or not prune(g):
+                    used.add(head_of[q])
                     yield from assign(k + 1)
-                used.discard(head)
-            if prune is not None:
-                g[pts] = -1  # unknown again for the prune of earlier orbits
+                    used.discard(head_of[q])
+            g[pts] = -1  # unknown again for the prune of earlier orbits
 
         yield from assign(0)
 
-    def all_elements(self):
-        elems = {}
+    def group(self, visit=None) -> PermutationGroup:
+        """N_{Sym(n)}(S), its elements enumerated once and each block of them,
+        rows of image arrays, passed to ``visit``.  An element induces one
+        automorphism of S, and the images of the orbit representatives tell
+        the realizations of one apart, so none comes twice.  The count is
+        certified from one realization per automorphism and then
+        C_{Sym(n)}(S); N's generators are re-verified to normalize S."""
+        firsts, count = [], 0
         for alpha in self.automorphisms():
             if self.realization_bound(alpha) > 40 * SYM_NORM_SIZE_LIMIT:
                 raise ResourceExhausted(
                     "symmetric normalizer enumeration is hopeless "
                     "(per-automorphism bound above %d)" % (40 * SYM_NORM_SIZE_LIMIT)
                 )
-            for g in self.realizations(alpha):
-                elems[g.key()] = g
-                if len(elems) > SYM_NORM_SIZE_LIMIT:
+            start = count
+            for rows in self._realization_rows(alpha):
+                if count == start:
+                    firsts.append(Permutation(rows[0], validate=False))
+                count += len(rows)
+                if count > SYM_NORM_SIZE_LIMIT:
                     raise ResourceExhausted(
                         "symmetric normalizer larger than %d elements" % SYM_NORM_SIZE_LIMIT
                     )
-        return elems
+                if visit is not None:
+                    visit(rows)
+        identity = tuple(range(len(self.elems)))
+        N = PermutationGroup.from_generator_stream(
+            chain(firsts, self.realizations(identity)), self.n, order=count
+        )
+        if not N.normalizes(self.S):
+            raise AssertionError("normalizer generator does not normalize S")
+        return N
 
 
-def normalizer_in_sym(S: PermutationGroup):
-    """N_{Sym(n)}(S) as a group whose full element list has been assembled.
-
-    Every element is normalizing by construction (each realization is
-    conjugation-equivariant); the group generators are re-verified as a
-    spot check.
-    """
-    data = SymNormalizerData(S)
-    elems = data.all_elements()
-    N = PermutationGroup.from_generator_stream(
-        (p for _, p in sorted(elems.items())), S.degree, order=len(elems)
-    )
-    for g in N.gens:
-        for s in S.gens:
-            if s.conj(g) not in S:
-                raise AssertionError("normalizer generator does not normalize S")
-    N._elements_cache = dict(sorted(elems.items()))
-    return N
+def normalizer_in_sym(S: PermutationGroup) -> PermutationGroup:
+    """N_{Sym(n)}(S), counted by enumerating its elements once."""
+    return SymNormalizerData(S).group()

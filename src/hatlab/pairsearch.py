@@ -13,14 +13,16 @@ generating M together with image(X), and reversing no arc (no transversal
 element t of the intersection with m*t*m back in image(X)).  The first such
 m is kept, as the search stops at one witness per (X, h).
 
-Candidate counts and emitted tuples are deterministic: subgroups, normalizer
-elements and coset enumerations all come in fixed sorted orders.
+Candidate counts and emitted tuples are deterministic: subgroups, the h kept
+from the normalizer stream and coset enumerations come in fixed sorted orders.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cosets import (
     _conjugation_invariant_part,
@@ -32,7 +34,7 @@ from .cosets import (
 )
 from .fpgroups import AmalgamSpec, amalgam_by_name, todd_coxeter
 from .group import PermutationGroup, _dedupe, _is_power_of_two, group_2part
-from .normalizers import normalizer_in_sym
+from .normalizers import SymNormalizerData
 from .perm import Permutation
 from .signatures import group_name
 
@@ -186,6 +188,26 @@ class SearchOutcome:
     stats: dict = field(default_factory=dict)
 
 
+def reverser_candidates(L_keys, B: PermutationGroup):
+    """The h in the streamed N_Sym(n)(B) outside the L-image (keys ``L_keys``)
+    with h^2 inside and of 2-power order (twice that of h^2, so tested once
+    per square), sorted by images; and N_Sym(n)(B)."""
+    hs, square_ok = [], {}
+
+    def keep(rows):
+        for row, square in zip(rows, np.take_along_axis(rows, rows, axis=1)):
+            if row.tobytes() in L_keys or (key := square.tobytes()) not in L_keys:
+                continue
+            if key not in square_ok:
+                square_ok[key] = _is_power_of_two(Permutation(square, validate=False).order())
+            if square_ok[key]:
+                hs.append(Permutation(row, validate=False))
+
+    N = SymNormalizerData(B).group(keep)
+    hs.sort(key=lambda p: p.images.tolist())
+    return hs, N
+
+
 def maximal_half_arc_pairs(
     realized: RealizedAmalgam,
     deep: bool = False,
@@ -235,14 +257,7 @@ def maximal_half_arc_pairs(
         phi_Hu_elems = {p.key(): p for p in phi_Hu.elements()}
         phi_Mu_elems = [p for p in phi_Mu.elements()]
 
-        Nuv = normalizer_in_sym(phi_Huv)
-        h_list = [
-            p
-            for p in sorted(Nuv.element_set().values(), key=lambda p: p.images.tolist())
-            if (p * p).key() in phi_Hu_elems
-            and p.key() not in phi_Hu_elems
-            and _is_power_of_two(p.order())
-        ]
+        h_list, Nuv = reverser_candidates(phi_Hu_elems, phi_Huv)
         # h-candidates in one right coset of the L-image produce the same
         # group H = <image(L), h>, the same M, and the same forward-element
         # search, so that work is shared across the coset
@@ -257,10 +272,10 @@ def maximal_half_arc_pairs(
         )
         for key in sorted(cosets):
             hs = cosets[key]
-            stats["hTried"] += len(hs)
             if time_budget is not None and time.time() - t0 > time_budget:
                 complete = False
                 break
+            stats["hTried"] += len(hs)
             h0 = hs[0]
             H_gens = phi_Hu_gens + [h0]
             H = PermutationGroup(H_gens, n)

@@ -41,6 +41,28 @@ def element_scan_normalizer(ambient_elems, sub_elems):
     return out
 
 
+def h_candidates_by_scan(L_elems, B_elems, n):
+    """Every h in Sym(n) that normalizes the group with elements B_elems,
+    lies outside the group with elements L_elems, has h^2 inside it and has
+    2-power order; sorted by images.  A scan of all n! permutations."""
+    L_keys = {p.key() for p in L_elems}
+    B_keys = {p.key() for p in B_elems}
+    out = []
+    for imgs in iter_permutations(range(n)):
+        h = Permutation(imgs)
+        if h.key() in L_keys or (h * h).key() not in L_keys:
+            continue
+        order, q = 1, h
+        while not q.is_identity():
+            order, q = order + 1, q * h
+        if order & (order - 1):
+            continue
+        hi = h.inverse()
+        if all((hi * b * h).key() in B_keys for b in B_elems):
+            out.append(h)
+    return sorted(out, key=lambda h: h.images.tolist())
+
+
 def element_scan_centralizer(ambient_elems, x):
     return [g for g in ambient_elems if g * x == x * g]
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hatlab import cosets
 from hatlab.cosets import (
     block_system,
     core,
@@ -13,7 +14,7 @@ from hatlab.cosets import (
     small_subgroups,
     wreath_square,
 )
-from hatlab.group import PermutationGroup
+from hatlab.group import PermutationGroup, closure_elements
 from hatlab.perm import Permutation
 
 from oracles import (
@@ -177,6 +178,37 @@ def test_primitivity_matches_exhaustive_blocks(seed):
     assert several_orbits >= 4
 
 
+def test_primitivity_runs_one_block_system_per_stabilizer_orbit(monkeypatch):
+    calls = []
+    real = cosets.block_system
+
+    def counting(G, beta):
+        calls.append(beta)
+        return real(G, beta)
+
+    monkeypatch.setattr(cosets, "block_system", counting)
+    # PGL(2,7) on the projective line, infinity = 7: x+1, 3x and -1/x; its
+    # point stabilizer is transitive on the other 7 points.  Both groups
+    # have their chains (from order()) when is_primitive runs.
+    pgl = PermutationGroup([
+        Permutation([1, 2, 3, 4, 5, 6, 0, 7]),
+        Permutation([0, 3, 6, 2, 5, 1, 4, 7]),
+        Permutation([7, 6, 3, 2, 5, 4, 1, 0]),
+    ])
+    assert pgl.order() == 336
+    assert is_primitive(pgl)
+    assert len(calls) == 1
+    calls.clear()
+    alt7 = PermutationGroup([g("(0 1 2)", 7), g("(0 1 2 3 4 5 6)")])
+    assert alt7.order() == 2520
+    assert is_primitive(alt7)
+    assert calls == []
+    # without a chain it tries every beta, and builds none
+    fresh = PermutationGroup(pgl.gens)
+    assert is_primitive(fresh)
+    assert len(calls) == 7 and fresh._levels is None
+
+
 def test_degree_two_transitive_group_is_primitive():
     G = PermutationGroup([g("(0 1)")])
     assert is_primitive(G)
@@ -263,6 +295,37 @@ def test_small_subgroups_d8():
             assert len(keys) == len(set(keys))
             assert set(keys) == {s for s in lattice if bound % len(s) == 0}
         done += 1
+
+
+def _regular(G):
+    """The right regular representation of G, on the indices of its
+    elements."""
+    elems = list(G.elements())
+    index = {p.key(): i for i, p in enumerate(elems)}
+    return PermutationGroup(
+        [Permutation([index[(p * s).key()] for p in elems]) for s in G.gens]
+    )
+
+
+@pytest.mark.parametrize("name", ["D8xC2", "C4xC4"])
+def test_small_subgroups_match_lattice_on_regular_2_groups(name):
+    """small_subgroups against the subgroup lattice for every bound, on
+    regular groups of order 16 with many cyclic subgroups of order 2 and 4;
+    every subgroup's generators give back its element set."""
+    gens = {
+        "D8xC2": [g("(0 1 2 3)", 6), g("(0 2)", 6), g("(4 5)", 6)],
+        "C4xC4": [g("(0 1 2 3)", 8), g("(4 5 6 7)", 8)],
+    }[name]
+    R = _regular(PermutationGroup(gens))
+    assert R.order() == R.degree == 16
+    lattice = all_subgroups(list(R.elements()), 16)
+    for bound in (2, 4, 8, 16):
+        subs = small_subgroups(R, bound)
+        keys = [frozenset(S.element_set()) for S in subs]
+        assert keys == sorted(set(keys), key=lambda k: (len(k), sorted(k)))
+        assert set(keys) == {s for s in lattice if bound % len(s) == 0}
+        for S, k in zip(subs, keys):
+            assert frozenset(closure_elements(S.gens, 16)) == k
 
 
 def test_small_subgroups_bound_one():

@@ -279,3 +279,31 @@ def test_generator_stream_over_sorted_elements(seed):
             p = Permutation(rng.sample(range(n), n))
             assert (p in G) == (p.key() in closure)
         done += 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_schreier_generators_skip_only_identities(seed):
+    """The Schreier generators are the direct u_a * g * u_{a^g}^-1 with some
+    identities left out: the same non-identity ones in the same order, for
+    free orbits and for chain levels (whose trees hold shortcuts)."""
+    rng = random.Random(1200 + seed)
+    skipped = 0
+    for _ in range(6):
+        n = rng.randrange(4, 10)
+        gens = [Permutation(rng.sample(range(n), n)) for _ in range(rng.choice([1, 2, 3]))]
+        G = PermutationGroup(gens, n)
+        levels = G.levels()
+        cases = [(G.orbit(rng.randrange(n)), G.gens)]
+        cases += [(lvl, _level_gens(levels, i)) for i, lvl in enumerate(levels)]
+        for orb, sgens in cases:
+            direct = [
+                orb.transversal(a) * s * orb.transversal(s(a)).inverse()
+                for a in orb.points
+                for s in sgens
+            ]
+            stream = list(orb.schreier_generators(sgens))
+            skipped += len(direct) - len(stream)
+            assert [p for p in stream if not p.is_identity()] == [
+                p for p in direct if not p.is_identity()
+            ]
+    assert skipped > 0

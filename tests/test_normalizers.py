@@ -112,9 +112,14 @@ def test_normalizer_in_sym_matches_scan_on_random_small_groups():
         S = PermutationGroup(gens, n)
         if S.order() == 1:
             continue
-        N = normalizer_in_sym(S)
-        oracle = element_scan_normalizer(sym_elems[n], list(S.elements()))
+        oracle = {p.key() for p in element_scan_normalizer(sym_elems[n], list(S.elements()))}
+        stream = []
+        N = SymNormalizerData(S).group(lambda rows: stream.extend(r.tobytes() for r in rows))
+        assert len(stream) == len(set(stream))
+        assert set(stream) == oracle
         assert N.order() == len(oracle)
+        assert normalizer_in_sym(S).order() == len(oracle)
+        assert set(N.element_set()) == oracle
         done += 1
 
 

@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,15 +9,21 @@ import pytest
 
 import hatlab
 
+from hatlab import pairsearch
 from hatlab.fpgroups import amalgam_by_name
+from hatlab.group import PermutationGroup
 from hatlab.pairsearch import (
     candidate_stabilizers,
     conjugacy_class_representatives,
     maximal_half_arc_pairs,
     realize_amalgam,
+    reverser_candidates,
     search_amalgam,
     verify_pair_result,
 )
+from hatlab.perm import Permutation
+
+from oracles import element_scan_normalizer, h_candidates_by_scan, random_element
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +137,67 @@ def test_verify_invariants_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised: m does not stabilize coset 0"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reverser_candidates_match_scan(seed):
+    """The h list and N_Sym(n)(B) of the pair search against a scan of
+    Sym(n), on seeded L <= Sym(n) and cyclic B <= L, n <= 7; among the cases
+    are h in N outside L, of 2-power order, whose square leaves L."""
+    rng = random.Random(900 + seed)
+    sym_elems = {}
+    cases = hits = square_cuts = 0
+    while cases < 4:
+        n = rng.randrange(4, 8)
+        k = rng.choice([1, 2])
+        L = PermutationGroup([Permutation(rng.sample(range(n), n)) for _ in range(k)], n)
+        if not 2 <= L.order() < 120:
+            continue
+        B = L.subgroup([random_element(L, rng)])
+        if B.order() == 1:
+            continue
+        if n not in sym_elems:
+            sym_elems[n] = [Permutation(p) for p in itertools.permutations(range(n))]
+        L_elems, B_elems = list(L.elements()), list(B.elements())
+        hs, N = reverser_candidates(L.element_set(), B)
+        oracle = h_candidates_by_scan(L_elems, B_elems, n)
+        assert hs == oracle
+        normalizing = element_scan_normalizer(sym_elems[n], B_elems)
+        assert N.order() == len(normalizing)
+        L_keys = set(L.element_set())
+        square_cuts += sum(
+            1 for p in normalizing
+            if p.key() not in L_keys and (p * p).key() not in L_keys
+            and p.order() & (p.order() - 1) == 0
+        )
+        hits += len(hs)
+        cases += 1
+    assert hits > 0 and square_cuts > 0
+
+
+def test_h_tried_counts_only_the_cosets_tried(a4_realized, monkeypatch):
+    """A budget that runs out at the k-th coset check of the h loop leaves
+    hTried at the h count of the first k-1 cosets."""
+    full = maximal_half_arc_pairs(a4_realized)
+    assert full.complete and full.stats["hTried"] == 15
+    clock = {}
+
+    def now():
+        if clock["stepping"]:
+            clock["t"] += 1.0
+        return clock["t"]
+
+    def note(kind, info):
+        if kind == "hList":
+            clock["stepping"] = True  # one step per coset check from here
+
+    monkeypatch.setattr(pairsearch.time, "time", now)
+    tried = []
+    for k in range(1, 9):
+        clock.update(t=0.0, stepping=False)
+        out = maximal_half_arc_pairs(a4_realized, time_budget=k - 0.5, progress=note)
+        assert out.complete == (k == 8)
+        tried.append(out.stats["hTried"])
+    assert tried[0] == 0
+    assert all(a < b for a, b in zip(tried, tried[1:]))
+    assert tried[-1] == 15
