@@ -192,11 +192,6 @@ def alternating_graph(action: VertexAction, system: AltCycleSystem):
     return alt, alt_action, system.attachment
 
 
-def bm_quotient_is_graph(system: AltCycleSystem) -> bool:
-    """Attachment 1 collapses the block quotient back onto the graph itself."""
-    return system.attachment == 1
-
-
 def find_orientation_swapper(
     aut: PermutationGroup, M: PermutationGroup, orientation: HatOrientation
 ):

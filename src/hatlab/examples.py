@@ -19,7 +19,6 @@ import numpy as np
 from .altcycles import (
     alternating_cycle_system,
     alternating_graph,
-    bm_quotient_is_graph,
     hat_orientation,
 )
 from .cosets import (
@@ -177,7 +176,8 @@ def run_example_41() -> ExampleReport:
     rep.record("cyclesThroughIdentityMeetInIdentity", True, shared == frozenset([0]))
     rep.extras["radius"] = system.radius
     rep.extras["alternatingCycles"] = system.count
-    rep.extras["bmQuotientIsGraph"] = bm_quotient_is_graph(system)
+    # attachment 1 collapses the block quotient back onto the graph itself
+    rep.extras["bmQuotientIsGraph"] = system.attachment == 1
 
     alt, alt_action, att = alternating_graph(act_N, system)
     aut_alt = automorphism_group(alt, transitive_seed=alt_action.group)
@@ -224,7 +224,7 @@ def run_example_43() -> ExampleReport:
     rep.record("H_sDegree", 2, transitivity_report(act_H).s_degree)
     loc = local_action(act_H, 0)
     rep.record("H_localOrder", 12, loc.order)
-    rep.record("H_localType", "A4", loc.signature_name())
+    rep.record("H_localType", "A4", group_name(loc.induced))
 
     p5 = next(p for p in H.elements() if p.order() == 5)
     M = normalizer(H, H.subgroup([p5]))
@@ -278,7 +278,7 @@ def run_example_44() -> ExampleReport:
     act_aut = VertexAction(aut, graph)
     loc = local_action(act_aut, 0)
     rep.record("localOrder", 8, loc.order)
-    rep.record("localType", "D8", loc.signature_name())
+    rep.record("localType", "D8", group_name(loc.induced))
 
     cay = cayley_normality_report(R, aut, graph)
     N, act_N = cay["normalizer"], cay["action"]

@@ -140,15 +140,6 @@ class FpPresentation:
         relators = [free_reduce(parse_word(s, names)) for s in relator_strings]
         return cls(names, relators)
 
-    @classmethod
-    def from_text(cls, text: str) -> "FpPresentation":
-        """Presentation file format: ``gens a b c`` then one relator per line."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-        if not lines or not lines[0].startswith("gens"):
-            raise ValueError("first line must be 'gens <name> <name> ...'")
-        names = lines[0].split()[1:]
-        return cls.parse(names, lines[1:])
-
     def word(self, s: str):
         return parse_word(s, self.names)
 
@@ -196,9 +187,7 @@ class CosetTable:
     def trace(self, coset, word):
         c = coset
         for letter in _letters(word, self.presentation.ngens):
-            gen, pol = divmod(letter, 2)
-            p = self.generator_perms[gen]
-            c = int(p.inverse().images[c]) if pol else int(p.images[c])
+            c = self._neighbors[c][letter]
         return c
 
     def verify_closed(self):

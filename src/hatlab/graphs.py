@@ -131,16 +131,6 @@ class Digraph:
         self.into = [tuple(sorted(x)) for x in into]
         self.arcset = arcset
 
-    def to_text(self):
-        lines = ["%d %d" % (self.n, len(self.arcset))]
-        lines += ["%d %d" % a for a in sorted(self.arcset)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        n, lines = read_counted_lines(text, "arcs")
-        return cls(n, [tuple(map(int, ln.split())) for ln in lines])
-
 
 class VertexAction:
     """A permutation group together with a graph it acts on.

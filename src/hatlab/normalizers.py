@@ -1,17 +1,18 @@
-"""Normalizers and centralizers.
+"""Normalizers, and homomorphisms extended from generator images.
 
-Inside an ambient group G both the normalizer N_G(S) and the centralizer
-C_G(x) = C_G(<x>) are unions of right cosets of S, found by one scan over
-coset representatives while |G:S| or |G| is moderate.  Past that, the
-natural Sym(n) and Alt(n) take the answer in Sym(n), cut to even
-permutations for Alt(n).  The normalizer in the full symmetric group is
-computed exactly by a different route: every normalizing permutation g
-induces an automorphism of S by conjugation, and for a fixed automorphism
-alpha the solutions are assembled orbit by orbit (the image of one point per
-orbit determines g on the whole orbit, and a point q is a valid image of p
-iff the point stabilizers satisfy S_q = alpha(S_p)).  Enumerating Aut(S)
-(images of a generating sequence, each extended to a homomorphism) and those
-assembly choices streams N_{Sym(n)}(S), none stored, with no search over Sym(n).
+Inside an ambient group G the normalizer N_G(S) is a union of right cosets
+of S, found by one scan over coset representatives while |G:S| or |G| is
+moderate.  Past that, the natural Sym(n) and Alt(n) take the answer in
+Sym(n), cut to even permutations for Alt(n).  The normalizer in the full
+symmetric group is computed exactly by a different route: every normalizing
+permutation g induces an automorphism of S by conjugation, and for a fixed
+automorphism alpha the solutions are assembled orbit by orbit (the image of
+one point per orbit determines g on the whole orbit, and a point q is a
+valid image of p iff the point stabilizers satisfy S_q = alpha(S_p)).
+Enumerating Aut(S) (images of a generating sequence, each extended to a
+homomorphism by ``extend_homomorphism``) and those assembly choices streams
+N_{Sym(n)}(S), none stored, with no search over Sym(n).  The same extension
+proves the isomorphisms behind ``signatures.group_name``.
 
 Budgets are explicit; exceeding one raises ResourceExhausted rather than
 returning a truncated answer.
@@ -20,7 +21,7 @@ returning a truncated answer.
 from __future__ import annotations
 
 from itertools import chain
-from math import factorial, prod
+from math import prod
 
 import numpy as np
 
@@ -35,77 +36,35 @@ SYM_NORM_SIZE_LIMIT = 4 * 10**6
 
 
 def normalizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
-    """N_G(S) for S <= G; exact or ResourceExhausted."""
-    if S.order() == 1:
-        return G
-    N = _coset_scan(G, S, lambda r: all(s.conj(r) in S for s in S.gens))
-    if N is not None:
-        return N
-    return _in_giant(G, lambda: normalizer_in_sym(S), "normalizer")
+    """N_G(S) for S <= G; exact or ResourceExhausted.
 
-
-def centralizer(G: PermutationGroup, x: Permutation) -> PermutationGroup:
-    """C_G(x) for x in G, by the normalizer's ladder with S = <x>."""
-    C = _coset_scan(G, G.subgroup([x]), lambda r: r * x == x * r)
-    if C is not None:
-        return C
-    return _in_giant(G, lambda: centralizer_in_sym(x), "centralizer")
-
-
-def _coset_scan(G: PermutationGroup, S: PermutationGroup, keep):
-    """The union of the right cosets Sr of S in G whose representative r
-    passes ``keep``, as a subgroup of G, or None when G is too big to scan.
-
-    ``keep`` must take the same value on every element of a coset and pick
-    out a subgroup; the normalizer and the centralizer of S are such unions.
-    The scan runs when |G:S| <= COSET_SCAN_LIMIT or |G| <= SCAN_LIMIT.
+    While |G:S| <= COSET_SCAN_LIMIT or |G| <= SCAN_LIMIT, N_G(S) is the union
+    of the right cosets Sr of S whose representative r normalizes S.  Past
+    that, the natural Sym(n) takes N_{Sym(n)}(S), cut to its even part when
+    G is the natural Alt(n).
     """
     from .cosets import CosetSpace
 
+    if S.order() == 1:
+        return G
     if not all(g in G for g in S.gens):
         raise ValueError("S is not a subgroup of G")
     index = G.order() // S.order()
-    if index > COSET_SCAN_LIMIT and G.order() > SCAN_LIMIT:
-        return None
-    space = CosetSpace(G, S, max_index=index)
-    gens = list(S.gens)
-    count = 0
-    for r in space.reps:
-        if keep(r):
-            count += 1
-            if not r.is_identity():
-                gens.append(r)
-    return G.subgroup(gens, order=S.order() * count)
-
-
-def _in_giant(G: PermutationGroup, in_sym, what: str) -> PermutationGroup:
-    """``in_sym()``, the answer in Sym(n), cut down to G when G is the
-    natural Sym(n) or Alt(n) on its n points."""
+    if index <= COSET_SCAN_LIMIT or G.order() <= SCAN_LIMIT:
+        gens = list(S.gens)
+        count = 0
+        for r in CosetSpace(G, S, max_index=index).reps:
+            if all(s.conj(r) in S for s in S.gens):
+                count += 1
+                if not r.is_identity():
+                    gens.append(r)
+        return G.subgroup(gens, order=S.order() * count)
     kind = giant_type(G.gens, G.order())
     if kind == ("sym", G.degree):
-        return in_sym()
+        return normalizer_in_sym(S)
     if kind == ("alt", G.degree):
-        return _even_part(in_sym(), parent=G)
-    raise ResourceExhausted("no %s strategy applies: |G|=%d" % (what, G.order()))
-
-
-def centralizer_in_sym(x: Permutation) -> PermutationGroup:
-    """C_{Sym(n)}(x) from the cycle structure: cycle powers and cycle transports."""
-    n = x.degree
-    by_len = {}
-    for cyc in x.cycles(include_fixed=True):
-        by_len.setdefault(len(cyc), []).append(cyc)
-    gens = []
-    order = 1
-    for length, cycs in sorted(by_len.items()):
-        k = len(cycs)
-        order *= length**k * factorial(k)
-        if length > 1:
-            gens.append(Permutation.from_cycles(n, [cycs[0]]))
-        for i in range(k - 1):
-            a, b = cycs[i], cycs[i + 1]
-            gens.append(Permutation.from_cycles(n, list(zip(a, b))))
-    return PermutationGroup(gens, n, order=order)
+        return _even_part(normalizer_in_sym(S), parent=G)
+    raise ResourceExhausted("no normalizer strategy applies: |G|=%d" % G.order())
 
 
 def _even_part(N: PermutationGroup, parent=None) -> PermutationGroup:
@@ -125,6 +84,59 @@ def _even_part(N: PermutationGroup, parent=None) -> PermutationGroup:
     if parent is not None:
         return parent.subgroup(gens, order=order)
     return PermutationGroup(gens, N.degree, order=order)
+
+
+# -- homomorphisms from generator images ------------------------------------
+
+
+class ElementTable:
+    """A finite group's elements in a fixed order, each with an invariant
+    that the homomorphisms sought must preserve; ``row(t)[p]`` is the index
+    of elems[p] * elems[t]."""
+
+    def __init__(self, elems, invariants):
+        self.elems = elems
+        self.invariants = invariants
+        self.index_of = {p.key(): i for i, p in enumerate(elems)}
+        self.identity = next(i for i, p in enumerate(elems) if p.is_identity())
+        self._table = np.stack([p.images for p in elems])
+        self._rows = {}
+
+    def row(self, t):
+        if t not in self._rows:
+            self._rows[t] = [
+                self.index_of[r.tobytes()] for r in self.elems[t].images[self._table]
+            ]
+        return self._rows[t]
+
+
+def extend_homomorphism(src: ElementTable, dst: ElementTable, pairs):
+    """The homomorphism phi on <s_1, ..., s_k> <= src with phi(s_j) = t_j,
+    for the index pairs (s_j, t_j), as an index list over src (-1 outside
+    the span); None when there is none or it maps an element to one of
+    another invariant.
+
+    Breadth-first over right multiplication, phi(p s_j) = phi(p) t_j: every
+    element of the span is reached and every such edge checked, so a
+    returned phi is a homomorphism.
+    """
+    phi = [-1] * len(src.elems)
+    phi[src.identity] = dst.identity
+    edges = [(src.row(s), dst.row(t)) for s, t in pairs]
+    queue = [src.identity]
+    for p in queue:
+        fp = phi[p]
+        for rs, rt in edges:
+            q, t = rs[p], rt[fp]
+            known = phi[q]
+            if known == -1:
+                if src.invariants[q] != dst.invariants[t]:
+                    return None
+                phi[q] = t
+                queue.append(q)
+            elif known != t:
+                return None
+    return phi
 
 
 # -- N_{Sym(n)}(S) -----------------------------------------------------------
@@ -164,11 +176,11 @@ class SymNormalizerData:
         """All automorphisms of S as index permutations of the element list.
 
         Depth-first over images of a generating sequence g_1, g_2, ...: the
-        images of g_1..g_k extend to at most one homomorphism on <g_1..g_k>,
-        found by BFS over right multiplication, phi(p g_j) = phi(p) t_j.  A
-        branch dies when an edge clashes or when an element and its image
-        differ in the (order, class size, cycle type) invariant, from which
-        the candidate images are also drawn.
+        images of g_1..g_k extend to at most one homomorphism on <g_1..g_k>
+        (``extend_homomorphism``).  A branch dies when an edge clashes or
+        when an element and its image differ in the (order, class size,
+        cycle type) invariant, from which the candidate images are also
+        drawn.
         """
         elems = self.elems
         m = len(elems)
@@ -197,37 +209,17 @@ class SymNormalizerData:
         candidates_of = {}
         for i in range(m):
             candidates_of.setdefault(inv_class[i], []).append(i)
-
-        ident_idx = next(i for i, p in enumerate(elems) if p.is_identity())
-        # rows[t][p] is the index of elems[p] * elems[t]
-        rows = [[self.index_of[r.tobytes()] for r in t.images[self.table]] for t in elems]
+        table = ElementTable(elems, inv_class)
 
         def extend(gens, images):
-            """phi as an index list (-1 outside <gens>), or None."""
-            phi = [-1] * m
-            phi[ident_idx] = ident_idx
-            edges = [(rows[s], rows[t]) for s, t in zip(gens, images)]
-            queue = [ident_idx]
-            for p in queue:
-                fp = phi[p]
-                for rs, rt in edges:
-                    q, t = rs[p], rt[fp]
-                    known = phi[q]
-                    if known == -1:
-                        if inv_class[q] != inv_class[t]:
-                            return None
-                        phi[q] = t
-                        queue.append(q)
-                    elif known != t:
-                        return None
-            return phi
+            return extend_homomorphism(table, table, list(zip(gens, images)))
 
         # generating sequence, greedily preferring rare invariants; extending
         # the identity images spans the subgroup generated so far
         gens_idx = []
         span = extend([], [])
         by_rarity = sorted(
-            (i for i in range(m) if i != ident_idx),
+            (i for i in range(m) if i != table.identity),
             key=lambda i: (len(candidates_of[inv_class[i]]), elems[i].key()),
         )
         for i in by_rarity:

@@ -270,6 +270,7 @@ def maximal_half_arc_pairs(
             {"n": n, "normalizer": Nuv.order(), "hCandidates": len(h_list),
              "hCosets": len(cosets)},
         )
+        L_names = None  # the names of phi_Hu and phi_Mu, at the first accepted coset
         for key in sorted(cosets):
             hs = cosets[key]
             if time_budget is not None and time.time() - t0 > time_budget:
@@ -305,12 +306,9 @@ def maximal_half_arc_pairs(
             if found_m is None:
                 continue
             m, M = found_m
-            quadruple = (
-                group_name(H),
-                group_name(M),
-                group_name(phi_Hu),
-                group_name(phi_Mu),
-            )
+            if L_names is None:
+                L_names = (group_name(phi_Hu), group_name(phi_Mu))
+            quadruple = (group_name(H), group_name(M)) + L_names
             for h in hs:
                 stats["hAccepted"] += 1
                 note("accepted", {"count": stats["hAccepted"]})

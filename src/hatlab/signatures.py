@@ -1,172 +1,94 @@
-"""Abstract isomorphism-type signatures for the groups the reports name.
+"""Names for the isomorphism types of the groups the reports mention.
 
-A signature is the tuple (order, exponent, abelianization profile, derived
-length, element-order multiset); that quintuple separates every group named
-in a report (D8 from Q8, F5 from C20, S3*S4 from its order-144 lookalikes).
-Full isomorphism testing is deliberately out of scope.  Groups too large to
-enumerate are recognized only when they are full alternating or symmetric
-groups on their moved points (``group.giant_type``).
+G gets the name of a reference group R only through a proved isomorphism:
+images of R's generators, drawn from G's elements of the same orders, that
+``normalizers.extend_homomorphism`` extends to a bijective homomorphism
+R -> G.  A reference is tried only when its order and element-order
+multiset match G's.  Past the references, a full alternating or symmetric
+group on its moved points is named by ``group.giant_type``; every other
+group is "group of order N", and its elements are enumerated only when
+some reference has its order.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from functools import cache
+from itertools import product
 
-from .cosets import coset_action, derived_subgroup
 from .group import PermutationGroup, giant_type
+from .normalizers import ElementTable, extend_homomorphism
 from .perm import Permutation
 
-_ENUM_LIMIT = 20000
+# name: (degree, generators in cycle notation)
+REFERENCES = {
+    "C2": (2, "(0 1)"),
+    "C3": (3, "(0 1 2)"),
+    "C4": (4, "(0 1 2 3)"),
+    "V4": (4, "(0 1)(2 3)", "(0 2)(1 3)"),
+    "S3": (3, "(0 1 2)", "(0 1)"),
+    "D8": (4, "(0 1 2 3)", "(1 3)"),
+    "Q8": (8, "(0 1 2 3)(4 5 6 7)", "(0 4 2 6)(1 7 3 5)"),
+    "A4": (4, "(0 1 2)", "(1 2 3)"),
+    "D10": (5, "(0 1 2 3 4)", "(1 4)(2 3)"),
+    "D12": (6, "(0 1 2 3 4 5)", "(1 5)(2 4)"),
+    "C12": (12, "(0 1 2 3 4 5 6 7 8 9 10 11)"),
+    "S4": (4, "(0 1 2 3)", "(0 1)"),
+    "F5": (5, "(0 1 2 3 4)", "(1 2 4 3)"),
+    "C20": (20, "(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19)"),
+    "D20": (10, "(0 1 2 3 4 5 6 7 8 9)", "(1 9)(2 8)(3 7)(4 6)"),
+    "S5": (5, "(0 1 2 3 4)", "(0 1)"),
+    "A5": (5, "(0 1 2)", "(0 1 2 3 4)"),
+    "S3*S3": (6, "(0 1 2)(3 4)", "(0 1)(3 4 5)"),
+    "S3*S4": (7, "(0 1 2)(3 4 5 6)", "(0 1)(3 4)"),
+    "Z3*A4": (7, "(0 1 2)(3 4 5)", "(4 5 6)"),
+}
 
 
-def signature(G: PermutationGroup):
-    order = G.order()
-    if order > _ENUM_LIMIT:
-        return giant_type(G.gens, order) or ("big", order)
-    orders = sorted(p.order() for p in G.elements())
-    exponent = 1
-    for k in set(orders):
-        exponent = lcm(exponent, k)
-    derived = derived_subgroup(G)
-    # derived series
-    length = 0
-    D, nxt = G, derived
-    while D.order() > 1:
-        if nxt is None:
-            nxt = derived_subgroup(D)
-        if nxt.order() == D.order():
-            length = -1  # perfect tail, not solvable
-            break
-        D, nxt = nxt, None
-        length += 1
-    ab = _abelianization_profile(G, derived)
-    return ("small", order, exponent, ab, length, tuple(orders))
+def _order_table(G: PermutationGroup):
+    elems = list(G.elements())
+    orders = [p.order() for p in elems]
+    return ElementTable(elems, orders), sorted(orders)
 
 
-def _abelianization_profile(G, derived):
-    """Element orders of G/G', given the derived subgroup G'."""
-    if derived.order() == G.order():
-        return (1,)
-    Q = coset_action(G, derived).image
-    return tuple(sorted(p.order() for p in Q.elements()))
-
-
-# reference constructions, degree-minimal
-
-
-def _cyclic(n):
-    return PermutationGroup([Permutation.from_cycles(n, [tuple(range(n))])])
-
-
-def _dihedral(n):
-    rot = Permutation.from_cycles(n, [tuple(range(n))])
-    refl = Permutation([(-i) % n for i in range(n)])
-    return PermutationGroup([rot, refl])
-
-
-def _symmetric(n):
-    return PermutationGroup(
-        [
-            Permutation.from_cycles(n, [tuple(range(n))]),
-            Permutation.from_cycles(n, [(0, 1)]),
-        ]
-    )
-
-
-def _alternating(n):
-    gens = [Permutation.from_cycles(n, [(0, 1, 2)])]
-    if n > 3:
-        cyc = tuple(range(n)) if n % 2 else tuple(range(1, n))
-        gens.append(Permutation.from_cycles(n, [cyc]))
-    return PermutationGroup(gens)
-
-
-def _frobenius20():
-    # AGL(1,5) = Z5 : Z4 on 5 points
-    return PermutationGroup(
-        [
-            Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]),
-            Permutation.from_cycles(5, [(1, 2, 4, 3)]),
-        ]
-    )
-
-
-def _direct_product(A, B):
-    n, m = A.degree, B.degree
-    gens = []
-    for g in A.gens:
-        gens.append(Permutation(list(g.images) + list(range(n, n + m))))
-    for g in B.gens:
-        gens.append(Permutation(list(range(n)) + [int(i) + n for i in g.images]))
-    return PermutationGroup(gens, n + m, order=A.order() * B.order())
-
-
-_REFERENCES = None
-
-
+@cache
 def _references():
-    global _REFERENCES
-    if _REFERENCES is None:
-        s3 = _symmetric(3)
-        s4 = _symmetric(4)
-        refs = {
-            "C2": _cyclic(2),
-            "C3": _cyclic(3),
-            "C4": _cyclic(4),
-            "V4": PermutationGroup(
-                [Permutation.parse("(0 1)(2 3)"), Permutation.parse("(0 2)(1 3)")]
-            ),
-            "S3": s3,
-            "D8": _dihedral(4),
-            "Q8": PermutationGroup(
-                [
-                    Permutation.parse("(0 1 2 3)(4 5 6 7)"),
-                    Permutation.parse("(0 4 2 6)(1 7 3 5)"),
-                ]
-            ),
-            "A4": _alternating(4),
-            "D10": _dihedral(5),
-            "D12": _dihedral(6),
-            "C12": _cyclic(12),
-            "S4": s4,
-            "F5": _frobenius20(),
-            "C20": _cyclic(20),
-            "D20": _dihedral(10),
-            "S5": _symmetric(5),
-            "A5": _alternating(5),
-            "S3*S3": _direct_product(s3, s3),
-            "S3*S4": _direct_product(s3, s4),
-            "Z3*A4": _direct_product(_cyclic(3), _alternating(4)),
-        }
-        _REFERENCES = {name: signature(G) for name, G in refs.items()}
-    return _REFERENCES
+    """name -> (order, sorted element orders, element table, generator
+    indices), built once per process."""
+    refs = {}
+    for name, (degree, *cycles) in REFERENCES.items():
+        R = PermutationGroup([Permutation.parse(c, degree) for c in cycles], degree)
+        table, orders = _order_table(R)
+        gens = [table.index_of[g.key()] for g in R.gens]
+        refs[name] = (R.order(), orders, table, gens)
+    return refs
+
+
+def _isomorphic(R: ElementTable, gens, G: ElementTable) -> bool:
+    """Whether some images of R's generators in G, of the same orders,
+    extend to a bijective homomorphism R -> G (|R| = |G| and equal
+    element-order multisets assumed)."""
+    by_order = {}
+    for i, k in enumerate(G.invariants):
+        by_order.setdefault(k, []).append(i)
+    for images in product(*(by_order[R.invariants[s]] for s in gens)):
+        phi = extend_homomorphism(R, G, list(zip(gens, images)))
+        if phi is not None and len(set(phi)) == len(phi):
+            return True
+    return False
 
 
 def group_name(G: PermutationGroup) -> str:
-    """A display name for G's isomorphism type, or a signature string."""
-    sig = signature(G)
-    if sig[0] == "alt":
-        return "A%d" % sig[1]
-    if sig[0] == "sym":
-        return "S%d" % sig[1]
-    if sig[0] == "big":
-        return "group of order %d" % sig[1]
-    order = sig[1]
-    for name, ref in _references().items():
-        if ref == sig:
-            return name
-    if 0 <= sig[4] <= 1:
-        return "abelian %s" % (sig[5],)
-    if _is_dihedral_signature(sig):
-        return "D%d" % order
-    return "sig%r" % (sig,)
-
-
-def _is_dihedral_signature(sig):
-    order = sig[1]
-    if order % 2 or order < 6:
-        return False
-    n = order // 2
-    ref = signature(_dihedral(n))
-    return ref == sig
-
+    """R's name when G is isomorphic to the reference R, else "An"/"Sn" for
+    a full alternating or symmetric group of degree n on its moved points,
+    else "group of order N"."""
+    order = G.order()
+    candidates = [(name, ref) for name, ref in _references().items() if ref[0] == order]
+    if candidates:
+        table, orders = _order_table(G)
+        for name, (_, ref_orders, ref_table, gens) in candidates:
+            if ref_orders == orders and _isomorphic(ref_table, gens, table):
+                return name
+    kind = giant_type(G.gens, order)
+    if kind is not None:
+        return ("A%d" if kind[0] == "alt" else "S%d") % kind[1]
+    return "group of order %d" % order

@@ -160,11 +160,8 @@ class LocalAction:
     def order(self):
         return self.induced.order()
 
-    def signature_name(self):
-        return group_name(self.induced)
-
     def as_dict(self):
-        return {"order": int(self.order), "signature": self.signature_name()}
+        return {"order": int(self.order), "signature": group_name(self.induced)}
 
 
 def local_action(action: VertexAction, v: int) -> LocalAction:
@@ -190,10 +187,6 @@ class TheoremCase:
     t: object
     witnesses: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        t = "1/2" if self.t == HALF else self.t
-        return {"theoremCase": self.label, "t": t, "witnesses": self.witnesses}
-
 
 def classify_theorem_case(
     graph: Graph, M: PermutationGroup, H: PermutationGroup, u: int = 0
@@ -202,7 +195,7 @@ def classify_theorem_case(
 
     Preconditions are re-verified: M < H with M maximal, the graph is
     M-half-arc-transitive and H-arc-transitive.  The returned case carries
-    re-checkable witness data (core, quotient, local actions, signatures).
+    re-checkable witness data (core, quotient, local actions, group names).
     """
     if graph.valency() != 4:
         raise ValueError("classifier applies to tetravalent graphs")

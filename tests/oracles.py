@@ -63,40 +63,49 @@ def h_candidates_by_scan(L_elems, B_elems, n):
     return sorted(out, key=lambda h: h.images.tolist())
 
 
-def element_scan_centralizer(ambient_elems, x):
-    return [g for g in ambient_elems if g * x == x * g]
+def _mul_table(elems):
+    index = {p.key(): i for i, p in enumerate(elems)}
+    return index, [[index[(a * b).key()] for b in elems] for a in elems]
 
 
-def automorphisms_by_images(elems, gens):
-    """Every automorphism of the group whose element list is elems, as a
-    tuple phi with elems[i] -> elems[phi[i]].
+def isomorphisms_by_images(elems, gens, dst_elems):
+    """Yield every isomorphism from the group whose element list is elems
+    onto the one whose element list is dst_elems, as a tuple phi with
+    elems[i] -> dst_elems[phi[i]].
 
     Every tuple of images for gens is spread along words in gens; the map it
-    gives counts only when it respects the full multiplication table and is a
-    bijection.
+    gives counts only when it is a bijection that respects the full
+    multiplication tables, phi(xy) = phi(x)phi(y) for all pairs.
     """
     m = len(elems)
-    index = {p.key(): i for i, p in enumerate(elems)}
-    mul = [[index[(a * b).key()] for b in elems] for a in elems]
+    if len(dst_elems) != m:
+        return
+    index, mul = _mul_table(elems)
+    _, dst_mul = _mul_table(dst_elems)
     ident = next(i for i, p in enumerate(elems) if p.is_identity())
+    dst_ident = next(i for i, p in enumerate(dst_elems) if p.is_identity())
     gen_idx = [index[g.key()] for g in gens]
-    found = set()
     for images in product(range(m), repeat=len(gens)):
-        phi = {ident: ident}
+        phi = {ident: dst_ident}
         words = [ident]
         for p in words:
             for s, t in zip(gen_idx, images):
                 q = mul[p][s]
                 if q not in phi:
-                    phi[q] = mul[phi[p]][t]
+                    phi[q] = dst_mul[phi[p]][t]
                     words.append(q)
         if len(phi) != m:
             raise ValueError("gens do not generate the group")
         if len(set(phi.values())) != m:
             continue
-        if all(phi[mul[a][b]] == mul[phi[a]][phi[b]] for a in range(m) for b in range(m)):
-            found.add(tuple(phi[i] for i in range(m)))
-    return found
+        if all(phi[mul[a][b]] == dst_mul[phi[a]][phi[b]] for a in range(m) for b in range(m)):
+            yield tuple(phi[i] for i in range(m))
+
+
+def automorphisms_by_images(elems, gens):
+    """Every automorphism of the group whose element list is elems, as a
+    tuple phi with elems[i] -> elems[phi[i]]."""
+    return set(isomorphisms_by_images(elems, gens, elems))
 
 
 def all_subgroups(elems, degree):

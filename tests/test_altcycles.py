@@ -5,7 +5,6 @@ import pytest
 from hatlab.altcycles import (
     alternating_cycle_system,
     alternating_graph,
-    bm_quotient_is_graph,
     find_orientation_swapper,
     hat_orientation,
 )
@@ -169,9 +168,3 @@ def test_orientation_swapper_forces_alt_arc_transitivity():
 
             AA = automorphism_group(alt)
             assert len(arc_orbits(VertexAction(AA, alt))) == 1
-
-
-def test_bm_quotient_flag():
-    graph, act = hat_circulant(8, 3)
-    system = alternating_cycle_system(hat_orientation(act))
-    assert bm_quotient_is_graph(system) == (system.attachment == 1)

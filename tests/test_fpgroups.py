@@ -35,7 +35,7 @@ def test_free_and_cyclic_reduction():
 
 
 def test_presentation_file_format():
-    pres = FpPresentation.from_text("gens a b\na^5\nb^2\n(a*b)^2\n")
+    pres = FpPresentation.parse(["a", "b"], ["a^5", "b^2", "(a*b)^2"])
     assert pres.names == ["a", "b"]
     tab = todd_coxeter(pres, ())
     assert tab.coset_count == 10  # D10

@@ -6,7 +6,7 @@ import os
 import random
 
 from hatlab.cosets import core, double_coset
-from hatlab.graphs import Digraph, VertexAction, complete_bipartite_minus_matching
+from hatlab.graphs import VertexAction, complete_bipartite_minus_matching
 from hatlab.graphauto import automorphism_group
 from hatlab.group import PermutationGroup, closure_elements
 from hatlab.normalizers import normalizer
@@ -107,12 +107,6 @@ def test_haar_style_normalizer_stabilizer_faithful_on_neighborhood():
     N = normalizer(aut, semi)
     loc = local_action(VertexAction(N, graph), 0)
     assert loc.kernel_order == 1
-
-
-def test_digraph_text_roundtrip():
-    D = Digraph(4, [(0, 1), (1, 2), (3, 0)])
-    D2 = Digraph.from_text(D.to_text())
-    assert D2.arcset == D.arcset
 
 
 def test_library_has_no_assert_statements():

@@ -131,7 +131,7 @@ def test_example_43_classification():
             H = cand
     assert H is not None
     loc_H = local_action(VertexAction(H, G), 0)
-    assert loc_H.order == 12 and loc_H.signature_name() == "A4"
+    assert loc_H.order == 12 and group_name(loc_H.induced) == "A4"
     p5 = next(p for p in H.elements() if p.order() == 5)
     M = normalizer(H, H.subgroup([p5]))
     assert M.order() == 20 and group_name(M) == "F5"
