@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .graphs import Digraph, Graph, VertexAction
 from .group import PermutationGroup
 from .perm import Permutation
-from .symmetry import arc_orbits
 
 SWAP_COSET_LIMIT = 512
 
@@ -44,7 +43,7 @@ def hat_orientation(action: VertexAction) -> HatOrientation:
         raise ValueError("orientation requires a tetravalent graph")
     if not graph.is_connected():
         raise ValueError("orientation requires a connected graph")
-    orbits = arc_orbits(action)
+    orbits = action.arc_orbits()
     if len(orbits) != 2:
         raise ValueError(
             "action has %d arc orbits; a HAT action has exactly 2" % len(orbits)

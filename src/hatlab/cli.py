@@ -68,20 +68,12 @@ def cmd_example(args):
         if args.json:
             _write_json(args.json, payload)
         return worst
-    if name not in RUNNERS:
-        print("unknown example %r" % name, file=sys.stderr)
-        return 1
-    if name == "4.2":
-        witness_path = args.witness
-        if witness_path is None:
-            witness_path = _default_witness_path()
-        if witness_path is None and args.budget:
-            witness = search_ex42_witness(budget=args.budget)
-            report = run_example_42(witness=witness)
-        else:
-            report = run_example_42(witness_path=witness_path)
+    if name == "4.2" and args.witness is not None:
+        report = run_example_42(witness_path=args.witness)
+    elif name == "4.2" and args.budget and _default_witness_path() is None:
+        report = run_example_42(witness=search_ex42_witness(budget=args.budget))
     else:
-        report = RUNNERS[name]()
+        report = _run_one(name)
     if args.json:
         _write_json(args.json, report.as_dict())
     for fact in report.facts:
@@ -143,7 +135,6 @@ def cmd_aut(args):
 
 def cmd_altgraph(args):
     from .altcycles import alternating_cycle_system, alternating_graph, hat_orientation
-    from .graphauto import automorphism_group as aut_of
     from .symmetry import transitivity_report
 
     with open(args.graph) as fh:
@@ -161,7 +152,7 @@ def cmd_altgraph(args):
     if system.count >= 2:
         alt, alt_action, _ = alternating_graph(action, system)
         payload["altGraph"] = alt.to_text()
-        aut_alt = aut_of(alt, transitive_seed=alt_action.group if alt_action.group.is_transitive() else None)
+        aut_alt = automorphism_group(alt, transitive_seed=alt_action.group if alt_action.group.is_transitive() else None)
         payload["altAutOrder"] = str(aut_alt.order())
         if alt.is_connected():
             try:

@@ -163,18 +163,12 @@ class _Search:
         self.graph = graph
         self.n = graph.n
         self.root = initial
-        self.auts = []
-        for p in seed_gens:
-            self._check_aut(p)
-            self.auts.append(p)
+        if not all(graph.is_automorphism(p) for p in seed_gens):
+            raise ValueError("seed permutation is not an automorphism")
+        self.auts = list(seed_gens)
         self.first_leaf = None  # (inv_path, labeling, cert)
         self.best = None  # (inv_path, cert, labeling)
         self.nodes = 0
-
-    def _check_aut(self, p):
-        for u, v in self.graph.edges:
-            if not self.graph.has_edge(int(p.images[u]), int(p.images[v])):
-                raise ValueError("seed permutation is not an automorphism")
 
     def _orbit_reps(self, cell, prefix):
         """``find`` over cell: find(v) names v's orbit under the found
@@ -266,7 +260,8 @@ class _Search:
                 # lab and f_lab map the graph to the same labeled target
                 g = lab * f_lab.inverse()
                 if not g.is_identity():
-                    self._check_aut(g)
+                    if not self.graph.is_automorphism(g):
+                        raise AssertionError("equal leaf certificates gave a non-automorphism")
                     self.auts.append(g)
         if self.best is None or (inv_path, cert) > (self.best[0], self.best[1]):
             self.best = (inv_path, cert, lab)
@@ -295,10 +290,8 @@ def automorphism_group(graph: Graph, transitive_seed=None) -> PermutationGroup:
     search.run()
     gens = list(search.auts)
     G = PermutationGroup(gens, graph.n)
-    for p in G.gens:
-        for u, v in graph.edges:
-            if not graph.has_edge(int(p.images[u]), int(p.images[v])):
-                raise AssertionError("automorphism generator breaks an edge")
+    if not all(graph.is_automorphism(p) for p in G.gens):
+        raise AssertionError("automorphism generator breaks an edge")
     return G
 
 

@@ -2,6 +2,9 @@
 coset graphs, Cayley graphs, cycles, K_{n,n} minus a perfect matching, and
 normal quotients.
 
+A vertex action checks its generators once and keeps its arc orbits after
+their first use, so all reports on one action share one orbit pass.
+
 Vertex 0 of a coset graph is the coset H*1 and vertex 0 of a Cayley graph
 is the group identity, so constructions are byte-stable across runs.
 """
@@ -42,6 +45,13 @@ class Graph:
 
     def has_edge(self, u, v):
         return ((u, v) if u < v else (v, u)) in self._edge_set
+
+    def is_automorphism(self, p):
+        """Whether the vertex permutation p maps every edge to an edge."""
+        for u, v in self.edges:
+            if not self.has_edge(int(p.images[u]), int(p.images[v])):
+                return False
+        return True
 
     def degree(self, v):
         return len(self.adj[v])
@@ -129,7 +139,6 @@ class Digraph:
         self.n = n
         self.out = [tuple(sorted(x)) for x in out]
         self.into = [tuple(sorted(x)) for x in into]
-        self.arcset = arcset
 
 
 class VertexAction:
@@ -141,15 +150,35 @@ class VertexAction:
     def __init__(self, group: PermutationGroup, graph: Graph):
         if group.degree != graph.n:
             raise ValueError("group degree %d != vertex count %d" % (group.degree, graph.n))
+        if not all(graph.is_automorphism(g) for g in group.gens):
+            raise ValueError("generator does not preserve adjacency")
         self.group = group
         self.graph = graph
-        self.assert_preserves_adjacency()
+        self._arc_orbits = None
 
-    def assert_preserves_adjacency(self):
-        for g in self.group.gens:
-            for u, v in self.graph.edges:
-                if not self.graph.has_edge(int(g.images[u]), int(g.images[v])):
-                    raise ValueError("generator does not preserve adjacency")
+    def arc_orbits(self):
+        """Orbits of the group on ordered adjacent pairs; their union is all
+        arcs.  Computed on first use and kept."""
+        if self._arc_orbits is None:
+            arcs = self.graph.arcs()
+            code = {arc: i for i, arc in enumerate(arcs)}
+            orbit_id = [-1] * len(arcs)
+            orbits = []
+            for start, arc in enumerate(arcs):
+                if orbit_id[start] >= 0:
+                    continue
+                oid = len(orbits)
+                members = [arc]
+                orbit_id[start] = oid
+                for u, v in members:  # the loop also visits appended arcs
+                    for g in self.group.gens:
+                        idx = code[(int(g.images[u]), int(g.images[v]))]
+                        if orbit_id[idx] == -1:
+                            orbit_id[idx] = oid
+                            members.append(arcs[idx])
+                orbits.append(members)
+            self._arc_orbits = orbits
+        return self._arc_orbits
 
 
 def coset_graph(G: PermutationGroup, H: PermutationGroup, D):
@@ -193,7 +222,6 @@ def coset_graph(G: PermutationGroup, H: PermutationGroup, D):
     image = PermutationGroup(gens, n)
     action = VertexAction(image, graph)
     action.space = space
-    action.source = G
     return graph, action
 
 

@@ -411,14 +411,6 @@ class PermutationGroup:
         G._order = order
         return G
 
-    def pointwise_stabilizer(self, points) -> "PermutationGroup":
-        sub = self
-        for v in points:
-            sub = sub.point_stabilizer(v)
-        if sub is not self:
-            sub.parent = self
-        return sub
-
     def subgroup(self, generators, *, order=None) -> "PermutationGroup":
         return PermutationGroup(generators, self.degree, order=order, parent=self)
 

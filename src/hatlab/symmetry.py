@@ -1,19 +1,27 @@
 """Transitivity classifiers, local actions, Cayley normality, and the
-main-theorem case classifier for maximal (1/2, t)-pairs.
+main-theorem case classifier for maximal (1/2, t)-pairs, which takes the
+caller's two actions and returns what it derived from them.
 
-The s-arc machinery never materializes s-arc sets: G is transitive on
-s-arcs iff it is transitive on (s-1)-arcs and the pointwise stabilizer of a
-representative (s-1)-arc is transitive on its extensions, so one climbs a
-tower of point stabilizers instead.
+Reports read the arc orbits their action keeps.  G is transitive on s-arcs
+iff it is transitive on (s-1)-arcs and the stabilizer of a representative
+(s-1)-arc is transitive on its extensions, so one climb of a tower of
+point stabilizers, each taken in the level below, decides every s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cosets import core, is_maximal_subgroup
-from .graphs import Graph, VertexAction, cycle_graph, induced_quotient_action, quotient_graph
+from .graphs import (
+    Graph,
+    QuotientResult,
+    VertexAction,
+    cycle_graph,
+    induced_quotient_action,
+    quotient_graph,
+)
 from .graphauto import is_isomorphic
 from .group import PermutationGroup, _is_power_of_two
 from .normalizers import normalizer
@@ -24,36 +32,8 @@ HALF = Fraction(1, 2)
 MAX_S = 4
 
 
-def arc_orbits(action: VertexAction):
-    """Orbits of the action on ordered adjacent pairs; their union is all arcs."""
-    graph = action.graph
-    n = graph.n
-    arcs = graph.arcs()
-    code = {(u, v): i for i, (u, v) in enumerate(arcs)}
-    orbit_id = [-1] * len(arcs)
-    orbits = []
-    for start, arc in enumerate(arcs):
-        if orbit_id[start] >= 0:
-            continue
-        oid = len(orbits)
-        members = [arc]
-        orbit_id[start] = oid
-        head = 0
-        while head < len(members):
-            u, v = members[head]
-            head += 1
-            for g in action.group.gens:
-                w = (int(g.images[u]), int(g.images[v]))
-                idx = code[w]
-                if orbit_id[idx] == -1:
-                    orbit_id[idx] = oid
-                    members.append(w)
-        orbits.append(members)
-    return orbits
-
-
 def edge_orbit_count(orbits) -> int:
-    """The number of edge orbits, given the arc orbits from ``arc_orbits``."""
+    """The number of edge orbits, given the arc orbits of an action."""
     rep_of = {}
     for i, orb in enumerate(orbits):
         for arc in orb:
@@ -71,23 +51,27 @@ def _extensions(graph: Graph, arc):
     return [w for w in graph.adj[head] if w != prev]
 
 
-def s_arc_transitive(action: VertexAction, s: int) -> bool:
-    """Whether the group is transitive on s-arcs (s >= 0)."""
-    graph = action.graph
-    group = action.group
-    if not group.is_transitive():
-        return False
+def _s_arc_degree(action: VertexAction, limit: int) -> int:
+    """The largest s <= limit such that the transitive group is transitive
+    on s-arcs, from one climb: each level's stabilizer is the previous
+    level's point stabilizer of the new arc vertex."""
+    stab = action.group
     arc = [0]
-    for step in range(1, s + 1):
-        stab = group.pointwise_stabilizer(arc)
-        exts = _extensions(graph, arc)
+    for s in range(limit):
+        stab = stab.point_stabilizer(arc[-1])
+        exts = _extensions(action.graph, arc)
         if not exts:
-            return False
+            return s
         orb = stab.orbit(exts[0])
         if any(w not in orb for w in exts):
-            return False
+            return s
         arc.append(exts[0])
-    return True
+    return limit
+
+
+def s_arc_transitive(action: VertexAction, s: int) -> bool:
+    """Whether the group is transitive on s-arcs (s >= 0)."""
+    return action.group.is_transitive() and _s_arc_degree(action, s) == s
 
 
 @dataclass
@@ -128,7 +112,7 @@ def transitivity_report(action: VertexAction) -> TransitivityReport:
         raise ValueError("transitivity reports require a connected graph")
     group = action.group
     vt = group.is_transitive()
-    orbits = arc_orbits(action)
+    orbits = action.arc_orbits()
     arc_count = len(orbits)
     et = edge_orbit_count(orbits) == 1
     at = arc_count == 1
@@ -138,19 +122,16 @@ def transitivity_report(action: VertexAction) -> TransitivityReport:
         if arc_count == 2:
             return TransitivityReport(vt, et, False, 2, HALF)
         return TransitivityReport(vt, et, False, arc_count, None)
-    s = 1
-    while s_arc_transitive(action, s + 1):
-        s += 1
-        if s > MAX_S:
-            raise ValueError(
-                "action is transitive on %d-arcs; raise MAX_S if this is expected" % s
-            )
+    s = _s_arc_degree(action, MAX_S + 1)
+    if s > MAX_S:
+        raise ValueError(
+            "action is transitive on %d-arcs; raise MAX_S if this is expected" % s
+        )
     return TransitivityReport(vt, et, True, 1, s)
 
 
 @dataclass
 class LocalAction:
-    vertex: int
     neighbors: tuple
     induced: PermutationGroup
     kernel_order: int
@@ -175,7 +156,7 @@ def local_action(action: VertexAction, v: int) -> LocalAction:
         induced_gens.append(Permutation(imgs))
     induced = PermutationGroup(induced_gens, len(nbrs))
     kernel_order = stab.order() // induced.order()
-    return LocalAction(v, tuple(nbrs), induced, kernel_order, stab)
+    return LocalAction(tuple(nbrs), induced, kernel_order, stab)
 
 
 # -- theorem case classification ----------------------------------------------
@@ -183,26 +164,33 @@ def local_action(action: VertexAction, v: int) -> LocalAction:
 
 @dataclass
 class TheoremCase:
-    label: str  # 'a', 'b', 'c-normal', 'c1', 'c2', 'not-applicable'
+    label: str  # 'a', 'b', 'c-normal', 'c1', 'c2'
     t: object
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
+    report_M: TransitivityReport
+    report_H: TransitivityReport
+    core: PermutationGroup
+    quotient: QuotientResult
+    local_M: LocalAction
+    local_H: LocalAction
 
 
-def classify_theorem_case(
-    graph: Graph, M: PermutationGroup, H: PermutationGroup, u: int = 0
-) -> TheoremCase:
+def classify_theorem_case(act_M: VertexAction, act_H: VertexAction, u: int = 0) -> TheoremCase:
     """Classify a maximal (1/2, t)-pair (M, H) on a connected tetravalent graph.
 
     Preconditions are re-verified: M < H with M maximal, the graph is
     M-half-arc-transitive and H-arc-transitive.  The returned case carries
-    re-checkable witness data (core, quotient, local actions, group names).
+    re-checkable witness data and the reports, core, quotient and local
+    actions it derived them from.
     """
+    graph = act_M.graph
+    if act_H.graph is not graph:
+        raise ValueError("M and H act on different graphs")
+    M, H = act_M.group, act_H.group
     if graph.valency() != 4:
         raise ValueError("classifier applies to tetravalent graphs")
     if not graph.is_connected():
         raise ValueError("classifier requires a connected graph")
-    act_M = VertexAction(M, graph)
-    act_H = VertexAction(H, graph)
     if not all(g in H for g in M.gens):
         raise ValueError("M is not a subgroup of H")
     rep_M = transitivity_report(act_M)
@@ -232,6 +220,9 @@ def classify_theorem_case(
         "M_u_local": loc_M.as_dict(),
     }
 
+    def case(label):
+        return TheoremCase(label, t, witnesses, rep_M, rep_H, K, quo, loc_M, loc_H)
+
     if t in (2, 3):
         # the quotient pair collapses to a fixed quadruple; record it
         HbarK = induced_quotient_action(act_H, K, quo)
@@ -246,13 +237,13 @@ def classify_theorem_case(
         ]
         if not quo.is_cover and not quo.degenerate and quo.orbit_count != graph.n:
             raise AssertionError("t >= 2 case must cover its core quotient")
-        return TheoremCase("a" if t == 3 else "b", t, witnesses)
+        return case("a" if t == 3 else "b")
 
     if t != 1:
         raise AssertionError("unexpected s-degree %r for an arc-transitive H" % t)
 
     if M.is_normal_in(H):
-        return TheoremCase("c-normal", 1, witnesses)
+        return case("c-normal")
 
     # non-normal branch: local shape Z2 < D8 non-normal, semiregular core,
     # quotient size not a power of two (these are consequences; verify them)
@@ -280,14 +271,14 @@ def classify_theorem_case(
         witnesses["M_mod_K"] = group_name(M_on_quotient)
         if kernel_order == K.order() and M_on_quotient.order() == 2 * r:
             witnesses["kernelOfMEqualsCore"] = True
-            return TheoremCase("c2", 1, witnesses)
+            return case("c2")
     H_on_quotient = induced_quotient_action(act_H, K, quo)
     witnesses["H_mod_K"] = group_name(H_on_quotient)
     if H.order() // H_on_quotient.order() != K.order():
         raise AssertionError("core is not the kernel of H on the quotient")
     if not (quo.is_cover or quo.orbit_count == graph.n):
         raise AssertionError("t=1 cover case without a covering quotient")
-    return TheoremCase("c1", 1, witnesses)
+    return case("c1")
 
 
 # -- Cayley normality ---------------------------------------------------------
@@ -307,7 +298,7 @@ def cayley_normality_report(regular_sub: PermutationGroup, aut: PermutationGroup
     act_N = VertexAction(N, graph)
     return {
         "normalizerOrder": int(N.order()),
-        "normalEdgeTransitive": edge_orbit_count(arc_orbits(act_N)) == 1,
+        "normalEdgeTransitive": edge_orbit_count(act_N.arc_orbits()) == 1,
         "normal": bool(N.order() == aut.order()),
         "normalizer": N,
         "action": act_N,

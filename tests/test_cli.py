@@ -73,6 +73,13 @@ def test_cli_example_42_default_witness(capsys):
     assert "example 4.2: PASS" in capsys.readouterr().out
 
 
+def test_cli_example_42_explicit_witness(capsys):
+    from test_examples import WITNESS_PATH
+
+    assert main(["example", "4.2", "--witness", WITNESS_PATH]) == 0
+    assert "example 4.2: PASS" in capsys.readouterr().out
+
+
 def test_cli_error_paths(capsys):
     assert main(["aut", "/nonexistent/file.graph"]) == 1
 

@@ -20,11 +20,23 @@ WITNESS_PATH = os.path.join(
 def test_example_43_full():
     rep = run_example_43()
     assert rep.passed, rep.failing()
-    by_name = {f.name: f for f in rep.facts}
-    assert by_name["autOrder"].computed == 240
-    assert by_name["M_order"].computed == 20
-    assert by_name["theoremCase"].computed == "b"
-    assert "radius" in rep.extras and "attachment" in rep.extras
+    assert [(f.name, f.computed) for f in rep.facts] == [
+        ("autOrder", 240),
+        ("derivedType", "A5"),
+        ("foundS5", True),
+        ("H_sDegree", 2),
+        ("H_localOrder", 12),
+        ("H_localType", "A4"),
+        ("M_order", 20),
+        ("M_type", "F5"),
+        ("M_maximal", True),
+        ("M_arcOrbits", 2),
+        ("M_halfArcTransitive", "1/2"),
+        ("M_vertexStabilizerOrder", 2),
+        ("theoremCase", "b"),
+        ("quadruple", ["S5", "F5", "A4", "C2"]),
+    ]
+    assert rep.extras == {"radius": 5, "attachment": 10}
 
 
 def test_example_42_setting_orders():

@@ -125,3 +125,20 @@ def test_seed_rejects_non_automorphism():
     G = cycle_graph(5)
     with pytest.raises(ValueError):
         automorphism_stabilizer(G, 0, seed_gens=[Permutation.parse("(1 2)", 5)])
+
+
+def test_equal_leaves_giving_a_non_automorphism_is_an_internal_error(monkeypatch):
+    from hatlab import graphauto
+
+    # a 12-cycle plus a seeded perfect matching: cubic, hence one initial
+    # cell, and asymmetric, so two leaves with equal path invariants differ
+    rng = random.Random(24)
+    perm = list(range(12))
+    rng.shuffle(perm)
+    edges = [(i, (i + 1) % 12) for i in range(12)]
+    edges += [(perm[2 * i], perm[2 * i + 1]) for i in range(6)]
+    G = Graph(12, edges)
+    assert G.is_regular() and automorphism_group(G).order() == 1
+    monkeypatch.setattr(graphauto, "_certificate", lambda graph, labeling: b"")
+    with pytest.raises(AssertionError, match="equal leaf certificates"):
+        automorphism_group(G)

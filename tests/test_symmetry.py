@@ -12,7 +12,6 @@ from hatlab.perm import Permutation
 from hatlab.signatures import group_name
 from hatlab.symmetry import (
     HALF,
-    arc_orbits,
     classify_theorem_case,
     local_action,
     normal_local_action_checks,
@@ -55,13 +54,13 @@ def hat_circulant(n, k):
 def test_arc_orbits_full_dihedral_on_c5():
     C5 = cycle_graph(5)
     A = automorphism_group(C5)
-    assert len(arc_orbits(VertexAction(A, C5))) == 1
+    assert len(VertexAction(A, C5).arc_orbits()) == 1
 
 
 def test_arc_orbits_rotation_on_c4():
     C4 = cycle_graph(4)
     R = PermutationGroup([g("(0 1 2 3)")])
-    orbits = arc_orbits(VertexAction(R, C4))
+    orbits = VertexAction(R, C4).arc_orbits()
     assert len(orbits) == 2
     assert sum(len(o) for o in orbits) == 8
 
@@ -106,6 +105,54 @@ def test_s_arc_transitive_tower_on_kbm():
     assert rep.s_degree == 2
 
 
+def test_s_arc_tower_is_climbed_once(monkeypatch):
+    G = complete_bipartite_minus_matching(5)
+    act = VertexAction(automorphism_group(G), G)
+    # transitive on 0-, 1- and 2-arcs, not on 3- or 4-arcs
+    assert [s_arc_transitive(act, s) for s in range(5)] == [True, True, True, False, False]
+    calls = []
+    original = PermutationGroup.point_stabilizer
+
+    def counted(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(PermutationGroup, "point_stabilizer", counted)
+    assert transitivity_report(act).s_degree == 2
+    # G_0, G_{0,a}, G_{0,a,b}: one level per arc vertex
+    assert len(calls) == 3
+
+
+def test_each_action_computes_its_arc_orbits_once(monkeypatch):
+    from hatlab.altcycles import hat_orientation
+    from hatlab.graphs import Graph
+
+    graph, act_M = hat_circulant(8, 3)
+    neg = Permutation([(-v) % 8 for v in range(8)])
+    act_H = VertexAction(PermutationGroup(list(act_M.group.gens) + [neg]), graph)
+    calls = []
+    original = Graph.arcs
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Graph, "arcs", counted)
+    assert transitivity_report(act_M).half_arc_transitive
+    assert classify_theorem_case(act_M, act_H, 0).label == "c-normal"
+    hat_orientation(act_M)
+    assert len(calls) == 2
+
+
+def test_classifier_rejects_actions_on_different_graphs():
+    graph, act_M = hat_circulant(8, 3)
+    other, _ = hat_circulant(8, 3)
+    neg = Permutation([(-v) % 8 for v in range(8)])
+    act_H = VertexAction(PermutationGroup(list(act_M.group.gens) + [neg]), other)
+    with pytest.raises(ValueError, match="different graphs"):
+        classify_theorem_case(act_M, act_H, 0)
+
+
 def test_local_action_regular_group_is_trivial():
     graph, act = hat_circulant(8, 3)
     R = PermutationGroup([act.group.gens[0]])  # translations only: regular
@@ -130,12 +177,13 @@ def test_example_43_classification():
         if rep.s_degree == 2 and group_name(cand) == "S5":
             H = cand
     assert H is not None
-    loc_H = local_action(VertexAction(H, G), 0)
+    act_H = VertexAction(H, G)
+    loc_H = local_action(act_H, 0)
     assert loc_H.order == 12 and group_name(loc_H.induced) == "A4"
     p5 = next(p for p in H.elements() if p.order() == 5)
     M = normalizer(H, H.subgroup([p5]))
     assert M.order() == 20 and group_name(M) == "F5"
-    case = classify_theorem_case(G, M, H, 0)
+    case = classify_theorem_case(VertexAction(M, G), act_H, 0)
     assert case.label == "b"
     assert case.t == 2
     assert case.witnesses["quadruple"] == ["S5", "F5", "A4", "C2"]
@@ -146,8 +194,9 @@ def test_classifier_rejects_bad_pairs():
     G = complete_bipartite_minus_matching(5)
     Aut = automorphism_group(G)
     # arc-transitive M is not a HAT side
+    act = VertexAction(Aut, G)
     with pytest.raises(ValueError):
-        classify_theorem_case(G, Aut, Aut, 0)
+        classify_theorem_case(act, act, 0)
 
 
 def test_classifier_c_normal_case():
@@ -156,7 +205,7 @@ def test_classifier_c_normal_case():
     neg = Permutation([(-v) % 8 for v in range(8)])
     H = PermutationGroup(list(M.gens) + [neg])
     assert H.order() == 2 * M.order()
-    case = classify_theorem_case(graph, M, H, 0)
+    case = classify_theorem_case(act, VertexAction(H, graph), 0)
     assert case.label == "c-normal"
 
 
