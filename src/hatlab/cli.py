@@ -5,10 +5,12 @@ Subcommands:
   pairsearch  run the amalgam pair search
   aut         automorphism group of a graph file
   altgraph    alternating-cycle analysis of a HAT action
+  witness42   search for an example-4.2 witness and write it to a file
 
 Exit codes: 0 all asserted facts pass; 2 partial or flagged verification;
 1 hard error.  ``example all --jobs N`` runs the examples in N worker
-processes (default 1).
+processes (default 1).  ``example 4.2`` reads the shipped witness, or the
+file given by ``--witness``; ``witness42`` is the one command that searches.
 """
 
 from __future__ import annotations
@@ -70,8 +72,6 @@ def cmd_example(args):
         return worst
     if name == "4.2" and args.witness is not None:
         report = run_example_42(witness_path=args.witness)
-    elif name == "4.2" and args.budget and _default_witness_path() is None:
-        report = run_example_42(witness=search_ex42_witness(budget=args.budget))
     else:
         report = _run_one(name)
     if args.json:
@@ -187,7 +187,6 @@ def build_parser():
     ex.add_argument("which", choices=sorted(RUNNERS) + ["all"])
     ex.add_argument("--json", help="write the report to this path ('-' for stdout)")
     ex.add_argument("--witness", help="witness file for example 4.2")
-    ex.add_argument("--budget", type=float, default=None, help="seconds for witness search")
     ex.add_argument("--jobs", type=int, default=1, help="parallel example workers (default 1)")
     ex.set_defaults(func=cmd_example)
 

@@ -15,6 +15,13 @@ which avoids any search over the whole vertex set; the seed's vertex
 stabilizer prunes that search, each seeded permutation verified against the
 graph first.  Every search visits at most NODE_BUDGET refinement nodes and
 raises ResourceExhausted past it.
+
+A partition is stored as in nauty (McKay and Piperno, Practical graph
+isomorphism II, 2014): ``lab`` lists the vertices cell by cell, each cell in
+increasing order, and a cell is named by its offset in ``lab``.  ``start[v]``
+is the offset of v's cell and ``end[s]`` the end of the cell at offset s (0
+where no cell starts).  A split keeps the first part at the old offset, so
+offsets are only added and the cell order is their order.
 """
 
 from __future__ import annotations
@@ -31,109 +38,85 @@ NODE_BUDGET = 200000
 
 
 class _Partition:
-    """Ordered partition with stable cell ids."""
+    """Ordered partition in the arrays ``lab``, ``start`` and ``end``."""
 
-    __slots__ = ("cells", "order", "cell_of", "next_id")
+    __slots__ = ("lab", "start", "end")
 
-    def __init__(self, n, initial_cells):
-        self.cells = {}
-        self.order = []
-        self.cell_of = np.zeros(n, dtype=np.int64)
-        self.next_id = 0
-        for cell in initial_cells:
-            arr = np.asarray(sorted(cell), dtype=np.int64)
-            cid = self.next_id
-            self.next_id += 1
-            self.cells[cid] = arr
-            self.order.append(cid)
-            self.cell_of[arr] = cid
+    def __init__(self, n):
+        self.lab = np.arange(n, dtype=np.int64)
+        self.start = np.zeros(n, dtype=np.int64)
+        self.end = np.zeros(n, dtype=np.int64)
+        self.end[0] = n
 
     def copy(self):
         p = _Partition.__new__(_Partition)
-        p.cells = dict(self.cells)
-        p.order = list(self.order)
-        p.cell_of = self.cell_of.copy()
-        p.next_id = self.next_id
+        p.lab = self.lab.copy()
+        p.start = self.start.copy()
+        p.end = self.end.copy()
         return p
 
     def sizes(self):
-        return tuple(len(self.cells[cid]) for cid in self.order)
+        offsets = self.end.nonzero()[0]
+        return tuple((self.end[offsets] - offsets).tolist())
 
     def labeling(self):
         """vertex -> position map as a Permutation (discrete partitions only)."""
-        n = self.cell_of.size
-        lab = np.empty(n, dtype=np.int64)
-        for pos, cid in enumerate(self.order):
-            lab[self.cells[cid][0]] = pos
-        return Permutation(lab, validate=False)
+        return Permutation(np.argsort(self.lab), validate=False)
 
-    def split(self, cid, groups):
-        """Replace cell cid by the given ordered groups; return new ids."""
-        pos = self.order.index(cid)
-        ids = []
-        for arr in groups:
-            nid = self.next_id
-            self.next_id += 1
-            self.cells[nid] = arr
-            self.cell_of[arr] = nid
-            ids.append(nid)
-        del self.cells[cid]
-        self.order[pos : pos + 1] = ids
-        return ids
+    def split(self, s, keys):
+        """Sort the cell at s stably by keys (one per member, in order) and
+        cut it where the key changes; return the parts' offsets.  The
+        first part keeps the offset s."""
+        e = int(self.end[s])
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        cell = self.lab[s:e][order]
+        self.lab[s:e] = cell
+        offsets = [s] + ((keys[1:] != keys[:-1]).nonzero()[0] + (s + 1)).tolist()
+        for a, b in zip(offsets, offsets[1:] + [e]):
+            self.start[cell[a - s : b - s]] = a
+            self.end[a] = b
+        return offsets
 
 
 def _refine(graph: Graph, part: _Partition, pending):
     """Equitable refinement by neighbor counts against pending splitter cells."""
     indptr, indices = graph.csr()
+    lab, start, end = part.lab, part.start, part.end
     queue = deque(pending)
     queued = set(pending)
     while queue:
-        sid = queue.popleft()
-        queued.discard(sid)
-        splitter = part.cells.get(sid)
-        if splitter is None:
-            continue  # cell was split; its parts are queued
+        s = queue.popleft()
+        queued.discard(s)
         nbrs = np.concatenate(
-            [indices[indptr[v] : indptr[v + 1]] for v in splitter]
-        ) if len(splitter) else np.empty(0, dtype=np.int64)
-        if nbrs.size == 0:
-            continue
+            [indices[indptr[v] : indptr[v + 1]] for v in lab[s : end[s]]]
+        )
         cnt = np.bincount(nbrs, minlength=graph.n)
-        affected = np.unique(part.cell_of[np.unique(nbrs)])
-        pos = {cid: i for i, cid in enumerate(part.order)}
-        for cid in sorted(affected, key=pos.get):
-            cell = part.cells.get(cid)
-            if cell is None or len(cell) == 1:
+        for a in np.unique(start[nbrs]).tolist():
+            if end[a] - a == 1:
                 continue
-            vals = cnt[cell]
-            uniq = np.unique(vals)
-            if uniq.size == 1:
+            parts = part.split(a, cnt[lab[a : end[a]]])
+            if len(parts) == 1:
                 continue
-            groups = [cell[vals == u] for u in uniq]
-            new_ids = part.split(cid, groups)
-            was_queued = cid in queued
-            if was_queued:
-                queued.discard(cid)
-                for nid in new_ids:
-                    queue.append(nid)
-                    queued.add(nid)
+            if a in queued:
+                queue.remove(a)  # every part goes to the back, the first too
             else:
-                largest = max(range(len(groups)), key=lambda i: len(groups[i]))
-                for i, nid in enumerate(new_ids):
-                    if i != largest:
-                        queue.append(nid)
-                        queued.add(nid)
+                sizes = [end[b] - b for b in parts]
+                del parts[sizes.index(max(sizes))]
+            queue.extend(parts)
+            queued.update(parts)
     return part
 
 
 def _initial_partition(graph: Graph, v=None):
     """The refined partition into cells of equal degree, in increasing
     degree, after a first cell {v} when a vertex v is individualized."""
-    groups = {}
-    for u in range(graph.n):
-        groups.setdefault((u != v, graph.degree(u)), []).append(u)
-    part = _Partition(graph.n, [groups[c] for c in sorted(groups)])
-    return _refine(graph, part, list(part.order))
+    n = graph.n
+    part = _Partition(n)
+    keys = np.diff(graph.csr()[0]) + n  # (u is not v, degree); degrees < n
+    if v is not None:
+        keys[v] -= n
+    return _refine(graph, part, part.split(0, keys))
 
 
 def _certificate(graph: Graph, labeling: Permutation) -> bytes:
@@ -147,15 +130,12 @@ def _certificate(graph: Graph, labeling: Permutation) -> bytes:
 
 
 def _target_cell(part: _Partition):
-    """First smallest non-singleton cell id, or None when discrete."""
-    best = None
-    best_size = None
-    for cid in part.order:
-        size = len(part.cells[cid])
-        if size > 1 and (best_size is None or size < best_size):
-            best = cid
-            best_size = size
-    return best
+    """Offset of the first smallest non-singleton cell, or None when discrete."""
+    offsets = part.end.nonzero()[0]
+    sizes = part.end[offsets] - offsets
+    sizes[sizes == 1] = part.lab.size + 1
+    i = sizes.argmin()
+    return None if sizes[i] > part.lab.size else int(offsets[i])
 
 
 class _Search:
@@ -227,7 +207,7 @@ class _Search:
             self._leaf(part, inv_path)
             return
 
-        cell = part.cells[target]
+        cell = part.lab[target : part.end[target]]
         tried = []
         for v in [int(x) for x in cell]:
             # orbit pruning against automorphisms fixing the prefix
@@ -243,9 +223,7 @@ class _Search:
                 continue
             tried.append(v)
             child = part.copy()
-            rest = np.asarray([x for x in part.cells[target] if x != v], dtype=np.int64)
-            new_ids = child.split(target, [np.asarray([v], dtype=np.int64), rest])
-            _refine(self.graph, child, new_ids)
+            _refine(self.graph, child, child.split(target, cell != v))
             self._descend(child, prefix + [v], inv_path)
 
     def _leaf(self, part, inv_path):
@@ -288,11 +266,7 @@ def automorphism_group(graph: Graph, transitive_seed=None) -> PermutationGroup:
     initial = _initial_partition(graph)
     search = _Search(graph, initial)
     search.run()
-    gens = list(search.auts)
-    G = PermutationGroup(gens, graph.n)
-    if not all(graph.is_automorphism(p) for p in G.gens):
-        raise AssertionError("automorphism generator breaks an edge")
-    return G
+    return PermutationGroup(list(search.auts), graph.n)
 
 
 def automorphism_stabilizer(graph: Graph, v: int, seed_gens=()):
@@ -332,7 +306,7 @@ def is_isomorphic(g1: Graph, g2: Graph):
     lab2, cert2 = canonical_labeling(g2)
     if cert1 != cert2:
         return None
-    mapping = [int(lab2.inverse().images[int(lab1.images[v])]) for v in range(g1.n)]
+    mapping = (lab1 * lab2.inverse()).images.tolist()
     for u, v in g1.edges:
         if not g2.has_edge(mapping[u], mapping[v]):
             raise AssertionError("certificate collision: mapping failed verification")

@@ -207,3 +207,25 @@ def finest_block_system(systems, n, beta):
     the one-block system, the finest that puts 0 and beta in one block."""
     together = [s for s in systems if any(0 in b and beta in b for b in s)]
     return max(together, key=len, default=frozenset([frozenset(range(n))]))
+
+
+def is_equitable(n, edges, cells):
+    """Whether cells partition range(n) so that each vertex of a cell has
+    the same number of neighbours in each cell."""
+    if sorted(v for cell in cells for v in cell) != list(range(n)):
+        return False
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+    for cell in cells:
+        counts = set()
+        for v in cell:
+            row = [0] * len(cells)
+            for w in adj[v]:
+                row[cell_of[w]] += 1
+            counts.add(tuple(row))
+        if len(counts) > 1:
+            return False
+    return True

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hatlab.cli import main
 from hatlab.graphs import cycle_graph
 from hatlab.group import PermutationGroup, read_group_file, write_group_file
@@ -78,6 +80,14 @@ def test_cli_example_42_explicit_witness(capsys):
 
     assert main(["example", "4.2", "--witness", WITNESS_PATH]) == 0
     assert "example 4.2: PASS" in capsys.readouterr().out
+
+
+def test_cli_example_has_no_witness_search_option(capsys):
+    # the witness search runs through `hatlab witness42` only
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "4.2", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
 def test_cli_error_paths(capsys):
