@@ -186,7 +186,7 @@ def alternating_graph(action: VertexAction, system: AltCycleSystem):
                 raise AltCycleError("group element does not permute the cycles")
             imgs.append(j)
         gens.append(Permutation(imgs))
-    induced = PermutationGroup(gens, system.count)
+    induced = PermutationGroup(gens, system.count, bound=action.group)
     alt_action = VertexAction(induced, alt)
     return alt, alt_action, system.attachment
 

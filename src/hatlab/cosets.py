@@ -11,7 +11,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .group import PermutationGroup, ResourceExhausted, _level_gens, closure_elements, giant_type
+from .group import (
+    PermutationGroup, ResourceExhausted, _check_deadline, _level_gens, closure_elements, giant_type,
+)
 from .perm import Permutation
 
 
@@ -37,7 +39,8 @@ def coset_canonical(H: PermutationGroup, x: Permutation) -> Permutation:
 
 
 class CosetSpace:
-    """The right cosets of H in G, with G acting by right multiplication."""
+    """The right cosets of H in G, with G acting by right multiplication;
+    ``gen_images[i]`` is the action of ``G.gens[i]``, read off the BFS."""
 
     def __init__(self, G: PermutationGroup, H: PermutationGroup, max_index=10**6):
         if not all(g in G for g in H.gens):
@@ -48,11 +51,12 @@ class CosetSpace:
         rep0 = self.canonical(G.identity())
         reps = [rep0]
         index = {rep0.key(): 0}
+        images = [[] for _ in G.gens]
         head = 0
         while head < len(reps):
             r = reps[head]
             head += 1
-            for g in G.gens:
+            for g, imgs in zip(G.gens, images):
                 nxt = self.canonical(r * g)
                 k = nxt.key()
                 if k not in index:
@@ -62,8 +66,10 @@ class CosetSpace:
                         )
                     index[k] = len(reps)
                     reps.append(nxt)
+                imgs.append(index[k])
         self.reps = reps
         self.index = index
+        self.gen_images = [Permutation(imgs, validate=False) for imgs in images]
 
     def __len__(self):
         return len(self.reps)
@@ -82,10 +88,9 @@ class CosetSpace:
 class CosetAction:
     """Result of G acting on [G:H]: the coset space and the image group."""
 
-    def __init__(self, space, image, phi_gens):
+    def __init__(self, space, image):
         self.space = space
         self.image = image
-        self._phi_gens = phi_gens  # generator index -> image permutation
 
     @property
     def degree(self):
@@ -94,11 +99,9 @@ class CosetAction:
 
 def coset_action(G: PermutationGroup, H: PermutationGroup) -> CosetAction:
     """Right-multiplication action of G on the right cosets of H.  Its
-    kernel is ``core(G, H)``; the image group certifies its own chain."""
+    kernel is ``core(G, H)``; |G| bounds the image's order."""
     space = CosetSpace(G, H)
-    phi_gens = [space.action_of(g) for g in G.gens]
-    image = PermutationGroup(phi_gens, len(space))
-    return CosetAction(space, image, phi_gens)
+    return CosetAction(space, PermutationGroup(space.gen_images, len(space), bound=G))
 
 
 def core(G: PermutationGroup, H: PermutationGroup):
@@ -147,8 +150,7 @@ def _core_via_combined(G, H):
     m = len(space)
     n = G.degree
     combined = []
-    for g in G.gens:
-        act = space.action_of(g)
+    for g, act in zip(G.gens, space.gen_images):
         imgs = np.concatenate([act.images, g.images + m])
         combined.append(Permutation(imgs, validate=False))
     big = PermutationGroup(combined, m + n, order=G.order(), base_prefix=range(m))
@@ -256,19 +258,21 @@ def derived_subgroup(G: PermutationGroup) -> PermutationGroup:
     return D
 
 
-def small_subgroups(G: PermutationGroup, order_bound: int):
+def small_subgroups(G: PermutationGroup, order_bound: int, deadline=None):
     """All subgroups of G whose order divides order_bound (bound <= 16).
 
     Layered extensions of the subgroups found so far by one cyclic subgroup
     <p> each (p first of its generators), complete since every subgroup is
     reached one generator at a time below the bound, joined as right cosets
     (Dimino; Butler, LNCS 559).  A subgroup's generators are its elements in
-    ``closure_elements`` order from the first pair that reached it.
+    ``closure_elements`` order from the first pair that reached it.  Raises
+    BudgetExpired once ``time.time()`` passes ``deadline``.
     """
     if order_bound > 16:
         raise ValueError("order bound %d exceeds 16" % order_bound)
     first_of = {}  # cyclic subgroup -> its first generator in element order
     for p in G.elements():
+        _check_deadline(deadline)
         powers = [p]  # up to the identity, or past the bound
         while not powers[-1].is_identity() and len(powers) <= order_bound:
             powers.append(powers[-1] * p)
@@ -283,6 +287,7 @@ def small_subgroups(G: PermutationGroup, order_bound: int):
             elems, gens = seen[key_set]
             table = np.stack([s.images for s in elems])
             for p in first_of.values():
+                _check_deadline(deadline)
                 if p.key() in key_set:
                     continue
                 joined = _coset_join(key_set, table, gens + [p.images], order_bound)

@@ -8,6 +8,9 @@ labeling defines the canonical form.  Branches are pruned through orbits of
 the automorphisms found so far (only those fixing the current prefix) and
 through path invariants (cell-size sequences), which are isomorphism
 invariants, so the canonical form does not depend on the input labeling.
+An automorphism fixing a path's prefix maps its next vertex into its target
+cell, so the first path's target cell sizes multiply to a proven bound on
+the order of the group found, which certifies that group's chain.
 
 For vertex-transitive graphs the full group is assembled as <transitive
 seed, stabilizer of one vertex> with the order fixed by orbit-stabilizer,
@@ -149,6 +152,7 @@ class _Search:
         self.first_leaf = None  # (inv_path, labeling, cert)
         self.best = None  # (inv_path, cert, labeling)
         self.nodes = 0
+        self.bound = 1  # product of the first path's target cell sizes
 
     def _orbit_reps(self, cell, prefix):
         """``find`` over cell: find(v) names v's orbit under the found
@@ -208,6 +212,8 @@ class _Search:
             return
 
         cell = part.lab[target : part.end[target]]
+        if self.first_leaf is None:
+            self.bound *= len(cell)
         tried = []
         for v in [int(x) for x in cell]:
             # orbit pruning against automorphisms fixing the prefix
@@ -266,7 +272,7 @@ def automorphism_group(graph: Graph, transitive_seed=None) -> PermutationGroup:
     initial = _initial_partition(graph)
     search = _Search(graph, initial)
     search.run()
-    return PermutationGroup(list(search.auts), graph.n)
+    return PermutationGroup(list(search.auts), graph.n, bound=search.bound)
 
 
 def automorphism_stabilizer(graph: Graph, v: int, seed_gens=()):
@@ -278,7 +284,7 @@ def automorphism_stabilizer(graph: Graph, v: int, seed_gens=()):
     gens = [p for p in search.auts if int(p.images[v]) == v]
     if len(gens) != len(search.auts):
         raise AssertionError("stabilizer search produced a moving automorphism")
-    return PermutationGroup(gens, n)
+    return PermutationGroup(gens, n, bound=search.bound)
 
 
 def canonical_labeling(graph: Graph):

@@ -218,9 +218,7 @@ def coset_graph(G: PermutationGroup, H: PermutationGroup, D):
             raise AssertionError("valency %d != |D|/|H|" % graph.valency())
     if not graph.is_connected():
         raise ValueError("<H, D> is a proper subgroup: coset graph is disconnected")
-    gens = [space.action_of(g) for g in G.gens]
-    image = PermutationGroup(gens, n)
-    action = VertexAction(image, graph)
+    action = VertexAction(PermutationGroup(space.gen_images, n, bound=G), graph)
     action.space = space
     return graph, action
 
@@ -338,4 +336,4 @@ def induced_quotient_action(action: VertexAction, N, result: QuotientResult):
         if not (orbit_of[g.images] == imgs[orbit_of]).all():
             raise ValueError("generator does not permute the orbits of N")
         gens.append(Permutation(imgs))
-    return PermutationGroup(gens, k)
+    return PermutationGroup(gens, k, bound=action.group)

@@ -1,12 +1,15 @@
 """Permutation groups backed by a base and strong generating set.
 
 The chain is built by a randomized Schreier-Sims pass and then made exact by
-one of two rigorous routes: a deterministic verification that sifts every
-Schreier generator, or a sandwich argument when the order can be bounded
-from above (a known order, or the ambient alternating/symmetric group when
-the chain already reaches that ceiling).  The chain order is always a lower
-bound for the group order (every stored permutation is a product of input
-generators), so matching an upper bound certifies completeness.
+one of four routes: a claimed order (``order=``), which the chain must
+reach; a proven upper bound (``bound=``: the order of a parent, of a source
+the group is a homomorphic image of, or a search-tree count), which ends
+the build once the chain reaches it; the alternating/symmetric sandwich,
+when the chain reaches the ceiling of its moved points; or else a
+deterministic verification that sifts every Schreier generator.  The chain
+order is always a lower bound for the group order (every stored permutation
+is a product of input generators), so matching an upper bound certifies
+completeness.
 
 Each level's Schreier tree is extended incrementally as strong generators
 arrive and fully rebuilt only when it would pass its shallow-tree depth
@@ -19,6 +22,7 @@ so chains are reproducible run to run.
 from __future__ import annotations
 
 import random
+import time
 from math import factorial
 
 import numpy as np
@@ -30,6 +34,16 @@ _STATIONARY_ROUNDS = 14
 
 class ResourceExhausted(RuntimeError):
     """A search or enumeration exceeded its configured budget."""
+
+
+class BudgetExpired(ResourceExhausted):
+    """A time budget ran out; the search that set it reports itself incomplete."""
+
+
+def _check_deadline(deadline):
+    """Raise BudgetExpired once ``time.time()`` passes deadline (None: never)."""
+    if deadline is not None and time.time() > deadline:
+        raise BudgetExpired("time budget exhausted")
 
 
 class Orbit:
@@ -163,20 +177,24 @@ def _dedupe(perms):
 
 
 class PermutationGroup:
-    """A group of permutations of {0,...,degree-1}.
+    """A group of permutations of {0,...,degree-1}, its chain certified by
+    one of the four routes of the module docstring.
 
-    ``order=`` passes a trusted order, e.g. one obtained from the
+    ``order=`` claims a trusted order, e.g. one obtained from the
     orbit-stabilizer identity; the chain build then runs until that order is
-    reached and needs no verification pass (the chain enumeration is always
-    an injection into the group, so hitting a true order proves
-    completeness).  Claiming an order the generators cannot reach raises;
-    claiming a proper divisor of the true order is undetectable here, so the
-    value must come from a sound derivation.  Without ``order=`` the chain
-    is verified deterministically unless the alternating/symmetric sandwich
-    applies.
+    reached.  Claiming an order the generators cannot reach raises; claiming
+    a proper divisor of the true order is undetectable here, so the value
+    must come from a sound derivation.  ``bound=`` is a proven upper bound:
+    an int, or a group mapping homomorphically onto this one (generators
+    onto generators), whose order is read only when the chain is built; a
+    ``parent`` (checked to hold every generator) is the default.  A chain
+    short of its bound, such as that of a proper subgroup or a non-faithful
+    image, is finished as without one; a chain past it raises.
     """
 
-    def __init__(self, generators, degree=None, *, order=None, parent=None, base_prefix=()):
+    def __init__(
+        self, generators, degree=None, *, order=None, parent=None, bound=None, base_prefix=()
+    ):
         gens = list(generators)
         if degree is None:
             if not gens:
@@ -189,6 +207,7 @@ class PermutationGroup:
         self.gens = _dedupe(gens)
         self.parent = parent
         self._claimed_order = order
+        self._bound = parent if bound is None else bound
         self._levels = None
         self._order = None
         self._base_prefix = tuple(base_prefix)
@@ -206,11 +225,11 @@ class PermutationGroup:
         levels = [Orbit(b, self.degree) for b in self._base_prefix]
         for g in self.gens:
             self._chain_add(levels, g)
-        self._complete(levels, self.gens, self._claimed_order)
+        self._complete(levels, self.gens, self._claimed_order, self._bound)
         self._levels = levels
         self._order = _chain_order(levels)
 
-    def _complete(self, levels, gens, target):
+    def _complete(self, levels, gens, target, upper=None):
         """Complete the chain of <gens>: randomized Schreier-Sims, then a
         rigorous finish (Seress, *Permutation Group Algorithms*, §4.2).
 
@@ -218,25 +237,30 @@ class PermutationGroup:
         claimed order ``target`` sampling runs until the chain reaches it,
         and the Schreier pass finishes after more than 400 idle samples; a
         chain that ends anywhere but at the claim raises ValueError.  Without
-        a claim sampling stops after ``_STATIONARY_ROUNDS`` idle samples, and
-        the Alt/Sym sandwich or else the Schreier pass certifies the chain.
+        a claim, sampling stops when the chain reaches the bound ``upper`` (an
+        int or a group's order), which needs no finish, or else after
+        ``_STATIONARY_ROUNDS`` idle samples, and the Alt/Sym sandwich or else
+        the Schreier pass certifies the chain.  A chain past the bound raises.
         """
+        bound = target
         if gens and (target is None or _chain_order(levels) < target):
+            if target is None and upper is not None:
+                bound = upper if isinstance(upper, int) else upper.order()
             rng = _Rattle(gens, random.Random(0))
             patience = _STATIONARY_ROUNDS if target is None else 401
             idle = 0
-            while idle < patience and (target is None or _chain_order(levels) < target):
+            while idle < patience and (bound is None or _chain_order(levels) < bound):
                 idle = 0 if self._chain_add(levels, rng.sample()) else idle + 1
-            if target is None:
-                if giant_type(gens, _chain_order(levels)) is None:
-                    self._schreier_complete(levels)
-            elif _chain_order(levels) < target:
+            short = bound is None or _chain_order(levels) < bound
+            if short and (target is not None or giant_type(gens, _chain_order(levels)) is None):
                 self._schreier_complete(levels)
         if target is not None and _chain_order(levels) != target:
             raise ValueError(
                 "chain order %d does not match claimed order %d"
                 % (_chain_order(levels), target)
             )
+        if bound is not None and _chain_order(levels) > bound:
+            raise ValueError("chain order %d exceeds its bound %d" % (_chain_order(levels), bound))
 
     def _chain_add(self, levels, p, start=0) -> bool:
         """Sift p; install a nontrivial residue as a strong generator and

@@ -33,7 +33,9 @@ from .cosets import (
     small_subgroups,
 )
 from .fpgroups import AmalgamSpec, amalgam_by_name, todd_coxeter
-from .group import PermutationGroup, _dedupe, _is_power_of_two, group_2part
+from .group import (
+    BudgetExpired, PermutationGroup, _check_deadline, _dedupe, _is_power_of_two, group_2part,
+)
 from .normalizers import SymNormalizerData
 from .perm import Permutation
 from .signatures import group_name
@@ -67,18 +69,20 @@ def realize_amalgam(spec: AmalgamSpec) -> RealizedAmalgam:
     return RealizedAmalgam(spec, Hu, Huv, delta)
 
 
-def candidate_stabilizers(realized: RealizedAmalgam):
+def candidate_stabilizers(realized: RealizedAmalgam, deadline=None):
     """The set of candidate HAT vertex stabilizers inside L.
 
     Subgroups X with |X| dividing |L|_2 / 2, core-free in L, having exactly
-    two orbits of size 2 on the degree-4 coset space.
+    two orbits of size 2 on the degree-4 coset space.  Raises BudgetExpired
+    once ``time.time()`` passes ``deadline``.
     """
     Hu = realized.Hu
     bound = group_2part(Hu.order()) // 2
     out = []
     if bound < 2:
         return out
-    for X in small_subgroups(Hu, bound):
+    for X in small_subgroups(Hu, bound, deadline):
+        _check_deadline(deadline)
         if X.order() == 1:
             continue
         imgs = [realized.delta.space.action_of(p) for p in X.gens]
@@ -92,12 +96,13 @@ def candidate_stabilizers(realized: RealizedAmalgam):
     return out
 
 
-def conjugacy_class_representatives(Hu: PermutationGroup, candidates):
+def conjugacy_class_representatives(Hu: PermutationGroup, candidates, deadline=None):
     """One representative per Hu-conjugacy class of the candidate subgroups.
 
     The candidate set is closed under conjugation (its defining conditions
     are conjugation-invariant), so the classes are exactly the orbits under
-    conjugation by Hu's generators.
+    conjugation by Hu's generators.  Raises BudgetExpired once
+    ``time.time()`` passes ``deadline``.
     """
     elem_dicts = [X.element_set() for X in candidates]
     index = {frozenset(d.keys()): i for i, d in enumerate(elem_dicts)}
@@ -111,6 +116,7 @@ def conjugacy_class_representatives(Hu: PermutationGroup, candidates):
         frontier = [i]
         while frontier:
             j = frontier.pop()
+            _check_deadline(deadline)
             for g in Hu.gens:
                 conj_set = frozenset(p.conj(g).key() for p in elem_dicts[j].values())
                 k = index.get(conj_set)
@@ -218,8 +224,8 @@ def maximal_half_arc_pairs(
 
     Without ``deep`` the per-candidate degree is capped at 256 (the largest
     the default acceptance runs need); deep runs lift the cap.  A time
-    budget, when given, may truncate the search: the outcome is then flagged
-    incomplete rather than silently short.
+    budget, when given, covers the whole search and may truncate it: the
+    outcome is then flagged incomplete rather than silently short.
     """
     t0 = time.time()
     Hu = realized.Hu
@@ -228,106 +234,103 @@ def maximal_half_arc_pairs(
     stats = {"candidates": 0, "hTried": 0, "hAccepted": 0}
     complete = True
     degree_cap = 10**6 if deep else 256
+    deadline = None if time_budget is None else t0 + time_budget
 
     note = progress if progress is not None else (lambda *a: None)
-    all_candidates = candidate_stabilizers(realized)
-    class_reps = conjugacy_class_representatives(Hu, all_candidates)
-    stats["candidateSubgroups"] = len(all_candidates)
-    for X in class_reps:
-        stats["candidates"] += 1
-        note("candidate", {"order": X.order(), "index": stats["candidates"]})
-        if time_budget is not None and time.time() - t0 > time_budget:
-            complete = False
-            break
-        act = coset_action(Hu, X)
-        n = act.degree
-        if n > degree_cap:
-            complete = False
-            stats.setdefault("skippedDegrees", []).append(n)
-            continue
-        phi_Hu_gens = act._phi_gens
-        phi_Hu = PermutationGroup(phi_Hu_gens, n, order=Hu.order())
-        phi_Huv = PermutationGroup(
-            [act.space.action_of(g) for g in realized.Huv.gens], n,
-            order=realized.Huv.order(),
-        )
-        phi_Mu = PermutationGroup(
-            [act.space.action_of(g) for g in X.gens], n, order=X.order()
-        )
-        phi_Hu_elems = {p.key(): p for p in phi_Hu.elements()}
-        phi_Mu_elems = [p for p in phi_Mu.elements()]
-
-        h_list, Nuv = reverser_candidates(phi_Hu_elems, phi_Huv)
-        # h-candidates in one right coset of the L-image produce the same
-        # group H = <image(L), h>, the same M, and the same forward-element
-        # search, so that work is shared across the coset
-        cosets = {}
-        for h in h_list:
-            key = _coset_canonical(phi_Hu, h).key()
-            cosets.setdefault(key, []).append(h)
-        note(
-            "hList",
-            {"n": n, "normalizer": Nuv.order(), "hCandidates": len(h_list),
-             "hCosets": len(cosets)},
-        )
-        L_names = None  # the names of phi_Hu and phi_Mu, at the first accepted coset
-        for key in sorted(cosets):
-            hs = cosets[key]
-            if time_budget is not None and time.time() - t0 > time_budget:
+    try:
+        all_candidates = candidate_stabilizers(realized, deadline)
+        class_reps = conjugacy_class_representatives(Hu, all_candidates, deadline)
+        stats["candidateSubgroups"] = len(all_candidates)
+        for X in class_reps:
+            stats["candidates"] += 1
+            note("candidate", {"order": X.order(), "index": stats["candidates"]})
+            _check_deadline(deadline)
+            act = coset_action(Hu, X)
+            n = act.degree
+            if n > degree_cap:
                 complete = False
-                break
-            stats["hTried"] += len(hs)
-            h0 = hs[0]
-            H_gens = phi_Hu_gens + [h0]
-            H = PermutationGroup(H_gens, n)
-            if not H.is_transitive() or not is_primitive(H):
+                stats.setdefault("skippedDegrees", []).append(n)
                 continue
-            if len(_conjugation_invariant_part(phi_Hu_elems, H.gens)) != 1:
-                continue
-            H_order = H.order()
-            M_order, rem = divmod(H_order, n)
-            if rem:
-                raise AssertionError("orbit size does not divide |H|")
-            M_schreier = _dedupe(H.orbit(0).schreier_generators(H.gens))
-            mu_elem_dict = {p.key(): p for p in phi_Mu_elems}
-            if len(_conjugation_invariant_part(mu_elem_dict, M_schreier)) != 1:
-                continue
-            found_m = None
-            for i_elem in phi_Hu.elements():
-                m = i_elem * h0
-                if int(m.images[0]) != 0:
+            phi_Hu_gens = act.space.gen_images
+            phi_Hu = PermutationGroup(phi_Hu_gens, n, order=Hu.order())
+            phi_Huv = PermutationGroup(
+                [act.space.action_of(g) for g in realized.Huv.gens], n,
+                order=realized.Huv.order(),
+            )
+            phi_Mu = PermutationGroup(
+                [act.space.action_of(g) for g in X.gens], n, order=X.order()
+            )
+            phi_Hu_elems = {p.key(): p for p in phi_Hu.elements()}
+            phi_Mu_elems = [p for p in phi_Mu.elements()]
+
+            h_list, Nuv = reverser_candidates(phi_Hu_elems, phi_Huv)
+            # h-candidates in one right coset of the L-image produce the same
+            # group H = <image(L), h>, the same M, and the same forward-element
+            # search, so that work is shared across the coset
+            cosets = {}
+            for h in h_list:
+                key = _coset_canonical(phi_Hu, h).key()
+                cosets.setdefault(key, []).append(h)
+            note(
+                "hList",
+                {"n": n, "normalizer": Nuv.order(), "hCandidates": len(h_list),
+                 "hCosets": len(cosets)},
+            )
+            L_names = None  # the names of phi_Hu and phi_Mu, at the first accepted coset
+            for key in sorted(cosets):
+                hs = cosets[key]
+                _check_deadline(deadline)
+                stats["hTried"] += len(hs)
+                h0 = hs[0]
+                H_gens = phi_Hu_gens + [h0]
+                H = PermutationGroup(H_gens, n)
+                if not H.is_transitive() or not is_primitive(H):
                     continue
-                if _reverses_an_arc(m, phi_Mu_elems, mu_elem_dict):
+                if len(_conjugation_invariant_part(phi_Hu_elems, H.gens)) != 1:
                     continue
-                T = PermutationGroup(list(phi_Mu.gens) + [m], n)
-                if T.order() == M_order:
-                    found_m = (m, T)
-                    break
-            if found_m is None:
-                continue
-            m, M = found_m
-            if L_names is None:
-                L_names = (group_name(phi_Hu), group_name(phi_Mu))
-            quadruple = (group_name(H), group_name(M)) + L_names
-            for h in hs:
-                stats["hAccepted"] += 1
-                note("accepted", {"count": stats["hAccepted"]})
-                res = PairSearchResult(
-                    amalgam=spec_name,
-                    n=n,
-                    H=H,
-                    M=M,
-                    Hu_image=phi_Hu,
-                    Mu_image=phi_Mu,
-                    h=h,
-                    m=m,
-                    quadruple=quadruple,
-                )
-                res.verify_invariants(full=(n <= 16))
-                results.append(res)
-        else:
-            continue
-        break  # inner break due to budget: stop the outer loop too
+                H_order = H.order()
+                M_order, rem = divmod(H_order, n)
+                if rem:
+                    raise AssertionError("orbit size does not divide |H|")
+                M_schreier = _dedupe(H.orbit(0).schreier_generators(H.gens))
+                mu_elem_dict = {p.key(): p for p in phi_Mu_elems}
+                if len(_conjugation_invariant_part(mu_elem_dict, M_schreier)) != 1:
+                    continue
+                found_m = None
+                for i_elem in phi_Hu.elements():
+                    m = i_elem * h0
+                    if int(m.images[0]) != 0:
+                        continue
+                    if _reverses_an_arc(m, phi_Mu_elems, mu_elem_dict):
+                        continue
+                    T = PermutationGroup(list(phi_Mu.gens) + [m], n)
+                    if T.order() == M_order:
+                        found_m = (m, T)
+                        break
+                if found_m is None:
+                    continue
+                m, M = found_m
+                if L_names is None:
+                    L_names = (group_name(phi_Hu), group_name(phi_Mu))
+                quadruple = (group_name(H), group_name(M)) + L_names
+                for h in hs:
+                    stats["hAccepted"] += 1
+                    note("accepted", {"count": stats["hAccepted"]})
+                    res = PairSearchResult(
+                        amalgam=spec_name,
+                        n=n,
+                        H=H,
+                        M=M,
+                        Hu_image=phi_Hu,
+                        Mu_image=phi_Mu,
+                        h=h,
+                        m=m,
+                        quadruple=quadruple,
+                    )
+                    res.verify_invariants(full=(n <= 16))
+                    results.append(res)
+    except BudgetExpired:
+        complete = False
 
     stats["seconds"] = round(time.time() - t0, 3)
     return SearchOutcome(spec_name, results, complete, stats)

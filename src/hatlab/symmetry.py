@@ -154,7 +154,7 @@ def local_action(action: VertexAction, v: int) -> LocalAction:
     for g in stab.gens:
         imgs = [pos[int(g.images[w])] for w in nbrs]
         induced_gens.append(Permutation(imgs))
-    induced = PermutationGroup(induced_gens, len(nbrs))
+    induced = PermutationGroup(induced_gens, len(nbrs), bound=stab)
     kernel_order = stab.order() // induced.order()
     return LocalAction(tuple(nbrs), induced, kernel_order, stab)
 
@@ -272,6 +272,8 @@ def classify_theorem_case(act_M: VertexAction, act_H: VertexAction, u: int = 0) 
         if kernel_order == K.order() and M_on_quotient.order() == 2 * r:
             witnesses["kernelOfMEqualsCore"] = True
             return case("c2")
+    # bounded by |H|, not claimed: a non-faithful image falls short of the
+    # bound and gets its true order from a Schreier pass, so the check stays live
     H_on_quotient = induced_quotient_action(act_H, K, quo)
     witnesses["H_mod_K"] = group_name(H_on_quotient)
     if H.order() // H_on_quotient.order() != K.order():

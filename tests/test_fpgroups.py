@@ -139,12 +139,6 @@ def test_collapse_log_present():
     assert tab.collapse_log["collapsed"] == tab.collapse_log["defined"] - 144
 
 
-import os
-
-
-@pytest.mark.skipif(
-    not os.environ.get("HATLAB_RUN_7AT"), reason="largest catalog entry is opt-in"
-)
 def test_seventh_amalgam_orders():
     spec = amalgam_by_name("7-AT")
     tab = todd_coxeter(spec.presentation, ())

@@ -201,3 +201,32 @@ def test_h_tried_counts_only_the_cosets_tried(a4_realized, monkeypatch):
     assert tried[0] == 0
     assert all(a < b for a, b in zip(tried, tried[1:]))
     assert tried[-1] == 15
+
+
+_BUDGETED_7AT = """
+import time
+from hatlab.fpgroups import amalgam_by_name
+from hatlab.pairsearch import maximal_half_arc_pairs, realize_amalgam
+
+realized = realize_amalgam(amalgam_by_name("7-AT"))
+t0 = time.time()
+out = maximal_half_arc_pairs(realized, deep=True, time_budget=2.0)
+print(out.complete, len(out.results), out.stats["candidates"], time.time() - t0)
+"""
+
+
+def test_time_budget_covers_the_candidate_enumeration():
+    """7-AT enumerates the small subgroups of its regular representation on
+    11,664 points for many minutes before its first candidate; a budget of
+    two seconds must end the search there, flagged incomplete.  The search
+    runs in a child process, killed after 90 s, so a search that ignores the
+    budget fails the test instead of hanging it."""
+    src = str(Path(hatlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUDGETED_7AT], capture_output=True, text=True, env=env, timeout=90
+    )
+    assert proc.returncode == 0, proc.stderr
+    complete, results, candidates, seconds = proc.stdout.split()
+    assert (complete, results, candidates) == ("False", "0", "0")
+    assert float(seconds) < 10
