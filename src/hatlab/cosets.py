@@ -14,7 +14,7 @@ import numpy as np
 from .group import (
     PermutationGroup, ResourceExhausted, _check_deadline, _level_gens, closure_elements, giant_type,
 )
-from .perm import Permutation
+from .perm import _DTYPE, Permutation, _wrap
 
 
 def commutator(a: Permutation, b: Permutation) -> Permutation:
@@ -31,7 +31,7 @@ def coset_canonical(H: PermutationGroup, x: Permutation) -> Permutation:
     p = x
     for lvl in H.levels():
         imgs = p.images[lvl.points_arr]
-        j = int(np.argmin(imgs))
+        j = int(imgs.argmin())
         a = int(lvl.points_arr[j])
         if a != lvl.base:
             p = lvl.transversal(a) * p
@@ -69,7 +69,7 @@ class CosetSpace:
                 imgs.append(index[k])
         self.reps = reps
         self.index = index
-        self.gen_images = [Permutation(imgs, validate=False) for imgs in images]
+        self.gen_images = [_wrap(np.array(imgs, dtype=_DTYPE)) for imgs in images]
 
     def __len__(self):
         return len(self.reps)
@@ -81,8 +81,7 @@ class CosetSpace:
         return self.index[self.canonical(x).key()]
 
     def action_of(self, g: Permutation) -> Permutation:
-        imgs = [self.coset_of(r * g) for r in self.reps]
-        return Permutation(imgs, validate=False)
+        return _wrap(np.array([self.coset_of(r * g) for r in self.reps], dtype=_DTYPE))
 
 
 class CosetAction:
@@ -151,15 +150,14 @@ def _core_via_combined(G, H):
     n = G.degree
     combined = []
     for g, act in zip(G.gens, space.gen_images):
-        imgs = np.concatenate([act.images, g.images + m])
-        combined.append(Permutation(imgs, validate=False))
+        combined.append(_wrap(np.concatenate([act.images, g.images + m])))
     big = PermutationGroup(combined, m + n, order=G.order(), base_prefix=range(m))
     kernel_gens = []
     kernel_order = 1
     for lvl in big.levels()[m:]:
         kernel_order *= len(lvl)
         for p in lvl.gens:
-            kernel_gens.append(Permutation(p.images[m:] - m, validate=False))
+            kernel_gens.append(_wrap(p.images[m:] - m))
     return G.subgroup(kernel_gens, order=kernel_order)
 
 
@@ -230,19 +228,9 @@ def is_maximal_subgroup(G: PermutationGroup, M: PermutationGroup) -> bool:
 
 def normal_closure(G: PermutationGroup, seeds) -> PermutationGroup:
     gens = [s for s in seeds if not s.is_identity()]
-    if not gens:
-        return G.subgroup([], order=1)
     H = PermutationGroup(gens, G.degree)
-    while True:
-        new = []
-        for s in list(gens):
-            for g in G.gens:
-                c = s.conj(g)
-                if c not in H:
-                    new.append(c)
-        if not new:
-            break
-        gens.extend(new)
+    while new := [c for s in gens for g in G.gens if (c := s.conj(g)) not in H]:
+        gens += new
         H = PermutationGroup(gens, G.degree)
     return G.subgroup(gens, order=H.order())
 
@@ -264,13 +252,15 @@ def small_subgroups(G: PermutationGroup, order_bound: int, deadline=None):
     Layered extensions of the subgroups found so far by one cyclic subgroup
     <p> each (p first of its generators), complete since every subgroup is
     reached one generator at a time below the bound, joined as right cosets
-    (Dimino; Butler, LNCS 559).  A subgroup's generators are its elements in
-    ``closure_elements`` order from the first pair that reached it.  Raises
-    BudgetExpired once ``time.time()`` passes ``deadline``.
+    (Dimino; Butler, LNCS 559).  A join whose product set S<p>, of size
+    |S||<p>|/|S & <p>|, exceeds the bound is skipped before any product.  A
+    subgroup's generators are its elements in ``closure_elements`` order
+    from the first pair that reached it.  Raises BudgetExpired once
+    ``time.time()`` passes ``deadline``.
     """
     if order_bound > 16:
         raise ValueError("order bound %d exceeds 16" % order_bound)
-    first_of = {}  # cyclic subgroup -> its first generator in element order
+    first_of = {}  # cyclic subgroup (key set) -> its first generator in element order
     for p in G.elements():
         _check_deadline(deadline)
         powers = [p]  # up to the identity, or past the bound
@@ -286,9 +276,11 @@ def small_subgroups(G: PermutationGroup, order_bound: int, deadline=None):
         for key_set in frontier:
             elems, gens = seen[key_set]
             table = np.stack([s.images for s in elems])
-            for p in first_of.values():
+            for cyclic, p in first_of.items():
                 _check_deadline(deadline)
                 if p.key() in key_set:
+                    continue
+                if len(key_set) * len(cyclic) > order_bound * len(key_set & cyclic):
                     continue
                 joined = _coset_join(key_set, table, gens + [p.images], order_bound)
                 if joined is None or order_bound % len(joined) != 0 or joined in seen:
@@ -339,15 +331,15 @@ def wreath_square(P: PermutationGroup):
     two coordinates and swap conjugates one to the other.
     """
     n = P.degree
-    fix = np.arange(n, dtype=np.int64)
+    fix = np.arange(n, dtype=_DTYPE)
 
     def embed1(p):
-        return Permutation(np.concatenate([p.images, fix + n]), validate=False)
+        return _wrap(np.concatenate([p.images, fix + n]))
 
     def embed2(p):
-        return Permutation(np.concatenate([fix, p.images + n]), validate=False)
+        return _wrap(np.concatenate([fix, p.images + n]))
 
-    swap = Permutation(np.concatenate([fix + n, fix]), validate=False)
+    swap = _wrap(np.concatenate([fix + n, fix]))
     gens = [embed1(g) for g in P.gens] + [embed2(g) for g in P.gens] + [swap]
     X = PermutationGroup(gens, 2 * n, order=P.order() ** 2 * 2)
     return X, embed1, embed2, swap

@@ -35,7 +35,7 @@ import numpy as np
 
 from .graphs import Graph
 from .group import PermutationGroup, ResourceExhausted
-from .perm import Permutation
+from .perm import _DTYPE, Permutation, _wrap
 
 NODE_BUDGET = 200000
 
@@ -64,7 +64,7 @@ class _Partition:
 
     def labeling(self):
         """vertex -> position map as a Permutation (discrete partitions only)."""
-        return Permutation(np.argsort(self.lab), validate=False)
+        return _wrap(np.array(np.argsort(self.lab), dtype=_DTYPE))
 
     def split(self, s, keys):
         """Sort the cell at s stably by keys (one per member, in order) and
@@ -313,7 +313,6 @@ def is_isomorphic(g1: Graph, g2: Graph):
     if cert1 != cert2:
         return None
     mapping = (lab1 * lab2.inverse()).images.tolist()
-    for u, v in g1.edges:
-        if not g2.has_edge(mapping[u], mapping[v]):
-            raise AssertionError("certificate collision: mapping failed verification")
+    if Graph(g2.n, [(mapping[u], mapping[v]) for u, v in g1.edges]).edges != g2.edges:
+        raise AssertionError("certificate collision: mapping failed verification")
     return mapping

@@ -42,16 +42,21 @@ class Graph:
         self.m = len(self.edges)
         self._edge_set = seen
         self._csr = None
+        # edge codes u*n+v (u < v), sorted, and n*n past every code
+        self._ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        self._codes = np.append(self._ends[:, 0] * n + self._ends[:, 1], n * n)
 
     def has_edge(self, u, v):
         return ((u, v) if u < v else (v, u)) in self._edge_set
 
     def is_automorphism(self, p):
-        """Whether the vertex permutation p maps every edge to an edge."""
-        for u, v in self.edges:
-            if not self.has_edge(int(p.images[u]), int(p.images[v])):
-                return False
-        return True
+        """Whether the vertex permutation p maps every edge to an edge: the
+        codes of the image edges are looked up in the sorted edge codes."""
+        if p.degree != self.n:
+            return False
+        img = p.images[self._ends]
+        codes = img.min(1).astype(np.int64) * self.n + img.max(1)
+        return bool((self._codes[self._codes.searchsorted(codes)] == codes).all())
 
     def degree(self, v):
         return len(self.adj[v])
@@ -71,14 +76,8 @@ class Graph:
     def csr(self):
         if self._csr is None:
             indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for v in range(self.n):
-                indptr[v + 1] = indptr[v] + len(self.adj[v])
-            indices = np.empty(self.m * 2, dtype=np.int64)
-            pos = 0
-            for v in range(self.n):
-                for w in self.adj[v]:
-                    indices[pos] = w
-                    pos += 1
+            np.cumsum(self.degrees(), out=indptr[1:])
+            indices = np.fromiter((w for nbrs in self.adj for w in nbrs), np.int64, 2 * self.m)
             self._csr = (indptr, indices)
         return self._csr
 
@@ -101,11 +100,7 @@ class Graph:
         return count == self.n
 
     def arcs(self):
-        out = []
-        for u, v in self.edges:
-            out.append((u, v))
-            out.append((v, u))
-        return out
+        return [arc for u, v in self.edges for arc in ((u, v), (v, u))]
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)

@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .perm import DegreeMismatch, Permutation
+from .perm import _DTYPE, DegreeMismatch, Permutation, _inverse_images, _wrap
 
 _STATIONARY_ROUNDS = 14
 
@@ -127,24 +127,28 @@ class Orbit:
         return True
 
     def transversal(self, a: int) -> Permutation:
-        """u_a with base^(u_a) = a."""
-        p = None
+        """u_a with base^(u_a) = a: the tree path's labels composed as image
+        arrays from a up to the base (g * u is u.images[g.images])."""
+        if a == self.base:
+            return Permutation.identity(self.degree)
+        idx, pol = self.nav[a]
+        g, imgs = self.tree_gens[idx][pol], None
+        a = int(self.tree_gens[idx][1 - pol].images[a])
         while a != self.base:
             idx, pol = self.nav[a]
-            g = self.tree_gens[idx][pol]
-            p = g if p is None else g * p
+            imgs = (g.images if imgs is None else imgs)[self.tree_gens[idx][pol].images]
             a = int(self.tree_gens[idx][1 - pol].images[a])
-        return Permutation.identity(self.degree) if p is None else p
+        return g if imgs is None else _wrap(imgs)
 
     def cancel_into(self, p: Permutation) -> Permutation:
-        """Right-multiply p by u_a^{-1} where a = base^p, so base is fixed."""
-        a = int(p.images[self.base])
+        """Right-multiply p by u_a^{-1} where a = base^p, so base is fixed:
+        image arrays composed along the tree path, p itself when a = base."""
+        a, imgs = int(p.images[self.base]), p.images
         while a != self.base:
             idx, pol = self.nav[a]
-            back = self.tree_gens[idx][1 - pol]
-            p = p * back
-            a = int(p.images[self.base])
-        return p
+            back = self.tree_gens[idx][1 - pol].images
+            imgs, a = back[imgs], int(back[a])
+        return p if imgs is p.images else _wrap(imgs)
 
     def schreier_generators(self, gens):
         """Schreier's lemma, lazily: u_a * g * u_{a^g}^-1 for each orbit
@@ -380,23 +384,13 @@ class PermutationGroup:
         Semiregular means every point stabilizer is trivial, checked through
         chain orders; regular adds transitivity.
         """
-        n = self.degree
-        transitive = self.is_transitive()
-        order = self.order()
-        seen = set()
-        semiregular = True
-        for v in range(n):
-            if v in seen:
-                continue
-            orb = self.orbit(v)
-            seen.update(orb.points)
-            if len(orb) != order:
-                semiregular = False
-                break
+        order, orbits = self.order(), self.orbits()
+        transitive = len(orbits) <= 1
+        semiregular = all(len(orb) == order for orb in orbits)
         return {
             "transitive": transitive,
             "semiregular": semiregular,
-            "regular": transitive and semiregular and self.order() == n,
+            "regular": transitive and semiregular and order == self.degree,
         }
 
     def point_stabilizer(self, point: int) -> "PermutationGroup":
@@ -446,28 +440,32 @@ class PermutationGroup:
 
 
 class _Rattle:
-    """Seeded product-replacement sampler over a fixed generating set."""
+    """Seeded product-replacement sampler over a fixed generating set (Seress,
+    §3.3), on image arrays never written in place: p * q is q[p]."""
 
     def __init__(self, gens, rng):
         self.rng = rng
-        self.pool = [Permutation.identity(gens[0].degree)] * 6 + list(gens)
-        self.accu = [Permutation.identity(gens[0].degree)] * 4
+        ident = np.arange(gens[0].degree, dtype=_DTYPE)
+        self.pool = [ident] * 6 + [g.images for g in gens]
+        self.accu = [ident] * 4
         self.k = 0
         for _ in range(max(40, 6 * len(self.pool))):
-            self.sample()
+            self._stir()
+
+    def _stir(self):
+        rng, pool = self.rng, self.pool
+        p = pool[rng.randrange(1, len(pool))]
+        if rng.randrange(2):
+            p = _inverse_images(p)
+        pool[0] = c = p[pool[0]]
+        j = rng.randrange(1, len(pool))
+        pool[j] = (_inverse_images(c) if rng.randrange(2) else c)[pool[j]]
+        self.k = (self.k + 1) % len(self.accu)
+        self.accu[self.k] = r = pool[j][self.accu[self.k]]
+        return r
 
     def sample(self) -> Permutation:
-        rng = self.rng
-        i = rng.randrange(1, len(self.pool))
-        p = self.pool[i]
-        if rng.randrange(2):
-            p = p.inverse()
-        self.pool[0] = c = self.pool[0] * p
-        j = rng.randrange(1, len(self.pool))
-        self.pool[j] = self.pool[j] * (c.inverse() if rng.randrange(2) else c)
-        self.k = (self.k + 1) % len(self.accu)
-        self.accu[self.k] = r = self.accu[self.k] * self.pool[j]
-        return r
+        return _wrap(self._stir())
 
 
 def _level_gens(levels, i):

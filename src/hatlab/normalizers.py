@@ -26,7 +26,7 @@ from math import prod
 import numpy as np
 
 from .group import PermutationGroup, ResourceExhausted, giant_type
-from .perm import _DTYPE, Permutation
+from .perm import _DTYPE, Permutation, _wrap
 
 SCAN_LIMIT = 10**5
 COSET_SCAN_LIMIT = 10**4
@@ -273,7 +273,7 @@ class SymNormalizerData:
         """
         for rows in self._realization_rows(alpha, prune):
             for row in rows:
-                yield Permutation(row, validate=False)
+                yield _wrap(np.array(row, dtype=_DTYPE))
 
     def _realization_rows(self, alpha, prune=None):
         """``realizations`` as image rows, the last orbit's candidates at once."""
@@ -320,7 +320,7 @@ class SymNormalizerData:
             start = count
             for rows in self._realization_rows(alpha):
                 if count == start:
-                    firsts.append(Permutation(rows[0], validate=False))
+                    firsts.append(_wrap(np.array(rows[0], dtype=_DTYPE)))
                 count += len(rows)
                 if count > SYM_NORM_SIZE_LIMIT:
                     raise ResourceExhausted(

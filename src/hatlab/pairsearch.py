@@ -37,7 +37,7 @@ from .group import (
     BudgetExpired, PermutationGroup, _check_deadline, _dedupe, _is_power_of_two, group_2part,
 )
 from .normalizers import SymNormalizerData
-from .perm import Permutation
+from .perm import _DTYPE, Permutation, _wrap
 from .signatures import group_name
 
 
@@ -205,9 +205,9 @@ def reverser_candidates(L_keys, B: PermutationGroup):
             if row.tobytes() in L_keys or (key := square.tobytes()) not in L_keys:
                 continue
             if key not in square_ok:
-                square_ok[key] = _is_power_of_two(Permutation(square, validate=False).order())
+                square_ok[key] = _is_power_of_two(_wrap(np.array(square, dtype=_DTYPE)).order())
             if square_ok[key]:
-                hs.append(Permutation(row, validate=False))
+                hs.append(_wrap(np.array(row, dtype=_DTYPE)))
 
     N = SymNormalizerData(B).group(keep)
     hs.sort(key=lambda p: p.images.tolist())

@@ -3,11 +3,18 @@
 Products compose left to right: ``pt ** (p * q) == (pt ** p) ** q``.  All
 group-theoretic code in this package relies on this convention; it matches
 the coset-graph adjacency rule (cosets act by right multiplication).
+
+The public ``Permutation(images)`` copies integer images into a fresh int32
+array and checks that they form a bijection.  The private ``_wrap`` owns an
+array the library computed itself (a product, an inverse, a tree path, an
+action's images) without a copy or a check.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
+from math import lcm
 
 import numpy as np
 
@@ -21,19 +28,21 @@ class DegreeMismatch(ValueError):
 
 
 class Permutation:
-    """A bijection of {0,...,degree-1}, stored as an image array."""
+    """A bijection of {0,...,degree-1}, stored as a read-only image array."""
 
     __slots__ = ("images", "_key")
 
-    def __init__(self, images, validate: bool = True):
-        arr = np.array(images, dtype=_DTYPE)
+    def __init__(self, images):
+        arr = np.asarray(images)
         if arr.ndim != 1:
             raise ValueError("images must be a one-dimensional sequence")
-        if validate and arr.size:
-            if arr.min() < 0 or arr.max() >= arr.size:
-                raise ValueError("image out of range")
-            if (np.bincount(arr, minlength=arr.size) != 1).any():
-                raise ValueError("images are not a bijection")
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError("images must be integers, not %s" % arr.dtype)
+        if arr.size and (arr.min() < 0 or arr.max() >= arr.size):
+            raise ValueError("image out of range")
+        arr = np.array(arr, dtype=_DTYPE)
+        if (np.bincount(arr, minlength=arr.size) != 1).any():
+            raise ValueError("images are not a bijection")
         arr.setflags(write=False)
         self.images = arr
         self._key = None
@@ -42,7 +51,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(np.arange(degree, dtype=_DTYPE), validate=False)
+        return _wrap(np.arange(degree, dtype=_DTYPE))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -104,20 +113,14 @@ class Permutation:
 
     # -- arithmetic
 
-    def _check(self, other):
-        if self.images.size != other.images.size:
-            raise DegreeMismatch(
-                "degree %d vs %d" % (self.images.size, other.images.size)
-            )
-
     def __mul__(self, other: "Permutation") -> "Permutation":
-        self._check(other)
-        return Permutation(other.images[self.images], validate=False)
+        a, b = self.images, other.images
+        if a.size != b.size:
+            raise DegreeMismatch("degree %d vs %d" % (a.size, b.size))
+        return _wrap(b[a])
 
     def inverse(self) -> "Permutation":
-        inv = np.empty(self.images.size, dtype=_DTYPE)
-        inv[self.images] = np.arange(self.images.size, dtype=_DTYPE)
-        return Permutation(inv, validate=False)
+        return _wrap(_inverse_images(self.images))
 
     def __invert__(self) -> "Permutation":
         return self.inverse()
@@ -138,36 +141,31 @@ class Permutation:
     # -- structure
 
     def is_identity(self) -> bool:
-        return bool((self.images == np.arange(self.images.size, dtype=_DTYPE)).all())
+        return self.images.tobytes() == _iota(self.images.size).tobytes()
 
     def first_moved(self) -> int | None:
-        diff = np.flatnonzero(self.images != np.arange(self.images.size, dtype=_DTYPE))
-        return int(diff[0]) if diff.size else None
+        moved = np.flatnonzero(self.images != _iota(self.images.size))
+        return int(moved[0]) if moved.size else None
 
     def support(self):
-        return np.flatnonzero(self.images != np.arange(self.images.size, dtype=_DTYPE))
+        return np.flatnonzero(self.images != _iota(self.images.size))
 
     def cycles(self, include_fixed: bool = False):
         """Disjoint cycles, each rotated to start at its smallest point."""
-        imgs = self.images
-        seen = np.zeros(imgs.size, dtype=bool)
+        imgs = self.images.tolist()
+        seen = [False] * len(imgs)
         out = []
-        for i in range(imgs.size):
+        for i, j in enumerate(imgs):
             if seen[i]:
-                continue
-            j = int(imgs[i])
-            if j == i:
-                seen[i] = True
-                if include_fixed:
-                    out.append((i,))
                 continue
             cyc = [i]
             seen[i] = True
             while j != i:
                 seen[j] = True
                 cyc.append(j)
-                j = int(imgs[j])
-            out.append(tuple(cyc))
+                j = imgs[j]
+            if len(cyc) > 1 or include_fixed:
+                out.append(tuple(cyc))
         return out
 
     def cycle_type(self):
@@ -175,24 +173,42 @@ class Permutation:
         return tuple(sorted(len(c) for c in self.cycles()))
 
     def order(self) -> int:
-        from math import lcm
-
-        n = 1
-        for c in self.cycles():
-            n = lcm(n, len(c))
-        return n
+        return lcm(*(len(c) for c in self.cycles()))
 
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def cycle_string(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return "()"
-        return "".join("(%s)" % " ".join(str(p) for p in c) for c in cyc)
+        return "".join("(%s)" % " ".join(str(p) for p in c) for c in self.cycles()) or "()"
 
     def __repr__(self):
         return "Permutation[%d] %s" % (self.degree, self.cycle_string())
+
+
+def _wrap(arr) -> Permutation:
+    """Own ``arr``, an int32 bijection array that owns its buffer and is never
+    written again, as a frozen Permutation, unchecked.  Copy a list, another
+    dtype or a view of a larger buffer first: ``np.array(x, dtype=_DTYPE)``."""
+    arr.setflags(write=False)
+    p = object.__new__(Permutation)
+    p.images = arr
+    p._key = None
+    return p
+
+
+def _inverse_images(arr):
+    """The image array of the inverse of the bijection array ``arr``."""
+    inv = np.empty_like(arr)
+    inv[arr] = _iota(arr.size)
+    return inv
+
+
+@cache
+def _iota(n: int):
+    """The identity image array of degree n, read-only and shared."""
+    arr = np.arange(n, dtype=_DTYPE)
+    arr.setflags(write=False)
+    return arr
 
 
 def evaluate_word(word, assignment) -> Permutation:
@@ -205,9 +221,8 @@ def evaluate_word(word, assignment) -> Permutation:
     if not assignment:
         raise ValueError("assignment must contain at least one permutation")
     degree = assignment[0].degree
-    for p in assignment:
-        if p.degree != degree:
-            raise DegreeMismatch("assignment permutations must share a degree")
+    if any(p.degree != degree for p in assignment):
+        raise DegreeMismatch("assignment permutations must share a degree")
     result = Permutation.identity(degree)
     for idx, exp in word:
         if not 0 <= idx < len(assignment):

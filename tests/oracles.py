@@ -3,8 +3,9 @@
 Everything here avoids the stabilizer chain and the refinement machinery on
 purpose: closures are plain BFS products, scans iterate explicit element
 lists, and partition checks enumerate candidate partitions directly.  The
-one exception is ``random_element``, which draws test inputs rather than
-expected values.
+exceptions are ``random_element``, which draws test inputs rather than
+expected values, and ``tree_path_product``, which reads a Schreier tree's
+edge labels but multiplies them with public products only.
 """
 
 from itertools import permutations as iter_permutations
@@ -229,3 +230,51 @@ def is_equitable(n, edges, cells):
         if len(counts) > 1:
             return False
     return True
+
+
+class ObjectRattle:
+    """The product-replacement sampler of ``group._Rattle`` on Permutation
+    objects, one public product or inverse per step: the reference stream
+    for the array-level sampler, drawing the same ``rng`` calls in the same
+    order."""
+
+    def __init__(self, gens, rng):
+        self.rng = rng
+        self.pool = [Permutation.identity(gens[0].degree)] * 6 + list(gens)
+        self.accu = [Permutation.identity(gens[0].degree)] * 4
+        self.k = 0
+        for _ in range(max(40, 6 * len(self.pool))):
+            self.sample()
+
+    def sample(self):
+        rng = self.rng
+        i = rng.randrange(1, len(self.pool))
+        p = self.pool[i]
+        if rng.randrange(2):
+            p = p.inverse()
+        self.pool[0] = c = self.pool[0] * p
+        j = rng.randrange(1, len(self.pool))
+        self.pool[j] = self.pool[j] * (c.inverse() if rng.randrange(2) else c)
+        self.k = (self.k + 1) % len(self.accu)
+        self.accu[self.k] = r = self.accu[self.k] * self.pool[j]
+        return r
+
+
+def tree_path_product(orbit, a):
+    """u_a of a Schreier-tree orbit as public products of the edge labels
+    on the path from the base to a."""
+    labels = []
+    while a != orbit.base:
+        idx, pol = orbit.nav[a]
+        labels.append(orbit.tree_gens[idx][pol])
+        a = orbit.tree_gens[idx][1 - pol](a)
+    u = Permutation.identity(orbit.degree)
+    for g in reversed(labels):
+        u = u * g
+    return u
+
+
+def edge_map_is_automorphism(graph, p):
+    """Whether p maps every edge of graph to an edge, by a plain loop."""
+    edges = set(graph.edges)
+    return all((min(p(u), p(v)), max(p(u), p(v))) in edges for u, v in graph.edges)

@@ -257,7 +257,7 @@ def _suite_coset_vs_cayley(rng):
         for g in elems[:: max(1, order // 5)] + list(gens):
             if g.is_identity():
                 continue
-            reg = Permutation([index_of[(e * g).key()] for e in elems], validate=False)
+            reg = Permutation([index_of[(e * g).key()] for e in elems])
             reg_gens.append(reg)
         R = PermutationGroup(reg_gens, order)
         if not R.transitivity_profile()["regular"]:
@@ -270,7 +270,7 @@ def _suite_coset_vs_cayley(rng):
             S_elems[p.key()] = p
             S_elems[p.inverse().key()] = p.inverse()
         S_reg = [
-            Permutation([index_of[(e * s).key()] for e in elems], validate=False)
+            Permutation([index_of[(e * s).key()] for e in elems])
             for s in S_elems.values()
         ]
         identity_index = index_of[Permutation.identity(n).key()]

@@ -297,6 +297,36 @@ def test_small_subgroups_d8():
         done += 1
 
 
+def test_small_subgroups_join_only_within_the_bound(monkeypatch):
+    """Every join made has a product set S<p> within the bound, and the
+    subgroup lists, in order, are the lattice's subgroups of orders dividing
+    the bound."""
+    real, joins = cosets._coset_join, []
+
+    def join(key_set, table, gens, limit):
+        p = Permutation(gens[-1])
+        cyclic = {(p**k).key() for k in range(p.order())}
+        assert len(key_set) * len(cyclic) <= limit * len(key_set & cyclic)
+        joins.append(len(key_set))
+        return real(key_set, table, gens, limit)
+
+    monkeypatch.setattr(cosets, "_coset_join", join)
+    rng = random.Random(62)
+    done = 0
+    while done < 5:
+        n = rng.randrange(4, 7)
+        G = PermutationGroup([Permutation(rng.sample(range(n), n)) for _ in range(2)], n)
+        if not 12 <= G.order() <= 72:
+            continue
+        lattice = all_subgroups(list(G.elements()), n)
+        for bound in (4, 6, 8, 12, 16):
+            want = sorted((len(s), sorted(s)) for s in lattice if bound % len(s) == 0)
+            got = [(S.order(), sorted(S.element_set())) for S in small_subgroups(G, bound)]
+            assert got == want
+        done += 1
+    assert max(joins) > 1
+
+
 def _regular(G):
     """The right regular representation of G, on the indices of its
     elements."""

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +58,32 @@ def test_parity_and_cycles():
 def test_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         Permutation.parse("(0 1)", 2) * Permutation.parse("(0 1)", 3)
+
+
+def test_constructor_accepts_integer_images_only():
+    for images in ([1.7, 0.2], [1.0, 0.0], np.array([1.0, 0.0]), [True, False], ["1", "0"]):
+        with pytest.raises(ValueError):
+            Permutation(images)
+    swap = Permutation([1, 0])
+    assert Permutation(np.array([1, 0], dtype=np.int64)) == swap
+    assert Permutation(np.array([1, 0], dtype=np.uint8)) == swap
+    assert Permutation([]).degree == 0
+    # checked before the int32 copy, which would wrap 2**32 to 0
+    with pytest.raises(ValueError):
+        Permutation(np.array([2**32, 1], dtype=np.int64))
+
+
+def test_constructor_copies_into_its_own_int32_array():
+    rows = np.array([[1, 0, 2], [2, 1, 0]], dtype=np.int32)
+    p = Permutation(rows[0])
+    assert p.images.dtype == np.int32 and p.images.base is None
+    rows[0] = [0, 1, 2]
+    assert p == Permutation([1, 0, 2])
+
+
+def test_validate_keyword_is_gone():
+    with pytest.raises(TypeError):
+        Permutation([1, 0], validate=False)
 
 
 def test_evaluate_word_empty_is_identity():
