@@ -18,8 +18,6 @@ from .graphs import Digraph, Graph, VertexAction
 from .group import PermutationGroup
 from .perm import Permutation
 
-SWAP_COSET_LIMIT = 512
-
 
 class AltCycleError(AssertionError):
     """A theorem-level invariant failed; indicates a bug or bad input."""
@@ -189,28 +187,3 @@ def alternating_graph(action: VertexAction, system: AltCycleSystem):
     induced = PermutationGroup(gens, system.count, bound=action.group)
     alt_action = VertexAction(induced, alt)
     return alt, alt_action, system.attachment
-
-
-def find_orientation_swapper(
-    aut: PermutationGroup, M: PermutationGroup, orientation: HatOrientation
-):
-    """Search for an automorphism swapping the two arc-orbit orientations.
-
-    Scans right-coset representatives of M in the supplied automorphism
-    group (the swap condition is constant on cosets).  Returns the element
-    or None; raises ResourceExhausted past SWAP_COSET_LIMIT cosets.
-    """
-    from .cosets import CosetSpace
-    from .group import ResourceExhausted
-
-    index = aut.order() // M.order()
-    if index > SWAP_COSET_LIMIT:
-        raise ResourceExhausted("swap search over %d cosets exceeds budget" % index)
-    plus = set(orientation.o_plus)
-    minus = set(orientation.o_minus)
-    space = CosetSpace(aut, M, max_index=SWAP_COSET_LIMIT + 1)
-    for r in space.reps:
-        mapped = {(int(r.images[u]), int(r.images[v])) for (u, v) in plus}
-        if mapped == minus:
-            return r
-    return None

@@ -5,22 +5,18 @@ Subcommands:
   pairsearch  run the amalgam pair search
   aut         automorphism group of a graph file
   altgraph    alternating-cycle analysis of a HAT action
-  witness42   search for an example-4.2 witness and write it to a file
 
-Exit codes: 0 all asserted facts pass; 2 partial or flagged verification;
-1 hard error.  ``example all --jobs N`` runs the examples in N worker
-processes (default 1).  ``example 4.2`` reads the shipped witness, or the
-file given by ``--witness``; ``witness42`` is the one command that searches.
+Exit codes: 0 all asserted facts pass; 2 a failing fact or an incomplete
+search; 1 hard error.  ``example 4.2`` derives its witness as it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .examples import RUNNERS, run_example_42, search_ex42_witness
+from .examples import RUNNERS
 from .graphauto import automorphism_group
 from .graphs import Graph, VertexAction
 from .group import read_group_file, write_group_file
@@ -36,32 +32,13 @@ def _write_json(path, payload):
             fh.write(text + "\n")
 
 
-def _default_witness_path():
-    """The shipped example-4.2 witness file, or None when it is absent."""
-    path = os.path.join(os.path.dirname(__file__), "data", "ex42_witness.json")
-    return path if os.path.exists(path) else None
-
-
-def _run_one(name):
-    if name == "4.2":
-        return run_example_42(witness_path=_default_witness_path())
-    return RUNNERS[name]()
-
-
 def cmd_example(args):
     name = args.which
     if name == "all":
-        names = sorted(RUNNERS)
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(_run_one, names))
-        else:
-            reports = [_run_one(n) for n in names]
         worst = 0
         payload = {}
-        for rep in reports:
+        for key in sorted(RUNNERS):
+            rep = RUNNERS[key]()
             payload[rep.example] = rep.as_dict()
             status = "PASS" if rep.passed else "FAIL"
             print("example %s: %s in %.1fs" % (rep.example, status, rep.seconds))
@@ -70,10 +47,7 @@ def cmd_example(args):
         if args.json:
             _write_json(args.json, payload)
         return worst
-    if name == "4.2" and args.witness is not None:
-        report = run_example_42(witness_path=args.witness)
-    else:
-        report = _run_one(name)
+    report = RUNNERS[name]()
     if args.json:
         _write_json(args.json, report.as_dict())
     for fact in report.facts:
@@ -169,16 +143,6 @@ def cmd_altgraph(args):
     return 0
 
 
-def cmd_witness42(args):
-    witness = search_ex42_witness(budget=args.budget, verbose=True)
-    if witness is None:
-        print("no witness found within budget", file=sys.stderr)
-        return 2
-    _write_json(args.out, witness)
-    print("witness written to %s" % args.out)
-    return 0
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="hatlab")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -186,8 +150,6 @@ def build_parser():
     ex = sub.add_parser("example", help="run a worked example")
     ex.add_argument("which", choices=sorted(RUNNERS) + ["all"])
     ex.add_argument("--json", help="write the report to this path ('-' for stdout)")
-    ex.add_argument("--witness", help="witness file for example 4.2")
-    ex.add_argument("--jobs", type=int, default=1, help="parallel example workers (default 1)")
     ex.set_defaults(func=cmd_example)
 
     ps = sub.add_parser("pairsearch", help="amalgam pair search")
@@ -209,11 +171,6 @@ def build_parser():
     ag.add_argument("--subgroup", required=True, help="HAT subgroup file")
     ag.add_argument("--json")
     ag.set_defaults(func=cmd_altgraph)
-
-    wt = sub.add_parser("witness42", help="regenerate the example-4.2 witness")
-    wt.add_argument("--budget", type=float, default=3600.0)
-    wt.add_argument("--out", default="ex42_witness.json")
-    wt.set_defaults(func=cmd_witness42)
 
     return ap
 

@@ -22,6 +22,8 @@ class Graph:
     """Undirected simple graph with sorted adjacency lists."""
 
     def __init__(self, n, edges):
+        if n < 0:
+            raise ValueError("negative vertex count %d" % n)
         adj = [[] for _ in range(n)]
         seen = set()
         for u, v in edges:

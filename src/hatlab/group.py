@@ -561,8 +561,8 @@ def write_group_file(G: PermutationGroup) -> str:
 
 def read_counted_lines(text: str, what: str):
     """Split the text formats: a header ``size count``, then ``count`` lines
-    of ``what``.  Returns (size, lines); raises ValueError when fewer lines
-    follow than the header claims."""
+    of ``what``.  Returns (size, lines); raises ValueError when the header
+    holds a negative number or fewer lines follow than it claims."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty input: no header line")
@@ -570,6 +570,8 @@ def read_counted_lines(text: str, what: str):
     if len(head) != 2:
         raise ValueError("header %r is not 'size count'" % lines[0])
     size, count = int(head[0]), int(head[1])
+    if size < 0 or count < 0:
+        raise ValueError("header %r has a negative size or count" % lines[0])
     body = lines[1 : count + 1]
     if len(body) != count:
         raise ValueError("expected %d %s, found %d" % (count, what, len(body)))

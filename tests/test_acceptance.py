@@ -13,10 +13,6 @@ from itertools import permutations as iter_permutations
 from hatlab.examples import run_example_41, run_example_42, run_example_43, run_example_44
 from hatlab.pairsearch import search_amalgam
 
-WITNESS_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "src", "hatlab", "data", "ex42_witness.json"
-)
-
 QUAD_SMALL = ("S5", "F5", "A4", "C2")
 QUAD_BIG = ("A72", "A71", "S3*S4", "C2")
 
@@ -127,10 +123,10 @@ def test_criterion_6_example_44():
     _line(6, ok, "example 4.4 report in %.1fs (failing: %s)" % (rep.seconds, rep.failing()))
 
 
-def test_criterion_7_example_42_with_stored_witness():
+def test_criterion_7_example_42():
     import math
 
-    rep = run_example_42(witness_path=WITNESS_PATH)
+    rep = run_example_42()
     facts = {f.name: f for f in rep.facts}
     ok = (
         rep.passed

@@ -5,7 +5,6 @@ import pytest
 from hatlab.altcycles import (
     alternating_cycle_system,
     alternating_graph,
-    find_orientation_swapper,
     hat_orientation,
 )
 from hatlab.graphs import VertexAction, complete_bipartite_minus_matching
@@ -148,19 +147,3 @@ def test_attachment_equals_radius_implies_alt_arc_transitive():
         if att == system.radius and alt.is_connected():
             A = automorphism_group(alt)
             assert len(VertexAction(A, alt).arc_orbits()) == 1
-
-
-def test_orientation_swapper_forces_alt_arc_transitivity():
-    for n, k in ((8, 3), (12, 5), (16, 7)):
-        graph, act = hat_circulant(n, k)
-        M = act.group
-        A = automorphism_group(graph)
-        ori = hat_orientation(act)
-        swapper = find_orientation_swapper(A, M, ori)
-        system = alternating_cycle_system(ori)
-        if swapper is None or system.count < 2:
-            continue
-        alt, alt_action, _ = alternating_graph(act, system)
-        if alt.is_connected():
-            AA = automorphism_group(alt)
-            assert len(VertexAction(AA, alt).arc_orbits()) == 1

@@ -70,28 +70,41 @@ def test_cli_example_43(tmp_path):
 
 
 def test_cli_example_42_default_witness(capsys):
-    # no --witness: the shipped witness file is found and every fact passes
+    # no witness option: the example derives its witness and every fact passes
     assert main(["example", "4.2"]) == 0
     assert "example 4.2: PASS" in capsys.readouterr().out
 
 
-def test_cli_example_42_explicit_witness(capsys):
-    from test_examples import WITNESS_PATH
-
-    assert main(["example", "4.2", "--witness", WITNESS_PATH]) == 0
-    assert "example 4.2: PASS" in capsys.readouterr().out
-
-
 def test_cli_example_has_no_witness_search_option(capsys):
-    # the witness search runs through `hatlab witness42` only
+    # the witness search has no budget to set: its scan bound is a constant
     with pytest.raises(SystemExit) as exc:
         main(["example", "4.2", "--budget", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
-def test_cli_error_paths(capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["example", "4.2", "--witness", "w.json"], "unrecognized arguments"),
+        (["example", "all", "--jobs", "2"], "unrecognized arguments"),
+        (["witness42"], "invalid choice: 'witness42'"),
+    ],
+)
+def test_cli_has_no_witness_file_jobs_or_witness42(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_error_paths(tmp_path, capsys):
     assert main(["aut", "/nonexistent/file.graph"]) == 1
+    # a negative size is named at the header, not deep inside numpy
+    bad = tmp_path / "neg.graph"
+    bad.write_text("-1 0\n")
+    assert main(["aut", str(bad)]) == 1
+    assert "header '-1 0' has a negative size or count" in capsys.readouterr().err
 
 
 def test_console_script_help():

@@ -2,19 +2,56 @@
 expected values live in the acceptance suite."""
 
 import json
+import math
 import os
 
+import pytest
+
+from hatlab import examples
 from hatlab.examples import (
     _example_42_setting,
     _involutions_conjugating,
     run_example_42,
     run_example_43,
+    search_ex42_witness,
 )
+from hatlab.group import ResourceExhausted
 from hatlab.perm import Permutation
 
 WITNESS_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "hatlab", "data", "ex42_witness.json"
 )
+
+# the full fact list of example 4.2, identical for a derived and a supplied x
+EXAMPLE_42_FACTS = [
+    ("actionDegree", 72),
+    ("M_order", 144),
+    ("Y_order", 72),
+    ("Y_regular", True),
+    ("Z_order", 18),
+    ("t_inZ", True),
+    ("x_order", 4),
+    ("x_even", True),
+    ("x_squared_is_t", True),
+    ("x_normalizes_Z", True),
+    ("YmeetYx_isZ", True),
+    ("X_isAlt72", str(math.factorial(72) // 2)),
+    ("doubleCosetSize", 288),
+    ("stabilizedVertexFound", True),
+    ("S_size", 4),
+    ("YxY_equals_YS", True),
+    ("S_generates_Alt71", str(math.factorial(71) // 2)),
+    ("g_inS", True),
+    ("h_involution", 2),
+    ("h_fixes_v", 0),
+    ("h_even", True),
+    ("S_shape", True),
+]
+
+
+def _shipped_witness():
+    with open(WITNESS_PATH) as fh:
+        return json.load(fh)
 
 
 def test_example_43_full():
@@ -50,24 +87,46 @@ def test_example_42_setting_orders():
     assert t in Z
 
 
-def test_example_42_requires_witness():
-    rep = run_example_42(witness=None)
-    assert rep.incomplete
-    assert not rep.passed
+def test_example_42_derives_its_witness():
+    rep = run_example_42()
+    assert rep.passed, rep.failing()
+    assert [(f.name, f.computed) for f in rep.facts] == EXAMPLE_42_FACTS
+    x = Permutation(_shipped_witness()["x"])
+    assert rep.extras == {"x": x.cycle_string()}
+
+
+def test_derived_witness_is_the_shipped_one():
+    derived = search_ex42_witness(_example_42_setting())
+    shipped = _shipped_witness()
+    assert set(derived) == {"x", "v", "g", "h"}
+    for key in derived:
+        assert derived[key] == shipped[key], key
+
+
+def test_witness_search_is_bounded(monkeypatch):
+    # the witness is the third realization scanned
+    monkeypatch.setattr(examples, "WITNESS_SCAN_LIMIT", 2)
+    with pytest.raises(ResourceExhausted):
+        search_ex42_witness(_example_42_setting())
+    monkeypatch.setattr(examples, "WITNESS_SCAN_LIMIT", 3)
+    assert search_ex42_witness(_example_42_setting())["v"] == 0
+
+
+def test_witness_search_raises_when_no_realization_fits(monkeypatch):
+    # every one of the realizations is scanned, and none is returned
+    monkeypatch.setattr(examples, "_connection_shape_at_zero", lambda x, ys: None)
+    with pytest.raises(LookupError):
+        search_ex42_witness(_example_42_setting())
 
 
 def test_example_42_with_stored_witness():
-    rep = run_example_42(witness_path=WITNESS_PATH)
+    rep = run_example_42(witness=_shipped_witness())
     assert rep.passed, rep.failing()
-    prov = rep.extras["witnessProvenance"]
-    assert prov.get("generator") == "search_ex42_witness"
-    assert "seed" in prov and "budget" in prov
+    assert [(f.name, f.computed) for f in rep.facts] == EXAMPLE_42_FACTS
 
 
 def test_example_42_rejects_corrupted_witness():
-    with open(WITNESS_PATH) as fh:
-        witness = json.load(fh)
-    bad = dict(witness)
+    bad = _shipped_witness()
     bad["x"] = list(range(72))  # identity is not a valid witness
     rep = run_example_42(witness=bad)
     assert not rep.passed

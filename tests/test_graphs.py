@@ -9,7 +9,7 @@ from hatlab.graphs import (
     cycle_graph,
     quotient_graph,
 )
-from hatlab.group import PermutationGroup
+from hatlab.group import PermutationGroup, read_group_file
 from hatlab.perm import Permutation
 
 
@@ -39,6 +39,22 @@ def test_text_readers_reject_missing_lines():
     with pytest.raises(ValueError):
         Graph.from_text("4\n0 1\n")
     assert Graph.from_text("4 2\n0 1\n1 2\n").n == 4
+
+
+def test_text_readers_reject_negative_sizes():
+    for text in ("-1 0\n", "3 -1\n", "-2 -2\n"):
+        with pytest.raises(ValueError, match="negative"):
+            Graph.from_text(text)
+        with pytest.raises(ValueError, match="negative"):
+            read_group_file(text)
+    assert Graph.from_text("0 0\n").n == 0
+    assert read_group_file("3 0\n").order() == 1
+
+
+def test_graph_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="negative"):
+        Graph(-1, [])
+    assert Graph(0, []).m == 0
 
 
 def test_cycle_graph():
