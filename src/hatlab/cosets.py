@@ -196,14 +196,15 @@ def block_system(G: PermutationGroup, beta: int):
 
 
 def is_primitive(G: PermutationGroup) -> bool:
-    """Whether the transitive group G has only the trivial block systems.
+    """Whether G is transitive with only the trivial block systems; an
+    intransitive group is not primitive.
 
     It builds no chain; without one every beta is tried.  With one, Sym(n)
     and Alt(n) are primitive, and one beta per G_0-orbit suffices, a block
     of 0 being a union of them (Holt, Eick and O'Brien, *Handbook*, ch. 4);
     u_0 carries the first level's G_b orbits to G_0's."""
     if not G.is_transitive():
-        raise ValueError("block systems require a transitive group")
+        return False
     if not G.has_chain():
         betas = range(1, G.degree)
     elif G.degree < 3 or giant_type(G.gens, G.order()) is not None:

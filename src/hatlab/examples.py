@@ -444,11 +444,11 @@ def _cannot_square_to(t):
     partial map g once some a has g(a) and g(g(a)) known with g(g(a)) != t(a)."""
     t_imgs = t.images
 
-    def prune(g):
-        a = np.flatnonzero(g >= 0)
-        gga = g[g[a]]
-        known = gga >= 0
-        return bool((gga[known] != t_imgs[a[known]]).any())
+    def prune(rows):
+        # an unknown g(a) = -1 reads the last column; ``known`` drops it
+        gga = np.take_along_axis(rows, rows, axis=1)
+        known = (rows >= 0) & (gga >= 0)
+        return (known & (gga != t_imgs)).any(axis=1)
 
     return prune
 
@@ -504,83 +504,41 @@ def _involutions_conjugating(g, gp, v):
     the intertwining relation, backward by the involution), so conflicts
     surface immediately and the tree stays tiny.
     """
-    if g.cycle_type() != gp.cycle_type():
+    if g.cycle_type() != gp.cycle_type() or int(g.images[v]) != v or int(gp.images[v]) != v:
         return
     n = g.degree
-    if int(g.images[v]) != v or int(gp.images[v]) != v:
-        return
-
-    g_cycles = g.cycles(include_fixed=True)
     gp_cycles = gp.cycles(include_fixed=True)
-    cyc_of_g = {}
-    for ci, cyc in enumerate(g_cycles):
-        for pos, p in enumerate(cyc):
-            cyc_of_g[p] = (ci, pos)
-    cyc_of_gp = {}
-    for ci, cyc in enumerate(gp_cycles):
-        for pos, p in enumerate(cyc):
-            cyc_of_gp[p] = (ci, pos)
-    gp_by_len = {}
-    for ci, cyc in enumerate(gp_cycles):
-        gp_by_len.setdefault(len(cyc), []).append(ci)
+    where_g = {p: (cyc, i) for cyc in g.cycles(include_fixed=True) for i, p in enumerate(cyc)}
+    where_gp = {p: (cyc, i) for cyc in gp_cycles for i, p in enumerate(cyc)}
 
-    h = [-1] * n
-
-    def assign_pair(p, q):
-        """Set h over the g-cycle of p -> gp-cycle of q (and back).
-
-        Returns the list of points written, or None on conflict.
-        """
-        ci, pos_p = cyc_of_g[p]
-        cj, pos_q = cyc_of_gp[q]
-        cyc_p = g_cycles[ci]
-        cyc_q = gp_cycles[cj]
+    def paired(h, p, q):
+        # h extended over the g-cycle of p onto the gp-cycle of q and back,
+        # or None on a conflict
+        (cyc_p, i), (cyc_q, j) = where_g[p], where_gp[q]
         if len(cyc_p) != len(cyc_q):
             return None
-        L = len(cyc_p)
-        written = []
-        ok = True
-        for i in range(L):
-            a = cyc_p[(pos_p + i) % L]
-            b = cyc_q[(pos_q + i) % L]
-            for src, dst in ((a, b), (b, a)):
-                if h[src] == -1:
-                    h[src] = dst
-                    written.append(src)
-                elif h[src] != dst:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return written
-        for src in written:
-            h[src] = -1
-        return None
+        h = dict(h)
+        for k in range(len(cyc_p)):
+            a, b = cyc_p[(i + k) % len(cyc_p)], cyc_q[(j + k) % len(cyc_p)]
+            if h.setdefault(a, b) != b or h.setdefault(b, a) != a:
+                return None
+        return h
 
-    seed_written = assign_pair(v, v)
-    if seed_written is None:
-        return
-
-    def dfs():
-        p = next((i for i in range(n) if h[i] == -1), None)
+    def dfs(h):
+        p = next((i for i in range(n) if i not in h), None)
         if p is None:
-            cand = Permutation(list(h))
+            cand = Permutation([h[i] for i in range(n)])
             if (cand * cand).is_identity() and g.conj(cand) == gp:
                 yield cand
             return
-        ci, _ = cyc_of_g[p]
-        length = len(g_cycles[ci])
-        for cj in gp_by_len.get(length, []):
-            for q in gp_cycles[cj]:
-                written = assign_pair(p, q)
-                if written is None:
-                    continue
-                yield from dfs()
-                for src in written:
-                    h[src] = -1
+        for cyc_q in gp_cycles:
+            if len(cyc_q) == len(where_g[p][0]):
+                for q in cyc_q:
+                    if (nxt := paired(h, p, q)) is not None:
+                        yield from dfs(nxt)
 
-    yield from dfs()
+    if (seed := paired({}, v, v)) is not None:
+        yield from dfs(seed)
 
 
 RUNNERS = {

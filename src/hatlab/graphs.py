@@ -123,11 +123,15 @@ class Digraph:
     """Directed graph with consistent out- and in-adjacency."""
 
     def __init__(self, n, arcs):
+        if n < 0:
+            raise ValueError("negative vertex count %d" % n)
         out = [[] for _ in range(n)]
         into = [[] for _ in range(n)]
         arcset = set()
         for u, v in arcs:
             u, v = int(u), int(v)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("arc (%d,%d) out of range" % (u, v))
             if (u, v) in arcset:
                 continue
             arcset.add((u, v))

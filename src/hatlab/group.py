@@ -562,7 +562,7 @@ def write_group_file(G: PermutationGroup) -> str:
 def read_counted_lines(text: str, what: str):
     """Split the text formats: a header ``size count``, then ``count`` lines
     of ``what``.  Returns (size, lines); raises ValueError when the header
-    holds a negative number or fewer lines follow than it claims."""
+    holds a negative number or another number of lines follows."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty input: no header line")
@@ -572,10 +572,10 @@ def read_counted_lines(text: str, what: str):
     size, count = int(head[0]), int(head[1])
     if size < 0 or count < 0:
         raise ValueError("header %r has a negative size or count" % lines[0])
-    body = lines[1 : count + 1]
-    if len(body) != count:
-        raise ValueError("expected %d %s, found %d" % (count, what, len(body)))
-    return size, body
+    if len(lines) - 1 != count:
+        raise ValueError("header %r announces %d %s, found %d"
+                         % (lines[0], count, what, len(lines) - 1))
+    return size, lines[1:]
 
 
 def read_group_file(text: str) -> PermutationGroup:

@@ -14,6 +14,13 @@ homomorphism by ``extend_homomorphism``) and those assembly choices streams
 N_{Sym(n)}(S), none stored, with no search over Sym(n).  The same extension
 proves the isomorphisms behind ``signatures.group_name``.
 
+The assembly works on blocks of image rows of at most BLOCK_ENTRIES
+entries.  The trailing orbits whose candidate product fits the budget are
+assigned as one array: each orbit multiplies the rows by its candidates
+with one gather and drops the rows that reuse an image orbit.  Only the
+leading orbits are assigned one candidate at a time.  ``group`` hands the
+rows of several automorphisms to its visitor in one block.
+
 Budgets are explicit; exceeding one raises ResourceExhausted rather than
 returning a truncated answer.
 """
@@ -33,6 +40,7 @@ COSET_SCAN_LIMIT = 10**4
 AUT_ENUM_LIMIT = 500
 SYM_NORM_DEGREE_LIMIT = 256
 SYM_NORM_SIZE_LIMIT = 4 * 10**6
+BLOCK_ENTRIES = 1 << 16  # image entries per block of rows: 256 KiB of int32
 
 
 def normalizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
@@ -156,21 +164,15 @@ class SymNormalizerData:
         self.elems = [p for _, p in sorted(S.element_set().items())]
         self.index_of = {p.key(): i for i, p in enumerate(self.elems)}
         self.table = np.stack([p.images for p in self.elems])
-        # stabilizer key per point: frozenset of element indices fixing it
-        fix = self.table == np.arange(self.n)
-        self.stab_key = [frozenset(np.flatnonzero(fix[:, v]).tolist()) for v in range(self.n)]
-        self.points_by_key = {}
-        for v in range(self.n):
-            self.points_by_key.setdefault(self.stab_key[v], []).append(v)
+        self._fixes = self.table == np.arange(self.n)  # [i, v]: elems[i] fixes v
         # orbits (points, sigma), rep first, sigma[j] the index of an element
-        # taking rep to points[j]; head_of maps a point to its orbit's rep
+        # taking rep to points[j]; orbit_of[v] the number of v's orbit
         self.orbits = []
-        self._head_of = {}
-        for orb in S.orbits():
+        self._orbit_of = np.empty(self.n, dtype=np.intp)
+        for k, orb in enumerate(S.orbits()):
             sigma = [self.index_of[orb.transversal(a).key()] for a in orb.points]
             self.orbits.append((orb.points_arr, np.array(sigma)))
-            for a in orb.points:
-                self._head_of[a] = orb.base
+            self._orbit_of[orb.points_arr] = k
 
     def automorphisms(self):
         """All automorphisms of S as index permutations of the element list.
@@ -184,28 +186,16 @@ class SymNormalizerData:
         """
         elems = self.elems
         m = len(elems)
-        class_id = [-1] * m
-        classes = []
-        for i in range(m):
-            if class_id[i] != -1:
-                continue
-            cid = len(classes)
-            members = [i]
-            class_id[i] = cid
-            head = 0
-            while head < len(members):
-                p = elems[members[head]]
-                head += 1
-                for g in self.S.gens:
-                    j = self.index_of[p.conj(g).key()]
-                    if class_id[j] == -1:
-                        class_id[j] = cid
-                        members.append(j)
-            classes.append(members)
-        inv_class = [
-            (elems[i].order(), len(classes[class_id[i]]), elems[i].cycle_type())
-            for i in range(m)
+        # conjugation by g permutes the element indices (row i of
+        # g[T[:, g^-1]] is elems[i]^g); the classes are the orbits
+        conj = [
+            Permutation([self.index_of[r.tobytes()] for r in g.images[self.table[:, g.inverse().images]]])
+            for g in self.S.gens
         ]
+        class_size = np.empty(m, dtype=np.intp)
+        for orb in PermutationGroup(conj, m).orbits():
+            class_size[orb.points_arr] = len(orb)
+        inv_class = [(p.order(), int(class_size[i]), p.cycle_type()) for i, p in enumerate(elems)]
         candidates_of = {}
         for i in range(m):
             candidates_of.setdefault(inv_class[i], []).append(i)
@@ -253,11 +243,12 @@ class SymNormalizerData:
         """Per orbit (points, rows, cands): rows[j] = alpha(sigma[j]), and cands
         the points q whose stabilizer is alpha of rep's, the images of rep."""
         arr = np.asarray(alpha)
-        return [
-            (pts, arr[sigma], self.points_by_key.get(
-                frozenset(alpha[i] for i in self.stab_key[pts[0]]), []))
-            for pts, sigma in self.orbits
-        ]
+        out = []
+        for pts, sigma in self.orbits:
+            want = np.zeros(len(arr), dtype=bool)
+            want[arr[self._fixes[:, pts[0]]]] = True
+            out.append((pts, arr[sigma], np.flatnonzero((self._fixes.T == want).all(axis=1))))
+        return out
 
     def realization_bound(self, alpha) -> int:
         """Upper bound on the number of realizations of alpha."""
@@ -266,51 +257,71 @@ class SymNormalizerData:
     def realizations(self, alpha, prune=None):
         """Yield every g in Sym(n) with s^g = alpha(s) for all s in S.
 
-        Orbits are assigned one at a time.  ``prune``, when given, sees the
-        partial image array after each assignment (-1 where still unknown)
-        and cuts the branch when it returns True; it must only cut branches
-        that hold no wanted realization.
+        Orbits are assigned in order, each over its candidate images of the
+        rep in increasing order, so the realizations come in that
+        lexicographic order; they are computed in blocks of rows of at most
+        BLOCK_ENTRIES entries.  ``prune``, when given, maps a block of
+        partial image rows (-1 where still unknown) to a boolean mask of the
+        rows to cut, after each orbit is assigned; it must only cut rows
+        that extend to no wanted realization.
         """
         for rows in self._realization_rows(alpha, prune):
             for row in rows:
                 yield _wrap(np.array(row, dtype=_DTYPE))
 
     def _realization_rows(self, alpha, prune=None):
-        """``realizations`` as image rows, the last orbit's candidates at once."""
+        """``realizations`` as blocks of image rows.
+
+        The trailing orbits, from the first one whose candidate product
+        times n fits BLOCK_ENTRIES, are assigned together as arrays; the
+        leading ones depth first, one row at a time.
+        """
         orbit_cands = self._orbit_candidates(alpha)
-        head_of = self._head_of
-        g = np.full(self.n, -1, dtype=_DTYPE)
-        used = set()
+        split, entries = len(orbit_cands), self.n
+        while split and entries * len(orbit_cands[split - 1][2]) <= BLOCK_ENTRIES:
+            split -= 1
+            entries *= len(orbit_cands[split][2])
 
-        def assign(k):
-            pts, rows, cands = orbit_cands[k]
-            free = [q for q in cands if head_of[q] not in used]
-            if k == len(orbit_cands) - 1:
-                block = np.repeat(g[None, :], len(free), axis=0)
-                block[:, pts] = self.table[rows[:, None], free].T
-                if prune is not None:
-                    block = block[[not prune(b) for b in block]]
-                if len(block):
-                    yield block
+        def extend(rows, taken, k):
+            # every row times every candidate q of orbit k whose image orbit
+            # the row has not taken yet, in (row, q) order
+            pts, elt_rows, cands = orbit_cands[k]
+            mine = self._orbit_of[cands]
+            row, q = np.nonzero((taken[:, :, None] != mine).all(axis=1))
+            rows = rows[row]
+            rows[:, pts] = self.table[elt_rows[:, None], cands].T[q]
+            taken = np.column_stack([taken[row], mine[q]])
+            if prune is None:
+                return rows, taken
+            ok = ~prune(rows)
+            return rows[ok], taken[ok]
+
+        def walk(rows, taken, k):
+            if k < split:
+                rows, taken = extend(rows, taken, k)
+                for i in range(len(rows)):
+                    yield from walk(rows[i : i + 1], taken[i : i + 1], k + 1)
                 return
-            for q in free:
-                g[pts] = self.table[rows, q]
-                if prune is None or not prune(g):
-                    used.add(head_of[q])
-                    yield from assign(k + 1)
-                    used.discard(head_of[q])
-            g[pts] = -1  # unknown again for the prune of earlier orbits
+            for j in range(k, len(orbit_cands)):
+                rows, taken = extend(rows, taken, j)
+            if len(rows):
+                yield rows
 
-        yield from assign(0)
+        yield from walk(
+            np.full((1, self.n), -1, dtype=_DTYPE), np.empty((1, 0), dtype=np.intp), 0
+        )
 
     def group(self, visit=None) -> PermutationGroup:
-        """N_{Sym(n)}(S), its elements enumerated once and each block of them,
-        rows of image arrays, passed to ``visit``.  An element induces one
+        """N_{Sym(n)}(S), its elements enumerated once and passed to ``visit``
+        as blocks of image rows, each of at most BLOCK_ENTRIES entries (or one
+        row), collected across automorphisms into one buffer that is
+        overwritten once ``visit`` returns.  An element induces one
         automorphism of S, and the images of the orbit representatives tell
         the realizations of one apart, so none comes twice.  The count is
         certified from one realization per automorphism and then
         C_{Sym(n)}(S); N's generators are re-verified to normalize S."""
         firsts, count = [], 0
+        block, held = np.empty((max(BLOCK_ENTRIES // max(self.n, 1), 1), self.n), _DTYPE), 0
         for alpha in self.automorphisms():
             if self.realization_bound(alpha) > 40 * SYM_NORM_SIZE_LIMIT:
                 raise ResourceExhausted(
@@ -326,8 +337,15 @@ class SymNormalizerData:
                     raise ResourceExhausted(
                         "symmetric normalizer larger than %d elements" % SYM_NORM_SIZE_LIMIT
                     )
-                if visit is not None:
-                    visit(rows)
+                if visit is None:
+                    continue
+                if held + len(rows) > len(block):
+                    visit(block[:held])
+                    held = 0
+                block[held : held + len(rows)] = rows
+                held += len(rows)
+        if held:
+            visit(block[:held])
         identity = tuple(range(len(self.elems)))
         N = PermutationGroup.from_generator_stream(
             chain(firsts, self.realizations(identity)), self.n, order=count

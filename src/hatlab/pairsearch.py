@@ -194,17 +194,28 @@ class SearchOutcome:
     stats: dict = field(default_factory=dict)
 
 
-def reverser_candidates(L_keys, B: PermutationGroup):
-    """The h in the streamed N_Sym(n)(B) outside the L-image (keys ``L_keys``)
-    with h^2 inside and of 2-power order (twice that of h^2, so tested once
-    per square), sorted by images; and N_Sym(n)(B)."""
+def reverser_candidates(L_elems, B: PermutationGroup):
+    """The h in the streamed N_Sym(n)(B) outside the L-image (``L_elems``,
+    keyed elements) with h^2 inside and of 2-power order (twice that of h^2,
+    so tested once per square), sorted by images; and N_Sym(n)(B).
+
+    Each block of rows is squared at once and both tested against the
+    L-image's rows, sorted as opaque byte strings, by binary search."""
+    L_rows = np.stack([p.images for p in L_elems.values()])
+    as_bytes = np.dtype((np.void, L_rows.itemsize * L_rows.shape[1]))
+    L_sorted = np.sort(L_rows.view(as_bytes).ravel())
+
+    def in_L(rows):
+        v = np.ascontiguousarray(rows).view(as_bytes).ravel()
+        return np.searchsorted(L_sorted, v, "right") > np.searchsorted(L_sorted, v)
+
     hs, square_ok = [], {}
 
     def keep(rows):
-        for row, square in zip(rows, np.take_along_axis(rows, rows, axis=1)):
-            if row.tobytes() in L_keys or (key := square.tobytes()) not in L_keys:
-                continue
-            if key not in square_ok:
+        squares = np.take_along_axis(rows, rows, axis=1)
+        hit = in_L(squares) & ~in_L(rows)
+        for row, square in zip(rows[hit], squares[hit]):
+            if (key := square.tobytes()) not in square_ok:
                 square_ok[key] = _is_power_of_two(_wrap(np.array(square, dtype=_DTYPE)).order())
             if square_ok[key]:
                 hs.append(_wrap(np.array(row, dtype=_DTYPE)))
@@ -284,7 +295,7 @@ def maximal_half_arc_pairs(
                 h0 = hs[0]
                 H_gens = phi_Hu_gens + [h0]
                 H = PermutationGroup(H_gens, n)
-                if not H.is_transitive() or not is_primitive(H):
+                if not is_primitive(H):
                     continue
                 if len(_conjugation_invariant_part(phi_Hu_elems, H.gens)) != 1:
                     continue

@@ -64,6 +64,44 @@ def h_candidates_by_scan(L_elems, B_elems, n):
     return sorted(out, key=lambda h: h.images.tolist())
 
 
+def dfs_realizations(elems, alpha, n):
+    """Every g in Sym(n) with s^g = alpha(s) for all s in the group whose
+    element list is ``elems`` (alpha an index map on it), as image lists.
+
+    The object-level depth-first search, one orbit at a time: orbits in
+    order of their least point p, p sent to each q with S_q = alpha(S_p) in
+    increasing order whose orbit no earlier orbit was sent into, and then
+    p^s to q^alpha(s) for every s.
+    """
+    stab = [frozenset(i for i, p in enumerate(elems) if int(p.images[v]) == v) for v in range(n)]
+    orbits, orbit_of = [], {}
+    for v in range(n):
+        if v not in orbit_of:
+            sigma = {}
+            for i, p in enumerate(elems):
+                sigma.setdefault(int(p.images[v]), i)
+            orbit_of.update((a, len(orbits)) for a in sigma)
+            orbits.append((v, sigma))
+    out, g = [], [-1] * n
+
+    def assign(k, used):
+        if k == len(orbits):
+            out.append(list(g))
+            return
+        rep, sigma = orbits[k]
+        want = frozenset(alpha[i] for i in stab[rep])
+        for q in range(n):
+            if stab[q] == want and orbit_of[q] not in used:
+                for a, s in sigma.items():
+                    g[a] = int(elems[alpha[s]].images[q])
+                assign(k + 1, used | {orbit_of[q]})
+        for a in sigma:
+            g[a] = -1
+
+    assign(0, frozenset())
+    return out
+
+
 def _mul_table(elems):
     index = {p.key(): i for i, p in enumerate(elems)}
     return index, [[index[(a * b).key()] for b in elems] for a in elems]

@@ -214,6 +214,20 @@ def test_degree_two_transitive_group_is_primitive():
     assert is_primitive(G)
 
 
+def test_intransitive_group_is_not_primitive(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cosets, "block_system", lambda G, beta: calls.append(beta))
+    for G in (
+        PermutationGroup([g("(0 1 2)", 5)]),
+        PermutationGroup([g("(0 1)(2 3)")]),
+        PermutationGroup([], 2),
+    ):
+        assert not is_primitive(G)
+        G.order()  # and again with a chain
+        assert not is_primitive(G)
+    assert calls == []
+
+
 def test_is_maximal_examples():
     G = S4()
     A4 = G.subgroup([g("(0 1 2)", 4), g("(1 2 3)", 4)])

@@ -1,9 +1,11 @@
 """Lighter checks of the example runners; the full end-to-end runs with all
 expected values live in the acceptance suite."""
 
+import itertools
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -144,6 +146,34 @@ def test_involution_conjugator_small():
         if found >= 50:
             break
     assert found > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_involution_conjugator_matches_a_scan(seed):
+    """Every involution h with h(v) = v and g^h = gp, each once, against a
+    scan of Sym(n), n <= 7, on seeded g fixing v and conjugates gp of g by
+    permutations fixing v."""
+    rng = random.Random(1700 + seed)
+
+    def fixing(n, v):
+        imgs = rng.sample([i for i in range(n) if i != v], n - 1)
+        imgs.insert(v, v)
+        return Permutation(imgs)
+
+    hits = 0
+    for _ in range(6):
+        n = rng.randrange(3, 8)
+        v = rng.randrange(n)
+        g = fixing(n, v)
+        gp = g.conj(fixing(n, v))
+        got = [h.key() for h in _involutions_conjugating(g, gp, v)]
+        want = {
+            h.key() for h in map(Permutation, itertools.permutations(range(n)))
+            if (h * h).is_identity() and int(h.images[v]) == v and g.conj(h) == gp
+        }
+        assert len(got) == len(set(got)) and set(got) == want
+        hits += len(got)
+    assert hits > 0
 
 
 def test_involution_conjugator_type_mismatch_yields_nothing():

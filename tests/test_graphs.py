@@ -1,6 +1,7 @@
 import pytest
 
 from hatlab.graphs import (
+    Digraph,
     Graph,
     VertexAction,
     cayley_graph,
@@ -49,6 +50,26 @@ def test_text_readers_reject_negative_sizes():
             read_group_file(text)
     assert Graph.from_text("0 0\n").n == 0
     assert read_group_file("3 0\n").order() == 1
+
+
+def test_text_readers_reject_extra_lines():
+    # the header claims 1 edge (1 generator) and more lines follow
+    with pytest.raises(ValueError, match="'4 1'"):
+        Graph.from_text("4 1\n0 1\n1 2\n2 3\n")
+    with pytest.raises(ValueError, match="'3 1'"):
+        read_group_file("3 1\n(0 1)\n(1 2)\n")
+    assert Graph.from_text("4 3\n0 1\n1 2\n2 3\n").m == 3
+    assert read_group_file("3 2\n(0 1)\n(1 2)\n").order() == 6
+
+
+def test_digraph_rejects_arcs_out_of_range():
+    for arc in ((-1, 0), (0, 5), (3, 0), (0, -3)):
+        with pytest.raises(ValueError, match="out of range"):
+            Digraph(3, [arc])
+    with pytest.raises(ValueError, match="negative"):
+        Digraph(-1, [])
+    D = Digraph(3, [(2, 0), (0, 1), (2, 0)])
+    assert D.out == [(1,), (), (0,)] and D.into == [(2,), (0,), ()]
 
 
 def test_graph_rejects_negative_vertex_count():

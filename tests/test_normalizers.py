@@ -1,6 +1,9 @@
 import random
+from itertools import chain, islice
 
 import pytest
+
+from hatlab import normalizers
 
 from hatlab.examples import _cannot_square_to
 from hatlab.group import PermutationGroup, ResourceExhausted
@@ -13,6 +16,7 @@ from hatlab.perm import Permutation
 
 from oracles import (
     automorphisms_by_images,
+    dfs_realizations,
     element_scan_normalizer,
     random_element,
 )
@@ -197,6 +201,87 @@ def test_realizations_prune_matches_square_filter(seed):
                 hits += len(wanted)
         cases += 1
     assert hits > 0
+
+
+def _seeded_multi_orbit_groups(seed, count):
+    """Seeded S of degree 6-12 with at least three orbits and a normalizer
+    in Sym(n) small enough to enumerate by the object-level oracle."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randrange(6, 13)
+        gens = []
+        for _ in range(rng.choice([1, 2])):
+            moved = rng.sample(range(n), rng.randrange(n // 2, n + 1))
+            imgs = list(range(n))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                imgs[a] = b
+            gens.append(Permutation(imgs))
+        S = PermutationGroup(gens, n)
+        if len(S.orbits()) < 3 or not 2 <= S.order() <= 48:
+            continue
+        data = SymNormalizerData(S)
+        auts = data.automorphisms()
+        if sum(data.realization_bound(a) for a in auts) <= 4000:
+            out.append((S, data, auts))
+    return out
+
+
+# the involutions (0 1)(2 3)...(10 11): six orbits, and a centralizer of
+# 2^6 * 6! = 46080 elements, nine blocks at the shipped budget
+SIX_INVOLUTIONS = PermutationGroup([Permutation([i ^ 1 for i in range(12)])])
+
+
+@pytest.mark.parametrize("budget", [normalizers.BLOCK_ENTRIES, 200, 24])
+def test_realization_blocks_match_dfs_oracle(monkeypatch, budget):
+    """Per automorphism, the blocks of ``_realization_rows`` are the
+    object-level DFS rows in order, and each block fits the budget; the
+    small budgets split the orbits between depth first and array product."""
+    monkeypatch.setattr(normalizers, "BLOCK_ENTRIES", budget)
+    cases = _seeded_multi_orbit_groups(1400, 8)
+    cases.append((SIX_INVOLUTIONS, SymNormalizerData(SIX_INVOLUTIONS), None))
+    several = 0
+    for S, data, auts in cases:
+        for alpha in auts or data.automorphisms():
+            blocks = list(data._realization_rows(alpha))
+            assert all(b.size <= budget or len(b) == 1 for b in blocks)
+            rows = [r for b in blocks for r in b.tolist()]
+            assert rows == dfs_realizations(data.elems, alpha, S.degree)
+            several += len(blocks) > 1
+    assert several > 0
+
+
+@pytest.mark.parametrize("budget", [normalizers.BLOCK_ENTRIES, 200])
+def test_group_stream_matches_dfs_oracle(monkeypatch, budget):
+    """group(visit) streams every automorphism's oracle rows in order, in
+    blocks that fit the budget and span automorphisms; the count is N's
+    order, and the first row of each automorphism leads the generator
+    stream."""
+    monkeypatch.setattr(normalizers, "BLOCK_ENTRIES", budget)
+    from_stream = PermutationGroup.from_generator_stream
+    leading = []
+
+    def spy(stream, degree, *, order):
+        stream = iter(stream)
+        leading[:] = islice(stream, len(auts))
+        return from_stream(chain(leading, stream), degree, order=order)
+
+    monkeypatch.setattr(PermutationGroup, "from_generator_stream", staticmethod(spy))
+    cases = _seeded_multi_orbit_groups(1500, 8) + [(SIX_INVOLUTIONS, None, None)]
+    spanning = several = 0
+    for S, data, auts in cases:
+        data = data or SymNormalizerData(S)
+        auts = auts or data.automorphisms()
+        oracle = [dfs_realizations(data.elems, alpha, S.degree) for alpha in auts]
+        blocks = []
+        N = data.group(lambda rows: blocks.append(rows.copy()))
+        assert all(b.size <= budget or len(b) == 1 for b in blocks)
+        assert [r for b in blocks for r in b.tolist()] == [r for rows in oracle for r in rows]
+        assert N.order() == sum(map(len, oracle))
+        assert [p.images.tolist() for p in leading] == [rows[0] for rows in oracle]
+        spanning += len(blocks) < sum(1 for rows in oracle if rows)
+        several += len(blocks) > 1
+    assert spanning > 0 and several > 0
 
 
 def test_coset_scan_branch():

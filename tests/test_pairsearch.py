@@ -12,6 +12,7 @@ import hatlab
 from hatlab import pairsearch
 from hatlab.fpgroups import amalgam_by_name
 from hatlab.group import PermutationGroup
+from hatlab.normalizers import SymNormalizerData
 from hatlab.pairsearch import (
     candidate_stabilizers,
     conjugacy_class_representatives,
@@ -137,6 +138,50 @@ def test_verify_invariants_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised: m does not stabilize coset 0"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reverser_filter_matches_a_row_loop(seed):
+    """The numpy h filter against a plain loop over the rows of the streamed
+    N_Sym(n)(B), on seeded L of degree 6-12 and B <= L: membership by keys,
+    squares and orders by public products.  The rows include members of L
+    and h with h^2 in L of an order that is no power of two."""
+    rng = random.Random(1600 + seed)
+    cases = hits = members = odd = 0
+    while cases < 4:
+        n = rng.randrange(6, 13)
+        gens = []
+        for _ in range(2):
+            moved = rng.sample(range(n), rng.randrange(2, n + 1))
+            imgs = list(range(n))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                imgs[a] = b
+            gens.append(Permutation(imgs))
+        L = PermutationGroup(gens, n)
+        if not 4 <= L.order() <= 2000:
+            continue
+        B = L.subgroup([random_element(L, rng)])
+        data = SymNormalizerData(B)
+        if B.order() == 1 or sum(map(data.realization_bound, data.automorphisms())) > 20000:
+            continue
+        rows = []
+        data.group(lambda block: rows.extend(block.tolist()))
+        L_keys = set(L.element_set())
+        want = []
+        for row in rows:
+            h = Permutation(row)
+            if h.key() in L_keys:
+                members += 1
+            elif (h * h).key() in L_keys:
+                if h.order() & (h.order() - 1) == 0:
+                    want.append(h)
+                else:
+                    odd += 1
+        hs, _ = reverser_candidates(L.element_set(), B)
+        assert hs == sorted(want, key=lambda h: h.images.tolist())
+        hits += len(hs)
+        cases += 1
+    assert hits > 0 and members > 0 and odd > 0
 
 
 @pytest.mark.parametrize("seed", range(3))
