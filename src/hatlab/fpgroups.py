@@ -6,6 +6,7 @@ against every relator (definitions happen during path following, lowest
 coset first), coincidences collapse through the union-find, and a final
 sweep completes every (coset, letter) entry.  Tables are renumbered by
 first appearance, so results are independent of internal definition order.
+Defining more than COSET_LIMIT cosets raises ResourceExhausted.
 
 The built-in amalgam catalog carries the seven distinct (L, B) pairs of
 locally 2-transitive vertex/edge stabilizer amalgams used by the pair
@@ -17,14 +18,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .group import PermutationGroup
+from .group import PermutationGroup, ResourceExhausted
 from .perm import Permutation, evaluate_word
 
 SENTINEL = -1
-
-
-class CosetLimitExceeded(RuntimeError):
-    pass
+COSET_LIMIT = 10**6
 
 
 # -- words -------------------------------------------------------------------
@@ -207,9 +205,7 @@ class CosetTable:
         return evaluate_word(word, self.generator_perms)
 
 
-def todd_coxeter(pres: FpPresentation, subgroup_words=(), coset_limit=10**6) -> CosetTable:
-    if coset_limit < 1:
-        raise ValueError("coset limit must be at least 1")
+def todd_coxeter(pres: FpPresentation, subgroup_words=()) -> CosetTable:
     ngens = pres.ngens
     width = 2 * ngens
     relator_paths = [
@@ -221,8 +217,8 @@ def todd_coxeter(pres: FpPresentation, subgroup_words=(), coset_limit=10**6) -> 
     neighbors = []
 
     def add_vertex():
-        if len(labels) >= coset_limit:
-            raise CosetLimitExceeded("more than %d cosets defined" % coset_limit)
+        if len(labels) >= COSET_LIMIT:
+            raise ResourceExhausted("more than %d cosets defined" % COSET_LIMIT)
         c = len(labels)
         labels.append(c)
         neighbors.append([SENTINEL] * width)

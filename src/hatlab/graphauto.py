@@ -1,16 +1,18 @@
-"""Graph automorphisms and canonical labelings by individualization-refinement.
+"""Graph automorphisms by individualization-refinement.
 
 The search is the classical one: refine an ordered partition until
 equitable, pick the first smallest non-singleton cell, branch on its
-vertices, and walk the tree keeping (a) the first leaf, against which later
-equal-certificate leaves yield automorphisms, and (b) the best leaf, whose
-labeling defines the canonical form.  Branches are pruned through orbits of
-the automorphisms found so far (only those fixing the current prefix) and
-through path invariants (cell-size sequences), which are isomorphism
-invariants, so the canonical form does not depend on the input labeling.
-An automorphism fixing a path's prefix maps its next vertex into its target
-cell, so the first path's target cell sizes multiply to a proven bound on
-the order of the group found, which certifies that group's chain.
+vertices, and compare every later leaf with the first leaf.  A leaf yields
+an automorphism only if its path invariants (the cell-size sequences along
+the path) equal the first leaf's, so a node whose path leaves the first
+path's track is pruned.  At a leaf on that track, the permutation sending
+each vertex to the first leaf's vertex at the same position is kept when
+the graph check accepts it.
+Branches are also pruned through orbits of the automorphisms found so far
+(only those fixing the current prefix).  An automorphism fixing a path's
+prefix maps its next vertex into its target cell, so the first path's
+target cell sizes multiply to a proven bound on the order of the group
+found, which certifies that group's chain.
 
 For vertex-transitive graphs the full group is assembled as <transitive
 seed, stabilizer of one vertex> with the order fixed by orbit-stabilizer,
@@ -35,7 +37,7 @@ import numpy as np
 
 from .graphs import Graph
 from .group import PermutationGroup, ResourceExhausted
-from .perm import _DTYPE, Permutation, _wrap
+from .perm import _DTYPE, _wrap
 
 NODE_BUDGET = 200000
 
@@ -122,16 +124,6 @@ def _initial_partition(graph: Graph, v=None):
     return _refine(graph, part, part.split(0, keys))
 
 
-def _certificate(graph: Graph, labeling: Permutation) -> bytes:
-    lab = labeling.images
-    pairs = []
-    for u, v in graph.edges:
-        a, b = int(lab[u]), int(lab[v])
-        pairs.append((a, b) if a < b else (b, a))
-    pairs.sort()
-    return np.asarray(pairs, dtype=np.int64).tobytes()
-
-
 def _target_cell(part: _Partition):
     """Offset of the first smallest non-singleton cell, or None when discrete."""
     offsets = part.end.nonzero()[0]
@@ -144,13 +136,11 @@ def _target_cell(part: _Partition):
 class _Search:
     def __init__(self, graph, initial, seed_gens=()):
         self.graph = graph
-        self.n = graph.n
         self.root = initial
         if not all(graph.is_automorphism(p) for p in seed_gens):
             raise ValueError("seed permutation is not an automorphism")
         self.auts = list(seed_gens)
-        self.first_leaf = None  # (inv_path, labeling, cert)
-        self.best = None  # (inv_path, cert, labeling)
+        self.first_leaf = None  # (inv_path, labeling)
         self.nodes = 0
         self.bound = 1  # product of the first path's target cell sizes
 
@@ -187,24 +177,9 @@ class _Search:
         self.nodes += 1
         if self.nodes > NODE_BUDGET:
             raise ResourceExhausted("refinement search exceeded node budget")
-        inv = part.sizes()
-        inv_path = inv_path + [inv]
-        depth = len(inv_path)
-
-        on_first_track = self.first_leaf is None or (
-            inv_path == self.first_leaf[0][:depth]
-        )
-        cmp_best = 0  # -1 worse, 0 equal-so-far, +1 better
-        if self.best is not None:
-            best_prefix = self.best[0][:depth]
-            if inv_path > best_prefix:
-                cmp_best = 1
-            elif inv_path < best_prefix:
-                cmp_best = -1
-        else:
-            cmp_best = 1
-        if not on_first_track and cmp_best < 0:
-            return
+        inv_path = inv_path + [part.sizes()]
+        if self.first_leaf is not None and inv_path != self.first_leaf[0][: len(inv_path)]:
+            return  # off the first path's track: no automorphism below
 
         target = _target_cell(part)
         if target is None:
@@ -234,21 +209,12 @@ class _Search:
 
     def _leaf(self, part, inv_path):
         lab = part.labeling()
-        cert = _certificate(self.graph, lab)
-        key = (inv_path, cert)
         if self.first_leaf is None:
-            self.first_leaf = (inv_path, lab, cert)
-        else:
-            f_inv, f_lab, f_cert = self.first_leaf
-            if inv_path == f_inv and cert == f_cert:
-                # lab and f_lab map the graph to the same labeled target
-                g = lab * f_lab.inverse()
-                if not g.is_identity():
-                    if not self.graph.is_automorphism(g):
-                        raise AssertionError("equal leaf certificates gave a non-automorphism")
-                    self.auts.append(g)
-        if self.best is None or (inv_path, cert) > (self.best[0], self.best[1]):
-            self.best = (inv_path, cert, lab)
+            self.first_leaf = (inv_path, lab)
+            return
+        g = lab * self.first_leaf[1].inverse()
+        if not g.is_identity() and self.graph.is_automorphism(g):
+            self.auts.append(g)
 
 
 def automorphism_group(graph: Graph, transitive_seed=None) -> PermutationGroup:
@@ -285,34 +251,3 @@ def automorphism_stabilizer(graph: Graph, v: int, seed_gens=()):
     if len(gens) != len(search.auts):
         raise AssertionError("stabilizer search produced a moving automorphism")
     return PermutationGroup(gens, n, bound=search.bound)
-
-
-def canonical_labeling(graph: Graph):
-    """(labeling, certificate): certificate equality is graph isomorphism."""
-    if graph.n == 0:
-        return Permutation.identity(0), b""
-    initial = _initial_partition(graph)
-    search = _Search(graph, initial)
-    search.run()
-    inv_path, cert, lab = search.best
-    inv_bytes = repr(inv_path).encode()
-    full_cert = (
-        graph.n.to_bytes(8, "big") + len(inv_bytes).to_bytes(8, "big") + inv_bytes + cert
-    )
-    return lab, full_cert
-
-
-def is_isomorphic(g1: Graph, g2: Graph):
-    """A vertex bijection g1 -> g2 (as a list), or None."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return None
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return None
-    lab1, cert1 = canonical_labeling(g1)
-    lab2, cert2 = canonical_labeling(g2)
-    if cert1 != cert2:
-        return None
-    mapping = (lab1 * lab2.inverse()).images.tolist()
-    if Graph(g2.n, [(mapping[u], mapping[v]) for u, v in g1.edges]).edges != g2.edges:
-        raise AssertionError("certificate collision: mapping failed verification")
-    return mapping

@@ -42,14 +42,10 @@ class Graph:
         self.adj = [tuple(sorted(nbrs)) for nbrs in adj]
         self.edges = sorted(seen)
         self.m = len(self.edges)
-        self._edge_set = seen
         self._csr = None
         # edge codes u*n+v (u < v), sorted, and n*n past every code
         self._ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         self._codes = np.append(self._ends[:, 0] * n + self._ends[:, 1], n * n)
-
-    def has_edge(self, u, v):
-        return ((u, v) if u < v else (v, u)) in self._edge_set
 
     def is_automorphism(self, p):
         """Whether the vertex permutation p maps every edge to an edge: the

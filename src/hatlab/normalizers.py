@@ -2,17 +2,17 @@
 
 Inside an ambient group G the normalizer N_G(S) is a union of right cosets
 of S, found by one scan over coset representatives while |G:S| or |G| is
-moderate.  Past that, the natural Sym(n) and Alt(n) take the answer in
-Sym(n), cut to even permutations for Alt(n).  The normalizer in the full
-symmetric group is computed exactly by a different route: every normalizing
-permutation g induces an automorphism of S by conjugation, and for a fixed
-automorphism alpha the solutions are assembled orbit by orbit (the image of
-one point per orbit determines g on the whole orbit, and a point q is a
-valid image of p iff the point stabilizers satisfy S_q = alpha(S_p)).
-Enumerating Aut(S) (images of a generating sequence, each extended to a
-homomorphism by ``extend_homomorphism``) and those assembly choices streams
-N_{Sym(n)}(S), none stored, with no search over Sym(n).  The same extension
-proves the isomorphisms behind ``signatures.group_name``.
+moderate; past that it raises ResourceExhausted.  The normalizer in the
+full symmetric group is computed exactly by a different route: every
+normalizing permutation g induces an automorphism of S by conjugation, and
+for a fixed automorphism alpha the solutions are assembled orbit by orbit
+(the image of one point per orbit determines g on the whole orbit, and a
+point q is a valid image of p iff the point stabilizers satisfy
+S_q = alpha(S_p)).  Enumerating Aut(S) (images of a generating sequence,
+each extended to a homomorphism by ``extend_homomorphism``) and those
+assembly choices streams N_{Sym(n)}(S), none stored, with no search over
+Sym(n).  The same extension proves the isomorphisms behind
+``signatures.group_name``.
 
 The assembly works on blocks of image rows of at most BLOCK_ENTRIES
 entries.  The trailing orbits whose candidate product fits the budget are
@@ -32,7 +32,7 @@ from math import prod
 
 import numpy as np
 
-from .group import PermutationGroup, ResourceExhausted, giant_type
+from .group import PermutationGroup, ResourceExhausted
 from .perm import _DTYPE, Permutation, _wrap
 
 SCAN_LIMIT = 10**5
@@ -48,8 +48,7 @@ def normalizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
 
     While |G:S| <= COSET_SCAN_LIMIT or |G| <= SCAN_LIMIT, N_G(S) is the union
     of the right cosets Sr of S whose representative r normalizes S.  Past
-    that, the natural Sym(n) takes N_{Sym(n)}(S), cut to its even part when
-    G is the natural Alt(n).
+    both limits it raises ResourceExhausted.
     """
     from .cosets import CosetSpace
 
@@ -58,40 +57,16 @@ def normalizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
     if not all(g in G for g in S.gens):
         raise ValueError("S is not a subgroup of G")
     index = G.order() // S.order()
-    if index <= COSET_SCAN_LIMIT or G.order() <= SCAN_LIMIT:
-        gens = list(S.gens)
-        count = 0
-        for r in CosetSpace(G, S, max_index=index).reps:
-            if all(s.conj(r) in S for s in S.gens):
-                count += 1
-                if not r.is_identity():
-                    gens.append(r)
-        return G.subgroup(gens, order=S.order() * count)
-    kind = giant_type(G.gens, G.order())
-    if kind == ("sym", G.degree):
-        return normalizer_in_sym(S)
-    if kind == ("alt", G.degree):
-        return _even_part(normalizer_in_sym(S), parent=G)
-    raise ResourceExhausted("no normalizer strategy applies: |G|=%d" % G.order())
-
-
-def _even_part(N: PermutationGroup, parent=None) -> PermutationGroup:
-    """Kernel of the sign map on N (Reidemeister-Schreier over {1, o0})."""
-    evens = [g for g in N.gens if g.is_even()]
-    odds = [g for g in N.gens if not g.is_even()]
-    if not odds:
-        gens, order = N.gens, N.order()
-    else:
-        o0 = odds[0]
-        o0i = o0.inverse()
-        gens = list(evens)
-        gens += [o0 * e * o0i for e in evens]
-        gens += [o * o0i for o in odds]
-        gens += [o0 * o for o in odds]
-        order = N.order() // 2
-    if parent is not None:
-        return parent.subgroup(gens, order=order)
-    return PermutationGroup(gens, N.degree, order=order)
+    if index > COSET_SCAN_LIMIT and G.order() > SCAN_LIMIT:
+        raise ResourceExhausted("coset scan past its limits: |G|=%d" % G.order())
+    gens = list(S.gens)
+    count = 0
+    for r in CosetSpace(G, S, max_index=index).reps:
+        if all(s.conj(r) in S for s in S.gens):
+            count += 1
+            if not r.is_identity():
+                gens.append(r)
+    return G.subgroup(gens, order=S.order() * count)
 
 
 # -- homomorphisms from generator images ------------------------------------
@@ -353,8 +328,3 @@ class SymNormalizerData:
         if not N.normalizes(self.S):
             raise AssertionError("normalizer generator does not normalize S")
         return N
-
-
-def normalizer_in_sym(S: PermutationGroup) -> PermutationGroup:
-    """N_{Sym(n)}(S), counted by enumerating its elements once."""
-    return SymNormalizerData(S).group()

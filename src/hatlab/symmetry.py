@@ -18,11 +18,9 @@ from .graphs import (
     Graph,
     QuotientResult,
     VertexAction,
-    cycle_graph,
     induced_quotient_action,
     quotient_graph,
 )
-from .graphauto import is_isomorphic
 from .group import PermutationGroup, _is_power_of_two
 from .normalizers import normalizer
 from .perm import Permutation
@@ -67,11 +65,6 @@ def _s_arc_degree(action: VertexAction, limit: int) -> int:
             return s
         arc.append(exts[0])
     return limit
-
-
-def s_arc_transitive(action: VertexAction, s: int) -> bool:
-    """Whether the group is transitive on s-arcs (s >= 0)."""
-    return action.group.is_transitive() and _s_arc_degree(action, s) == s
 
 
 @dataclass
@@ -264,7 +257,8 @@ def classify_theorem_case(act_M: VertexAction, act_H: VertexAction, u: int = 0) 
         raise AssertionError("t=1 non-normal pair with normal local action")
 
     r = quo.orbit_count
-    if r >= 3 and is_isomorphic(quo.quotient, cycle_graph(r)) is not None:
+    # a connected simple graph with every degree 2 is the cycle C_r
+    if r >= 3 and quo.quotient.is_connected() and set(quo.quotient.degrees()) == {2}:
         M_on_quotient = induced_quotient_action(act_M, K, quo)
         kernel_order = M.order() // M_on_quotient.order()
         witnesses["quotientCycleLength"] = int(r)

@@ -204,6 +204,36 @@ def brute_force_graph_aut_order(n, edge_set):
     return count
 
 
+def graph_isomorphism_by_backtracking(n, edge_set, other_edge_set):
+    """A vertex bijection (as a list) carrying the first graph on n vertices
+    onto the second, or None.  Vertices are mapped in increasing order, each
+    to an unused vertex of equal degree whose adjacency to the earlier
+    images matches."""
+    edges = {frozenset(e) for e in edge_set}
+    other = {frozenset(e) for e in other_edge_set}
+    if len(edges) != len(other):
+        return None
+    degree = [sum(1 for e in edges if v in e) for v in range(n)]
+    other_degree = [sum(1 for e in other if v in e) for v in range(n)]
+    imgs = []
+
+    def extend(u):
+        if u == n:
+            return True
+        for w in range(n):
+            if w in imgs or degree[u] != other_degree[w]:
+                continue
+            if all((frozenset((v, u)) in edges) == (frozenset((imgs[v], w)) in other)
+                   for v in range(u)):
+                imgs.append(w)
+                if extend(u + 1):
+                    return True
+                imgs.pop()
+        return False
+
+    return imgs if extend(0) else None
+
+
 def all_partitions(items):
     items = list(items)
     if not items:

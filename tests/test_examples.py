@@ -39,7 +39,6 @@ EXAMPLE_42_FACTS = [
     ("YmeetYx_isZ", True),
     ("X_isAlt72", str(math.factorial(72) // 2)),
     ("doubleCosetSize", 288),
-    ("stabilizedVertexFound", True),
     ("S_size", 4),
     ("YxY_equals_YS", True),
     ("S_generates_Alt71", str(math.factorial(71) // 2)),

@@ -1,7 +1,7 @@
 import pytest
 
+from hatlab import fpgroups
 from hatlab.fpgroups import (
-    CosetLimitExceeded,
     FpPresentation,
     amalgam_by_name,
     amalgam_catalog,
@@ -10,6 +10,7 @@ from hatlab.fpgroups import (
     parse_word,
     todd_coxeter,
 )
+from hatlab.group import ResourceExhausted
 
 
 def test_parse_word_basics():
@@ -125,10 +126,13 @@ def test_order_identity_across_representations():
         assert image.order() == 4 * image.point_stabilizer(0).order()
 
 
-def test_coset_limit():
+def test_coset_limit(monkeypatch):
     pres = FpPresentation.parse(["a"], ["a^100"])
-    with pytest.raises(CosetLimitExceeded):
-        todd_coxeter(pres, (), coset_limit=5)
+    monkeypatch.setattr(fpgroups, "COSET_LIMIT", 5)
+    with pytest.raises(ResourceExhausted):
+        todd_coxeter(pres, ())
+    monkeypatch.setattr(fpgroups, "COSET_LIMIT", 200)
+    assert todd_coxeter(pres, ()).coset_count == 100
 
 
 def test_collapse_log_present():

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from hatlab import graphauto
-from hatlab.graphauto import (
-    automorphism_group,
-    automorphism_stabilizer,
-    canonical_labeling,
-    is_isomorphic,
-)
+from hatlab.graphauto import automorphism_group, automorphism_stabilizer
 from hatlab.graphs import Graph, complete_bipartite_minus_matching, cycle_graph
 from hatlab.group import PermutationGroup
 from hatlab.perm import Permutation
 
-from oracles import brute_force_graph_aut_order, is_equitable
+from oracles import (
+    brute_force_graph_aut_order,
+    edge_map_is_automorphism,
+    graph_isomorphism_by_backtracking,
+    is_equitable,
+)
 from test_symmetry import hat_circulant
 
 
@@ -65,46 +65,18 @@ def test_small_graph_brute_force_agreement():
 def test_generators_preserve_adjacency():
     G = complete_bipartite_minus_matching(4)
     A = automorphism_group(G)
-    for p in A.gens:
-        for u, v in G.edges:
-            assert G.has_edge(p(u), p(v))
+    assert all(edge_map_is_automorphism(G, p) for p in A.gens)
 
 
-def test_canonical_form_invariant_under_relabeling():
-    rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randrange(2, 10)
-        G = random_graph(rng, n)
-        H, _ = random_relabel(rng, G)
-        assert canonical_labeling(G)[1] == canonical_labeling(H)[1]
-
-
-def test_canonical_form_distinguishes():
-    # C6 vs two triangles: same degrees, different graphs
+def test_isomorphism_oracle_on_six_vertices():
+    rng = random.Random(11)
     c6 = cycle_graph(6)
     tri2 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert canonical_labeling(c6)[1] != canonical_labeling(tri2)[1]
-
-
-def test_is_isomorphic_roundtrip():
-    rng = random.Random(11)
-    for _ in range(15):
-        n = rng.randrange(2, 10)
-        G = random_graph(rng, n)
-        H, perm = random_relabel(rng, G)
-        mapping = is_isomorphic(G, H)
-        assert mapping is not None
-        for u, v in G.edges:
-            assert H.has_edge(mapping[u], mapping[v])
-
-
-def test_is_isomorphic_negative():
-    k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    assert is_isomorphic(cycle_graph(6), k33) is None  # valency differs
-    tri2 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert is_isomorphic(cycle_graph(6), tri2) is None
-    # K_{3,3} minus a perfect matching is a 6-cycle; that must be detected
-    assert is_isomorphic(cycle_graph(6), complete_bipartite_minus_matching(3)) is not None
+    # K_{3,3} minus a perfect matching is a 6-cycle; two triangles are not
+    kbm, _ = random_relabel(rng, complete_bipartite_minus_matching(3))
+    mapping = graph_isomorphism_by_backtracking(6, c6.edges, kbm.edges)
+    assert Graph(6, [(mapping[u], mapping[v]) for u, v in c6.edges]).edges == kbm.edges
+    assert graph_isomorphism_by_backtracking(6, c6.edges, tri2.edges) is None
 
 
 def test_stabilizer_search():
@@ -139,21 +111,6 @@ def test_seed_rejects_non_automorphism():
         automorphism_stabilizer(G, 0, seed_gens=[Permutation.parse("(1 2)", 5)])
 
 
-def test_equal_leaves_giving_a_non_automorphism_is_an_internal_error(monkeypatch):
-    # a 12-cycle plus a seeded perfect matching: cubic, hence one initial
-    # cell, and asymmetric, so two leaves with equal path invariants differ
-    rng = random.Random(24)
-    perm = list(range(12))
-    rng.shuffle(perm)
-    edges = [(i, (i + 1) % 12) for i in range(12)]
-    edges += [(perm[2 * i], perm[2 * i + 1]) for i in range(6)]
-    G = Graph(12, edges)
-    assert G.is_regular() and automorphism_group(G).order() == 1
-    monkeypatch.setattr(graphauto, "_certificate", lambda graph, labeling: b"")
-    with pytest.raises(AssertionError, match="equal leaf certificates"):
-        automorphism_group(G)
-
-
 def test_automorphism_group_checks_each_generator_once(monkeypatch):
     calls = []
     check = Graph.is_automorphism
@@ -161,6 +118,46 @@ def test_automorphism_group_checks_each_generator_once(monkeypatch):
     A = automorphism_group(complete_bipartite_minus_matching(5))
     assert A.order() == 240
     assert len(calls) == len(A.gens) == 11
+
+
+def test_search_expands_only_the_first_path_track(monkeypatch):
+    # a leaf yields an automorphism only if its path invariants equal the
+    # first leaf's, so every node expanded (a parent of a visited node, or
+    # a leaf) lies on the first path's track
+    parents, leaves = [], []
+    descend, leaf = graphauto._Search._descend, graphauto._Search._leaf
+
+    def counted_descend(self, part, prefix, inv_path):
+        parents.append(inv_path)
+        return descend(self, part, prefix, inv_path)
+
+    def counted_leaf(self, part, inv_path):
+        leaves.append(inv_path)
+        return leaf(self, part, inv_path)
+
+    monkeypatch.setattr(graphauto._Search, "_descend", counted_descend)
+    monkeypatch.setattr(graphauto._Search, "_leaf", counted_leaf)
+    rng = random.Random(8)
+    graphs = [random_regular(rng, n, rng.choice((3, 4))) for n in (8, 8, 8, 8)]
+    graphs += [random_regular(rng, 2 * rng.randrange(6, 21), rng.choice((3, 4)))
+               for _ in range(12)]
+    small = random_regular(random.Random(1), 10, 3)
+    graphs += [small, random_regular(random.Random(150), 12, 3)]
+    graphs += [hat_circulant(n, k)[0] for n, k in ((8, 3), (12, 5), (15, 4))]
+    for G in graphs:
+        parents.clear()
+        leaves.clear()
+        search = graphauto._Search(G, graphauto._initial_partition(G)).run()
+        first = search.first_leaf[0]
+        assert all(path == first[: len(path)] for path in parents)
+        assert leaves and all(path == first for path in leaves)
+        assert all(edge_map_is_automorphism(G, p) for p in search.auts)
+        if G.n == 8:
+            expected = brute_force_graph_aut_order(8, set(G.edges))
+            assert PermutationGroup(search.auts, 8).order() == expected
+    search = graphauto._Search(small, graphauto._initial_partition(small)).run()
+    assert search.nodes == 8
+    assert automorphism_group(small).order() == 2
 
 
 def _cells(part):
@@ -179,19 +176,6 @@ def test_initial_partition_is_equitable():
         cells = _cells(graphauto._initial_partition(G, v))
         assert cells[0] == [v]
         assert is_equitable(G.n, G.edges, cells)
-
-
-def test_canonical_form_invariant_on_regular_graphs():
-    # degree gives one cell here, so refinement and branching do all the work
-    rng = random.Random(8)
-    graphs = [random_regular(rng, 2 * rng.randrange(6, 21), rng.choice((3, 4)))
-              for _ in range(12)]
-    graphs += [hat_circulant(n, k)[0] for n, k in ((8, 3), (12, 5), (15, 4), (24, 5), (40, 9))]
-    for G in graphs:
-        cert = canonical_labeling(G)[1]
-        for _ in range(2):
-            H, _ = random_relabel(rng, G)
-            assert canonical_labeling(H)[1] == cert
 
 
 def test_automorphism_generators_are_pinned():

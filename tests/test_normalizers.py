@@ -7,11 +7,7 @@ from hatlab import normalizers
 
 from hatlab.examples import _cannot_square_to
 from hatlab.group import PermutationGroup, ResourceExhausted
-from hatlab.normalizers import (
-    SymNormalizerData,
-    normalizer,
-    normalizer_in_sym,
-)
+from hatlab.normalizers import SymNormalizerData, normalizer
 from hatlab.perm import Permutation
 
 from oracles import (
@@ -59,7 +55,7 @@ def test_normalizer_5cycle_in_s5_is_frobenius():
 
 def test_normalizer_in_sym_of_cyclic_5():
     S = PermutationGroup([g("(0 1 2 3 4)")])
-    N = normalizer_in_sym(S)
+    N = SymNormalizerData(S).group()
     assert N.order() == 20
     oracle = element_scan_normalizer(list(sym(5).elements()), list(S.elements()))
     assert N.order() == len(oracle)
@@ -69,13 +65,13 @@ def test_normalizer_in_sym_of_cyclic_5():
 
 def test_normalizer_in_sym_of_full_symmetric():
     S = sym(4)
-    N = normalizer_in_sym(S)
+    N = SymNormalizerData(S).group()
     assert N.order() == 24
 
 
 def test_normalizer_in_sym_semiregular_z3():
     S = PermutationGroup([g("(0 1 2)(3 4 5)")])
-    N = normalizer_in_sym(S)
+    N = SymNormalizerData(S).group()
     oracle = element_scan_normalizer(list(sym(6).elements()), list(S.elements()))
     assert N.order() == len(oracle)
 
@@ -102,7 +98,7 @@ def test_normalizer_in_sym_matches_scan_on_random_small_groups():
         assert len(stream) == len(set(stream))
         assert set(stream) == oracle
         assert N.order() == len(oracle)
-        assert normalizer_in_sym(S).order() == len(oracle)
+        assert SymNormalizerData(S).group().order() == len(oracle)
         assert set(N.element_set()) == oracle
         done += 1
 
@@ -285,8 +281,8 @@ def test_group_stream_matches_dfs_oracle(monkeypatch, budget):
 
 
 def test_coset_scan_branch():
-    # G = F5 x C2 is no natural Sym(n) or Alt(n), so only the coset scan
-    # can answer
+    # G = F5 x C2 is no symmetric or alternating group; the coset scan
+    # answers
     G = PermutationGroup([g("(0 1 2 3 4)", 7), g("(1 2 4 3)", 7), g("(5 6)", 7)])
     S = G.subgroup([g("(0 1 2 3 4)", 7)])
     N = normalizer(G, S)
@@ -295,10 +291,24 @@ def test_coset_scan_branch():
     assert set(N.element_set()) == {p.key() for p in oracle}
 
 
+def test_either_scan_limit_admits_the_coset_scan():
+    # |G| past SCAN_LIMIT with a small index, then an index past
+    # COSET_SCAN_LIMIT in a G within SCAN_LIMIT
+    G = sym(9)
+    S = G.point_stabilizer(8)
+    assert G.order() > normalizers.SCAN_LIMIT and G.order() // S.order() == 9
+    assert normalizer(G, S).order() == S.order()
+    G = sym(8)
+    S = G.subgroup([g("(0 1 2)(3 4 5)", 8)])
+    assert G.order() // S.order() > normalizers.COSET_SCAN_LIMIT
+    N = normalizer(G, S)
+    oracle = element_scan_normalizer(list(G.elements()), list(S.elements()))
+    assert set(N.element_set()) == {p.key() for p in oracle}
+
+
 def test_normalizer_resource_error_when_enumeration_hopeless():
-    # N_{Sym(40)}(<3-cycle>) contains Sym(37) on the fixed points: the exact
-    # answer cannot be enumerated, and the ladder must say so rather than
-    # truncate.
+    # Alt(40) and the index of a 3-cycle in it are past both scan limits,
+    # and normalizer must say so rather than truncate.
     n = 40
     alt = PermutationGroup(
         [g("(0 1 2)", n), Permutation.from_cycles(n, [tuple(range(1, n))])]
@@ -306,34 +316,6 @@ def test_normalizer_resource_error_when_enumeration_hopeless():
     S = alt.subgroup([g("(0 1 2)", n)])
     with pytest.raises(ResourceExhausted):
         normalizer(alt, S)
-
-
-def test_normalizer_in_alternating_ambient():
-    # A9 is too big to scan and the index is too big for a coset scan, so the
-    # sym-normalizer route restricted to even permutations must apply.
-    n = 9
-    alt = PermutationGroup(
-        [g("(0 1 2)", n), Permutation.from_cycles(n, [tuple(range(n))])]
-    )
-    assert alt.order() == 181440
-    x = g("(0 1 2)(3 4 5)(6 7 8)", n)
-    S = alt.subgroup([x])
-    N = normalizer(alt, S)
-    sym_N = normalizer_in_sym(S)
-    even_count = sum(1 for p in sym_N.elements() if p.is_even())
-    assert N.order() == even_count
-    for p in N.gens:
-        assert p.is_even()
-        assert all(s.conj(p) in S for s in S.gens)
-
-
-def test_even_part():
-    from hatlab.normalizers import _even_part
-
-    G = sym(5)
-    E = _even_part(G)
-    assert E.order() == 60
-    assert all(p.is_even() for p in E.gens)
 
 
 @pytest.mark.parametrize("seed", range(3))
