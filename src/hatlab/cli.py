@@ -101,9 +101,11 @@ def cmd_aut(args):
     if args.gens_out:
         with open(args.gens_out, "w") as fh:
             fh.write(out)
+        print("order %d" % A.order())
     else:
+        # stdout holds the group file alone, so that it reads back
         sys.stdout.write(out)
-    print("order %d" % A.order())
+        print("order %d" % A.order(), file=sys.stderr)
     return 0
 
 

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .group import (
-    PermutationGroup, ResourceExhausted, _check_deadline, _level_gens, closure_elements, giant_type,
+    PermutationGroup, ResourceExhausted, _check_deadline, _level_gens, closure_elements,
 )
 from .perm import _DTYPE, Permutation, _wrap
 
@@ -47,7 +47,7 @@ class CosetSpace:
             raise ValueError("H is not a subgroup of G")
         self.G = G
         self.H = H
-        H._ensure_chain()
+        H.levels()
         rep0 = self.canonical(G.identity())
         reps = [rep0]
         index = {rep0.key(): 0}
@@ -195,25 +195,41 @@ def block_system(G: PermutationGroup, beta: int):
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
+# Block systems for this many betas cost about as much as the sampled Jordan
+# test (measured on degrees 18 and 72), so a chainless ``is_primitive`` runs
+# them first: they catch most imprimitive groups, and a giant pays at most
+# about twice the test.
+BETAS_BEFORE_SAMPLES = 8
+
+
 def is_primitive(G: PermutationGroup) -> bool:
     """Whether G is transitive with only the trivial block systems; an
     intransitive group is not primitive.
 
-    It builds no chain; without one every beta is tried.  With one, Sym(n)
-    and Alt(n) are primitive, and one beta per G_0-orbit suffices, a block
-    of 0 being a union of them (Holt, Eick and O'Brien, *Handbook*, ch. 4);
-    u_0 carries the first level's G_b orbits to G_0's."""
+    Sym(n) and Alt(n), certified by a chain or a Jordan proof, are
+    primitive.  Otherwise, with a chain one beta per G_0-orbit suffices, a
+    block of 0 being a union of them (Holt, Eick and O'Brien, *Handbook*,
+    ch. 4); u_0 carries the first level's G_b orbits to G_0's.  Without a
+    chain it builds none and tries every beta, but once the first
+    ``BETAS_BEFORE_SAMPLES`` give no block, ``prove_giant`` draws its fixed
+    budget of samples for a Jordan proof, which ends the scan."""
     if not G.is_transitive():
         return False
-    if not G.has_chain():
-        betas = range(1, G.degree)
-    elif G.degree < 3 or giant_type(G.gens, G.order()) is not None:
+    if G.degree < 3 or (G.is_certified() and G.giant_type() is not None):
         return True
-    else:
+    if G.is_certified():
         top, stab = G.levels()[0], PermutationGroup(_level_gens(G.levels(), 1), G.degree)
         u0 = top.transversal(0)
-        betas = [u0(o.base) for o in stab.orbits() if o.base != top.base]
-    return all(len(block_system(G, beta)) == 1 for beta in betas)
+        return all(
+            len(block_system(G, u0(o.base))) == 1 for o in stab.orbits() if o.base != top.base
+        )
+    betas = range(1, G.degree)
+    head, tail = betas[:BETAS_BEFORE_SAMPLES], betas[BETAS_BEFORE_SAMPLES:]
+    if not all(len(block_system(G, beta)) == 1 for beta in head):
+        return False
+    if tail and G.prove_giant():
+        return True
+    return all(len(block_system(G, beta)) == 1 for beta in tail)
 
 
 def is_maximal_subgroup(G: PermutationGroup, M: PermutationGroup) -> bool:

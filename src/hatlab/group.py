@@ -1,15 +1,31 @@
 """Permutation groups backed by a base and strong generating set.
 
-The chain is built by a randomized Schreier-Sims pass and then made exact by
-one of four routes: a claimed order (``order=``), which the chain must
-reach; a proven upper bound (``bound=``: the order of a parent, of a source
-the group is a homomorphic image of, or a search-tree count), which ends
-the build once the chain reaches it; the alternating/symmetric sandwich,
-when the chain reaches the ceiling of its moved points; or else a
-deterministic verification that sifts every Schreier generator.  The chain
-order is always a lower bound for the group order (every stored permutation
-is a product of input generators), so matching an upper bound certifies
-completeness.
+The chain is built by a randomized Schreier-Sims pass, and the order is
+made exact by one of five routes: a claimed order (``order=``), which the
+chain must reach; a proven upper bound (``bound=``: the order of a parent, of
+a source the group is a homomorphic image of, or a search-tree count), which
+ends the build once the chain reaches it; Jordan's theorem, which proves the
+group Alt(n) or Sym(n) from one sample and ends the build without a chain;
+the alternating/symmetric sandwich, when the chain reaches the ceiling of
+its moved points; or else a deterministic verification that sifts every
+Schreier generator.  The chain order is always a lower bound for the group
+order (every stored permutation is a product of input generators), so
+matching an upper bound certifies completeness.
+
+Jordan's theorem: a primitive group of degree n with a p-cycle, p prime and
+p <= n - 3, contains Alt(n) (Wielandt, *Finite Permutation Groups*, 1964,
+Thm 13.9; Seress, *Permutation Group Algorithms*, 2003, §10.2).  Once the
+partial chain shows the group transitive on its n >= 8 moved points with a
+transitive point stabilizer, each sample is tested before it is sifted: a
+cycle of prime length p, n/2 < p <= n - 3, is the only cycle of the sample
+with length divisible by p (the others hold fewer than p points), so a
+power of the sample is a p-cycle; and a transitive group with a p-cycle,
+p > n/2, is primitive, since the p-cycle must fix each of the fewer than p
+blocks, none of which has p points.  The parity of the generators then
+decides between Alt(n) and Sym(n).  A proven giant answers its order,
+membership (support and parity) and primitivity from the proof, and builds
+its chain only when one is read: from scratch, with the proven order as its
+claim, which gives the chain the unclaimed build would have reached.
 
 Each level's Schreier tree is extended incrementally as strong generators
 arrive and fully rebuilt only when it would pass its shallow-tree depth
@@ -23,13 +39,18 @@ from __future__ import annotations
 
 import random
 import time
-from math import factorial
+from functools import cache
+from math import factorial, isqrt
 
 import numpy as np
 
 from .perm import _DTYPE, DegreeMismatch, Permutation, _inverse_images, _wrap
 
 _STATIONARY_ROUNDS = 14
+# Jordan's theorem needs a prime p with n/2 < p <= n - 3, which exists from
+# n = 8 on; a chainless primitivity test draws this many samples for it.
+JORDAN_MIN_DEGREE = 8
+JORDAN_SAMPLES = 48
 
 
 class ResourceExhausted(RuntimeError):
@@ -181,8 +202,8 @@ def _dedupe(perms):
 
 
 class PermutationGroup:
-    """A group of permutations of {0,...,degree-1}, its chain certified by
-    one of the four routes of the module docstring.
+    """A group of permutations of {0,...,degree-1}, its order certified by
+    one of the five routes of the module docstring.
 
     ``order=`` claims a trusted order, e.g. one obtained from the
     orbit-stabilizer identity; the chain build then runs until that order is
@@ -193,7 +214,9 @@ class PermutationGroup:
     onto generators), whose order is read only when the chain is built; a
     ``parent`` (checked to hold every generator) is the default.  A chain
     short of its bound, such as that of a proper subgroup or a non-faithful
-    image, is finished as without one; a chain past it raises.
+    image, is finished as without one; a chain or a Jordan proof past it
+    raises.  Without a claim, a group that Jordan's theorem proves Alt(n) or
+    Sym(n) keeps the proof instead of a chain until ``levels`` is read.
     """
 
     def __init__(
@@ -214,6 +237,7 @@ class PermutationGroup:
         self._bound = parent if bound is None else bound
         self._levels = None
         self._order = None
+        self._proof = None  # (giant type, fixed points) of a Jordan proof
         self._base_prefix = tuple(base_prefix)
         self._elements_cache = None
         if parent is not None:
@@ -223,15 +247,34 @@ class PermutationGroup:
 
     # -- chain construction ------------------------------------------------
 
-    def _ensure_chain(self):
-        if self._levels is not None:
+    def _certify(self):
+        """Certify the order: by a Jordan proof, or else by a complete chain."""
+        if self._order is not None:
             return
+        levels, proof = self._build(self._claimed_order, self._bound)
+        if proof is None:
+            self._levels = levels
+            self._order = _chain_order(levels)
+        else:
+            self._accept(proof)
+
+    def _build(self, claim, upper):
+        """A chain from scratch, with the Jordan proof that cut it short, if any."""
         levels = [Orbit(b, self.degree) for b in self._base_prefix]
         for g in self.gens:
             self._chain_add(levels, g)
-        self._complete(levels, self.gens, self._claimed_order, self._bound)
-        self._levels = levels
-        self._order = _chain_order(levels)
+        return levels, self._complete(levels, self.gens, claim, upper)
+
+    def _accept(self, proof):
+        """Keep a Jordan proof as the certificate of the order."""
+        (kind, n), _ = proof
+        order = factorial(n) // (2 if kind == "alt" else 1)
+        bound = self._bound
+        if bound is not None and not isinstance(bound, int):
+            bound = bound.order()
+        if bound is not None and order > bound:
+            raise ValueError("proven order %d exceeds its bound %d" % (order, bound))
+        self._proof, self._order = proof, order
 
     def _complete(self, levels, gens, target, upper=None):
         """Complete the chain of <gens>: randomized Schreier-Sims, then a
@@ -245,6 +288,10 @@ class PermutationGroup:
         int or a group's order), which needs no finish, or else after
         ``_STATIONARY_ROUNDS`` idle samples, and the Alt/Sym sandwich or else
         the Schreier pass certifies the chain.  A chain past the bound raises.
+        Without a claim, once the partial chain shows <gens> transitive on
+        its n >= ``JORDAN_MIN_DEGREE`` moved points with a transitive point
+        stabilizer, each sample is first tested for a Jordan cycle; on the
+        first, the build stops and returns the proof (else None).
         """
         bound = target
         if gens and (target is None or _chain_order(levels) < target):
@@ -252,11 +299,25 @@ class PermutationGroup:
                 bound = upper if isinstance(upper, int) else upper.order()
             rng = _Rattle(gens, random.Random(0))
             patience = _STATIONARY_ROUNDS if target is None else 401
+            moved = None  # counted once the partial chain looks 2-transitive
             idle = 0
             while idle < patience and (bound is None or _chain_order(levels) < bound):
-                idle = 0 if self._chain_add(levels, rng.sample()) else idle + 1
+                p = rng.sample()
+                if (
+                    target is None
+                    and len(levels) > 1
+                    and len(levels[0]) >= JORDAN_MIN_DEGREE
+                    and len(levels[1]) == len(levels[0]) - 1
+                ):
+                    if moved is None:
+                        moved = _moved_points(gens)
+                    if len(levels[0]) == len(moved) and _jordan_cycle(
+                        p.images, _jordan_primes(len(moved))
+                    ):
+                        return _giant_proof(gens, moved, self.degree)
+                idle = 0 if self._chain_add(levels, p) else idle + 1
             short = bound is None or _chain_order(levels) < bound
-            if short and (target is not None or giant_type(gens, _chain_order(levels)) is None):
+            if short and (target is not None or _giant_type(gens, _chain_order(levels)) is None):
                 self._schreier_complete(levels)
         if target is not None and _chain_order(levels) != target:
             raise ValueError(
@@ -265,6 +326,7 @@ class PermutationGroup:
             )
         if bound is not None and _chain_order(levels) > bound:
             raise ValueError("chain order %d exceeds its bound %d" % (_chain_order(levels), bound))
+        return None
 
     def _chain_add(self, levels, p, start=0) -> bool:
         """Sift p; install a nontrivial residue as a strong generator and
@@ -303,7 +365,7 @@ class PermutationGroup:
     # -- queries -------------------------------------------------------------
 
     def order(self) -> int:
-        self._ensure_chain()
+        self._certify()
         return self._order
 
     def __len__(self):
@@ -312,16 +374,50 @@ class PermutationGroup:
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        self._ensure_chain()
+        self._certify()
+        if self._proof is not None:
+            (kind, _), fixed = self._proof
+            return np.array_equal(p.images[fixed], fixed) and (kind == "sym" or p.is_even())
         residue, _ = _sift(self._levels, p, 0)
         return residue.is_identity()
 
-    def has_chain(self) -> bool:
-        """Whether the stabilizer chain is built (``levels`` builds it)."""
-        return self._levels is not None
+    def is_certified(self) -> bool:
+        """Whether the order is certified, by a chain or a Jordan proof
+        (``order`` certifies it)."""
+        return self._order is not None
+
+    def giant_type(self):
+        """("alt", n) or ("sym", n) when the group is the full alternating or
+        symmetric group on its n >= 3 moved points, else None; from the
+        Jordan proof when there is one, else from the certified order."""
+        self._certify()
+        if self._proof is not None:
+            return self._proof[0]
+        return _giant_type(self.gens, self._order)
+
+    def prove_giant(self) -> bool:
+        """Whether Jordan's theorem proves the group Alt(n) or Sym(n) on its
+        n moved points, without a chain: by the proof of an earlier order
+        certification or, when neither an order nor a claim is there yet, by
+        ``JORDAN_SAMPLES`` fresh seeded samples of a group transitive on its
+        n >= ``JORDAN_MIN_DEGREE`` moved points.  A proof found is kept;
+        False proves nothing."""
+        if self._order is None and self._claimed_order is None:
+            moved = _moved_points(self.gens)
+            n = len(moved)
+            if n >= JORDAN_MIN_DEGREE and len(self.orbit(min(moved))) == n:
+                primes, rng = _jordan_primes(n), _Rattle(self.gens, random.Random(0))
+                if any(_jordan_cycle(rng.sample().images, primes) for _ in range(JORDAN_SAMPLES)):
+                    self._accept(_giant_proof(self.gens, moved, self.degree))
+        return self._proof is not None
 
     def levels(self):
-        self._ensure_chain()
+        """The stabilizer chain.  A proven giant builds it here, from scratch
+        with its proven order as the claim."""
+        if self._levels is None:
+            self._certify()
+            if self._levels is None:
+                self._levels, _ = self._build(self._order, None)
         return self._levels
 
     def identity(self) -> Permutation:
@@ -336,12 +432,14 @@ class PermutationGroup:
         if self.order() > 10**7:
             raise ResourceExhausted("refusing to enumerate %d elements" % self.order())
 
+        levels = self.levels()
+
         def rec(i):
             # elements of the level-i group: g = h * u_a with h one level down
-            if i == len(self._levels):
+            if i == len(levels):
                 yield Permutation.identity(self.degree)
                 return
-            lvl = self._levels[i]
+            lvl = levels[i]
             for rest in rec(i + 1):
                 for a in lvl.points:
                     yield rest * lvl.transversal(a)
@@ -498,7 +596,7 @@ def _moved_points(gens):
     return moved
 
 
-def giant_type(gens, order):
+def _giant_type(gens, order):
     """("sym", n) or ("alt", n) when <gens>, of the given order, is the full
     symmetric or alternating group on its n >= 3 moved points, else None.
 
@@ -514,6 +612,45 @@ def giant_type(gens, order):
     if order == factorial(n) // 2 and all(g.is_even() for g in gens):
         return ("alt", n)
     return None
+
+
+@cache
+def _jordan_primes(n):
+    """The primes p with n/2 < p <= n - 3."""
+    return frozenset(
+        p for p in range(n // 2 + 1, n - 2) if all(p % d for d in range(2, isqrt(p) + 1))
+    )
+
+
+def _jordan_cycle(images, primes) -> bool:
+    """Whether the permutation (an image array) has a cycle whose length is
+    in ``primes``, the Jordan primes of its group's moved points; the scan
+    stops once fewer points than the least prime are left."""
+    imgs = images.tolist()
+    seen = [False] * len(imgs)
+    left, least = len(imgs), min(primes)
+    for start in range(len(imgs)):
+        if left < least:
+            return False
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = imgs[x]
+            length += 1
+        if length in primes:
+            return True
+        left -= length
+    return False
+
+
+def _giant_proof(gens, moved, degree):
+    """The Jordan proof of <gens> on its moved points: (giant type, fixed
+    points), the type Alt(n) exactly when every generator is even."""
+    kind = "alt" if all(g.is_even() for g in gens) else "sym"
+    fixed = np.array(sorted(set(range(degree)) - moved), dtype=np.int64)
+    return (kind, len(moved)), fixed
 
 
 # -- operations over groups ------------------------------------------------

@@ -5,9 +5,9 @@ images of R's generators, drawn from G's elements of the same orders, that
 ``normalizers.extend_homomorphism`` extends to a bijective homomorphism
 R -> G.  A reference is tried only when its order and element-order
 multiset match G's.  Past the references, a full alternating or symmetric
-group on its moved points is named by ``group.giant_type``; every other
-group is "group of order N", and its elements are enumerated only when
-some reference has its order.
+group on its moved points is named by ``PermutationGroup.giant_type``;
+every other group is "group of order N", and its elements are enumerated
+only when some reference has its order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .group import PermutationGroup, giant_type
+from .group import PermutationGroup
 from .normalizers import ElementTable, extend_homomorphism
 from .perm import Permutation
 
@@ -88,7 +88,7 @@ def group_name(G: PermutationGroup) -> str:
         for name, (_, ref_orders, ref_table, gens) in candidates:
             if ref_orders == orders and _isomorphic(ref_table, gens, table):
                 return name
-    kind = giant_type(G.gens, order)
+    kind = G.giant_type()
     if kind is not None:
         return ("A%d" if kind[0] == "alt" else "S%d") % kind[1]
     return "group of order %d" % order

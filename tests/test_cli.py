@@ -43,6 +43,16 @@ def test_cli_aut_command(tmp_path, capsys):
     assert A.order() == 10
 
 
+def test_cli_aut_to_stdout_reads_back(tmp_path, capsys):
+    graph_file = tmp_path / "c4.graph"
+    graph_file.write_text(cycle_graph(4).to_text())
+    assert main(["aut", str(graph_file)]) == 0
+    captured = capsys.readouterr()
+    A = read_group_file(captured.out)
+    assert A.order() == 8
+    assert captured.err.strip() == "order 8"
+
+
 def test_cli_altgraph_command(tmp_path, capsys):
     from test_symmetry import hat_circulant
 

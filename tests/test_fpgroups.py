@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hatlab import fpgroups
@@ -47,6 +49,26 @@ def test_cyclic_five():
     tab = todd_coxeter(pres, ())
     assert tab.coset_count == 5
     assert tab.verify_closed()
+
+
+def test_verify_closed_names_the_first_open_coset():
+    """A corrupted entry is reported at the coset a scalar scan, relator by
+    relator and coset by coset, finds first."""
+    rng = random.Random(5)
+    pres = FpPresentation.parse("a b c d".split(), [
+        "a^2", "b^3", "(a*b)^2", "c^2", "d^3", "(c*d)^4",
+        "[a,c]", "[a,d]", "[b,c]", "[b,d]",
+    ])
+    for _ in range(12):
+        tab = todd_coxeter(pres, [pres.word("a*(c*d)^2")])
+        assert tab.coset_count == 72 and tab.verify_closed()
+        c, letter = rng.randrange(tab.n), rng.randrange(2 * pres.ngens)
+        tab._neighbors[c][letter] = (tab._neighbors[c][letter] + rng.randrange(1, tab.n)) % tab.n
+        first = next(
+            d for rel in pres.relators for d in range(tab.n) if tab.trace(d, rel) != d
+        )
+        with pytest.raises(AssertionError, match="relator does not close at coset %d$" % first):
+            tab.verify_closed()
 
 
 def test_a4_amalgam_index():
