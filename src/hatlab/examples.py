@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass, field
 from math import factorial
 
-import numpy as np
-
 from .altcycles import (
     alternating_cycle_system,
     alternating_graph,
@@ -373,9 +371,9 @@ def search_ex42_witness(setting):
     """Search for the order-4 witness: an even permutation normalizing Z,
     centralizing t with square t, satisfying all four conditions.
 
-    ``setting`` is the ``_example_42_setting()`` tuple.  Enumerates the
-    symmetric-group normalizer of Z lazily, restricted to automorphisms
-    compatible with conjugation by a square root of inn_t, and filters.
+    ``setting`` is the ``_example_42_setting()`` tuple.  Scans the square
+    roots of t in the symmetric-group normalizer of Z, as
+    ``SymNormalizerData.square_roots([t])`` streams them, and filters.
     Returns the witness dict {"x", "v", "g", "h"} with v = 0.  Raises
     ResourceExhausted past WITNESS_SCAN_LIMIT realizations, and LookupError
     when every realization fails.
@@ -383,30 +381,20 @@ def search_ex42_witness(setting):
     from .normalizers import SymNormalizerData
 
     pres, table, RM, Y, Z, t = setting
-    data = SymNormalizerData(Z)
-    t_idx = data.index_of[t.key()]
-    inn_t = tuple(
-        data.index_of[(t * data.elems[i] * t).key()] for i in range(len(data.elems))
-    )
     y_keys = set(Y.element_set().keys())
     z_keys = set(Z.element_set().keys())
-    alphas = [
-        alpha
-        for alpha in data.automorphisms()
-        if alpha[t_idx] == t_idx
-        and tuple(alpha[alpha[i]] for i in range(len(alpha))) == inn_t
-    ]
     y_elems = list(Y.elements())
     tried = 0
-    for alpha in alphas:
-        for x in data.realizations(alpha, prune=_cannot_square_to(t)):
+    for rows, _ in SymNormalizerData(Z).square_roots([t]):
+        for row in rows:
+            x = Permutation(row)
             tried += 1
             if tried > WITNESS_SCAN_LIMIT:
                 raise ResourceExhausted(
                     "no witness among the first %d realizations" % WITNESS_SCAN_LIMIT
                 )
             if not (x * x == t):
-                raise AssertionError("constrained realization broke its contract")
+                raise AssertionError("square-root stream broke its contract")
             if not x.is_even():
                 continue
             # cheap first: the connection set at vertex 0 and its shape
@@ -436,20 +424,6 @@ def search_ex42_witness(setting):
                 "h": [int(i) for i in h.images],
             }
     raise LookupError("no realization of %d is an example-4.2 witness" % tried)
-
-
-def _cannot_square_to(t):
-    """A ``realizations`` prune keeping only x with x*x = t: it cuts a
-    partial map g once some a has g(a) and g(g(a)) known with g(g(a)) != t(a)."""
-    t_imgs = t.images
-
-    def prune(rows):
-        # an unknown g(a) = -1 reads the last column; ``known`` drops it
-        gga = np.take_along_axis(rows, rows, axis=1)
-        known = (rows >= 0) & (gga >= 0)
-        return (known & (gga != t_imgs)).any(axis=1)
-
-    return prune
 
 
 def _connection_shape_at_zero(x, y_elems):

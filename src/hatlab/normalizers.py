@@ -14,12 +14,19 @@ assembly choices streams N_{Sym(n)}(S), none stored, with no search over
 Sym(n).  The same extension proves the isomorphisms behind
 ``signatures.group_name``.
 
+That stream is read only as ``square_roots``: the g with g*g among some
+targets (the pair search's arc reversers, example 4.2's witness).  Its two
+cuts are exact, since g*g normalizes S and induces alpha o alpha when g
+induces alpha: alpha is realized only when some target induces alpha o
+alpha on S's generators, and a partial g is cut once a known g(g(a)) is
+no target's image of a.
+
 The assembly works on blocks of image rows of at most BLOCK_ENTRIES
 entries.  The trailing orbits whose candidate product fits the budget are
 assigned as one array: each orbit multiplies the rows by its candidates
 with one gather and drops the rows that reuse an image orbit.  Only the
-leading orbits are assigned one candidate at a time.  ``group`` hands the
-rows of several automorphisms to its visitor in one block.
+leading orbits are assigned one candidate at a time.  Each block is
+yielded as soon as it is built.
 
 Budgets are explicit; exceeding one raises ResourceExhausted rather than
 returning a truncated answer.
@@ -27,13 +34,12 @@ returning a truncated answer.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import prod
 
 import numpy as np
 
 from .group import PermutationGroup, ResourceExhausted
-from .perm import _DTYPE, Permutation, _wrap
+from .perm import _DTYPE, Permutation
 
 SCAN_LIMIT = 10**5
 COSET_SCAN_LIMIT = 10**4
@@ -74,21 +80,21 @@ def normalizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
 
 class ElementTable:
     """A finite group's elements in a fixed order, each with an invariant
-    that the homomorphisms sought must preserve; ``row(t)[p]`` is the index
-    of elems[p] * elems[t]."""
+    that the homomorphisms sought must preserve, and stacked as ``images``;
+    ``row(t)[p]`` is the index of elems[p] * elems[t]."""
 
     def __init__(self, elems, invariants):
         self.elems = elems
         self.invariants = invariants
         self.index_of = {p.key(): i for i, p in enumerate(elems)}
         self.identity = next(i for i, p in enumerate(elems) if p.is_identity())
-        self._table = np.stack([p.images for p in elems])
+        self.images = np.stack([p.images for p in elems])
         self._rows = {}
 
     def row(self, t):
         if t not in self._rows:
             self._rows[t] = [
-                self.index_of[r.tobytes()] for r in self.elems[t].images[self._table]
+                self.index_of[r.tobytes()] for r in self.elems[t].images[self.images]
             ]
         return self._rows[t]
 
@@ -136,16 +142,26 @@ class SymNormalizerData:
             )
         self.S = S
         self.n = S.degree
-        self.elems = [p for _, p in sorted(S.element_set().items())]
-        self.index_of = {p.key(): i for i, p in enumerate(self.elems)}
-        self.table = np.stack([p.images for p in self.elems])
-        self._fixes = self.table == np.arange(self.n)  # [i, v]: elems[i] fixes v
+        # the invariants, set below, are read off the table itself
+        self.table = table = ElementTable([p for _, p in sorted(S.element_set().items())], None)
+        m = len(table.elems)
+        self._fixes = table.images == np.arange(self.n)  # [i, v]: elems[i] fixes v
+        # conjugation by g permutes the element indices (row i of
+        # g[T[:, g^-1]] is elems[i]^g); the classes are the orbits
+        conj = [
+            Permutation([table.index_of[r.tobytes()] for r in g.images[table.images[:, g.inverse().images]]])
+            for g in S.gens
+        ]
+        class_size = np.empty(m, dtype=np.intp)
+        for orb in PermutationGroup(conj, m).orbits():
+            class_size[orb.points_arr] = len(orb)
+        table.invariants = [(p.order(), int(class_size[i]), p.cycle_type()) for i, p in enumerate(table.elems)]
         # orbits (points, sigma), rep first, sigma[j] the index of an element
         # taking rep to points[j]; orbit_of[v] the number of v's orbit
         self.orbits = []
         self._orbit_of = np.empty(self.n, dtype=np.intp)
         for k, orb in enumerate(S.orbits()):
-            sigma = [self.index_of[orb.transversal(a).key()] for a in orb.points]
+            sigma = [table.index_of[orb.transversal(a).key()] for a in orb.points]
             self.orbits.append((orb.points_arr, np.array(sigma)))
             self._orbit_of[orb.points_arr] = k
 
@@ -159,22 +175,12 @@ class SymNormalizerData:
         cycle type) invariant, from which the candidate images are also
         drawn.
         """
-        elems = self.elems
+        table = self.table
+        elems, inv_class = table.elems, table.invariants
         m = len(elems)
-        # conjugation by g permutes the element indices (row i of
-        # g[T[:, g^-1]] is elems[i]^g); the classes are the orbits
-        conj = [
-            Permutation([self.index_of[r.tobytes()] for r in g.images[self.table[:, g.inverse().images]]])
-            for g in self.S.gens
-        ]
-        class_size = np.empty(m, dtype=np.intp)
-        for orb in PermutationGroup(conj, m).orbits():
-            class_size[orb.points_arr] = len(orb)
-        inv_class = [(p.order(), int(class_size[i]), p.cycle_type()) for i, p in enumerate(elems)]
         candidates_of = {}
         for i in range(m):
             candidates_of.setdefault(inv_class[i], []).append(i)
-        table = ElementTable(elems, inv_class)
 
         def extend(gens, images):
             return extend_homomorphism(table, table, list(zip(gens, images)))
@@ -229,27 +235,17 @@ class SymNormalizerData:
         """Upper bound on the number of realizations of alpha."""
         return prod(len(cands) for *_, cands in self._orbit_candidates(alpha))
 
-    def realizations(self, alpha, prune=None):
-        """Yield every g in Sym(n) with s^g = alpha(s) for all s in S.
+    def _realization_rows(self, alpha, prune=None):
+        """The g in Sym(n) with s^g = alpha(s) for all s in S, as blocks of
+        image rows.
 
         Orbits are assigned in order, each over its candidate images of the
-        rep in increasing order, so the realizations come in that
-        lexicographic order; they are computed in blocks of rows of at most
-        BLOCK_ENTRIES entries.  ``prune``, when given, maps a block of
-        partial image rows (-1 where still unknown) to a boolean mask of the
-        rows to cut, after each orbit is assigned; it must only cut rows
-        that extend to no wanted realization.
-        """
-        for rows in self._realization_rows(alpha, prune):
-            for row in rows:
-                yield _wrap(np.array(row, dtype=_DTYPE))
-
-    def _realization_rows(self, alpha, prune=None):
-        """``realizations`` as blocks of image rows.
-
-        The trailing orbits, from the first one whose candidate product
-        times n fits BLOCK_ENTRIES, are assigned together as arrays; the
-        leading ones depth first, one row at a time.
+        rep in increasing order, so the rows come in that lexicographic
+        order.  The trailing orbits, from the first one whose candidate
+        product times n fits BLOCK_ENTRIES, are assigned together as arrays;
+        the leading ones depth first, one row at a time.  ``prune``, when
+        given, maps a block of partial rows (-1 where still unknown) to a
+        boolean mask of the rows to cut, after each orbit is assigned.
         """
         orbit_cands = self._orbit_candidates(alpha)
         split, entries = len(orbit_cands), self.n
@@ -264,7 +260,7 @@ class SymNormalizerData:
             mine = self._orbit_of[cands]
             row, q = np.nonzero((taken[:, :, None] != mine).all(axis=1))
             rows = rows[row]
-            rows[:, pts] = self.table[elt_rows[:, None], cands].T[q]
+            rows[:, pts] = self.table.images[elt_rows[:, None], cands].T[q]
             taken = np.column_stack([taken[row], mine[q]])
             if prune is None:
                 return rows, taken
@@ -286,45 +282,74 @@ class SymNormalizerData:
             np.full((1, self.n), -1, dtype=_DTYPE), np.empty((1, 0), dtype=np.intp), 0
         )
 
-    def group(self, visit=None) -> PermutationGroup:
-        """N_{Sym(n)}(S), its elements enumerated once and passed to ``visit``
-        as blocks of image rows, each of at most BLOCK_ENTRIES entries (or one
-        row), collected across automorphisms into one buffer that is
-        overwritten once ``visit`` returns.  An element induces one
-        automorphism of S, and the images of the orbit representatives tell
-        the realizations of one apart, so none comes twice.  The count is
-        certified from one realization per automorphism and then
-        C_{Sym(n)}(S); N's generators are re-verified to normalize S."""
-        firsts, count = [], 0
-        block, held = np.empty((max(BLOCK_ENTRIES // max(self.n, 1), 1), self.n), _DTYPE), 0
+    def square_roots(self, targets):
+        """Yield (rows, squares): the image rows of the g in N_{Sym(n)}(S)
+        with g*g among ``targets`` (permutations of degree n), in blocks in
+        realization order, each with the image rows of the squares.
+
+        Only the alpha in Aut(S) whose square alpha o alpha some target
+        induces on S are realized, compared on S's generators; a partial row
+        is cut once some known g(g(a)) is no target's image of a (unless
+        every pair occurs, as for a transitive group of targets); and each
+        full row's square is looked up among the targets.  Raises
+        ResourceExhausted past SYM_NORM_SIZE_LIMIT realized rows, or when the
+        realization bound of one alpha passes 40 times that.
+        """
+        index_of = self.table.index_of
+        gens = [index_of[s.key()] for s in self.S.gens]
+        T = np.stack([tau.images for tau in targets])
+        # the generator images of what each target induces on S, with a -1,
+        # which no alpha o alpha matches, where it does not normalize S
+        induced = set()
+        for tau in T:
+            inv = np.argsort(tau)  # tau[s[tau^-1]] is the image row of s^tau
+            induced.add(tuple(index_of.get(tau[s.images[inv]].tobytes(), -1) for s in self.S.gens))
+        prune, member = _square_filters(T)
+        count = 0
         for alpha in self.automorphisms():
+            if tuple(alpha[alpha[s]] for s in gens) not in induced:
+                continue
             if self.realization_bound(alpha) > 40 * SYM_NORM_SIZE_LIMIT:
                 raise ResourceExhausted(
                     "symmetric normalizer enumeration is hopeless "
                     "(per-automorphism bound above %d)" % (40 * SYM_NORM_SIZE_LIMIT)
                 )
-            start = count
-            for rows in self._realization_rows(alpha):
-                if count == start:
-                    firsts.append(_wrap(np.array(rows[0], dtype=_DTYPE)))
+            for rows in self._realization_rows(alpha, prune):
                 count += len(rows)
                 if count > SYM_NORM_SIZE_LIMIT:
                     raise ResourceExhausted(
-                        "symmetric normalizer larger than %d elements" % SYM_NORM_SIZE_LIMIT
+                        "more than %d realized rows in N_Sym(n)(S)" % SYM_NORM_SIZE_LIMIT
                     )
-                if visit is None:
-                    continue
-                if held + len(rows) > len(block):
-                    visit(block[:held])
-                    held = 0
-                block[held : held + len(rows)] = rows
-                held += len(rows)
-        if held:
-            visit(block[:held])
-        identity = tuple(range(len(self.elems)))
-        N = PermutationGroup.from_generator_stream(
-            chain(firsts, self.realizations(identity)), self.n, order=count
-        )
-        if not N.normalizes(self.S):
-            raise AssertionError("normalizer generator does not normalize S")
-        return N
+                squares = _squares(rows)
+                hit = member(squares)
+                if hit.any():
+                    yield rows[hit], squares[hit]
+
+
+def _square_filters(roots):
+    """For the image rows ``roots``: a prune cutting the partial rows g with
+    some known g(g(a)) that no root has at a (None when every pair occurs),
+    and a membership test of full rows among the roots."""
+    n = roots.shape[1]
+    base = np.arange(n) * n  # allowed[a * n + b]: some root takes a to b
+    allowed = np.zeros(n * n, dtype=bool)
+    allowed[base + roots] = True
+    as_bytes = np.dtype((np.void, roots.itemsize * n))
+    keys = np.sort(roots.view(as_bytes).ravel())
+
+    def member(rows):
+        v = rows.view(as_bytes).ravel()
+        return np.searchsorted(keys, v, "right") > np.searchsorted(keys, v)
+
+    def prune(rows):
+        # an unknown g(a) = -1 reads the last column; ``known`` drops it
+        gga = _squares(rows)
+        known = (rows >= 0) & (gga >= 0)
+        return (known & ~allowed[base + gga]).any(axis=1)
+
+    return (None if allowed.all() else prune), member
+
+
+def _squares(rows):
+    """g[g] for each image row g of a block."""
+    return rows[np.arange(len(rows))[:, None], rows]

@@ -13,8 +13,9 @@ generating M together with image(X), and reversing no arc (no transversal
 element t of the intersection with m*t*m back in image(X)).  The first such
 m is kept, as the search stops at one witness per (X, h).
 
-Candidate counts and emitted tuples are deterministic: subgroups, the h kept
-from the normalizer stream and coset enumerations come in fixed sorted orders.
+The h are the normalizer's square roots of the image of L, as
+``SymNormalizerData.square_roots`` streams them.  Candidate counts and emitted
+tuples are deterministic: subgroups, the h and cosets come in fixed orders.
 """
 
 from __future__ import annotations
@@ -195,34 +196,20 @@ class SearchOutcome:
 
 
 def reverser_candidates(L_elems, B: PermutationGroup):
-    """The h in the streamed N_Sym(n)(B) outside the L-image (``L_elems``,
-    keyed elements) with h^2 inside and of 2-power order (twice that of h^2,
-    so tested once per square), sorted by images; and N_Sym(n)(B).
-
-    Each block of rows is squared at once and both tested against the
-    L-image's rows, sorted as opaque byte strings, by binary search."""
-    L_rows = np.stack([p.images for p in L_elems.values()])
-    as_bytes = np.dtype((np.void, L_rows.itemsize * L_rows.shape[1]))
-    L_sorted = np.sort(L_rows.view(as_bytes).ravel())
-
-    def in_L(rows):
-        v = np.ascontiguousarray(rows).view(as_bytes).ravel()
-        return np.searchsorted(L_sorted, v, "right") > np.searchsorted(L_sorted, v)
-
+    """The h in N_Sym(n)(B) with h^2 in the L-image (``L_elems``, keyed
+    elements), outside it and of 2-power order (twice that of h^2, so tested
+    once per square), sorted by images."""
     hs, square_ok = [], {}
-
-    def keep(rows):
-        squares = np.take_along_axis(rows, rows, axis=1)
-        hit = in_L(squares) & ~in_L(rows)
-        for row, square in zip(rows[hit], squares[hit]):
+    for rows, squares in SymNormalizerData(B).square_roots(L_elems.values()):
+        for row, square in zip(rows, squares):
+            if row.tobytes() in L_elems:
+                continue
             if (key := square.tobytes()) not in square_ok:
                 square_ok[key] = _is_power_of_two(_wrap(np.array(square, dtype=_DTYPE)).order())
             if square_ok[key]:
                 hs.append(_wrap(np.array(row, dtype=_DTYPE)))
-
-    N = SymNormalizerData(B).group(keep)
     hs.sort(key=lambda p: p.images.tolist())
-    return hs, N
+    return hs
 
 
 def maximal_half_arc_pairs(
@@ -274,7 +261,7 @@ def maximal_half_arc_pairs(
             phi_Hu_elems = {p.key(): p for p in phi_Hu.elements()}
             phi_Mu_elems = [p for p in phi_Mu.elements()]
 
-            h_list, Nuv = reverser_candidates(phi_Hu_elems, phi_Huv)
+            h_list = reverser_candidates(phi_Hu_elems, phi_Huv)
             # h-candidates in one right coset of the L-image produce the same
             # group H = <image(L), h>, the same M, and the same forward-element
             # search, so that work is shared across the coset
@@ -284,8 +271,7 @@ def maximal_half_arc_pairs(
                 cosets.setdefault(key, []).append(h)
             note(
                 "hList",
-                {"n": n, "normalizer": Nuv.order(), "hCandidates": len(h_list),
-                 "hCosets": len(cosets)},
+                {"n": n, "hCandidates": len(h_list), "hCosets": len(cosets)},
             )
             L_names = None  # the names of phi_Hu and phi_Mu, at the first accepted coset
             for key in sorted(cosets):

@@ -176,7 +176,16 @@ class Permutation:
         return lcm(*(len(c) for c in self.cycles()))
 
     def is_even(self) -> bool:
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        """Whether n minus the number of cycles, fixed points included, is even."""
+        imgs = self.images.tolist()
+        cycles = 0
+        for i in range(len(imgs)):
+            if imgs[i] >= 0:
+                cycles += 1
+                j = i
+                while imgs[j] >= 0:  # walk i's cycle, marking its points -1
+                    imgs[j], j = -1, imgs[j]
+        return (len(imgs) - cycles) % 2 == 0
 
     def cycle_string(self) -> str:
         return "".join("(%s)" % " ".join(str(p) for p in c) for c in self.cycles()) or "()"

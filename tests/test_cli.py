@@ -31,6 +31,16 @@ def test_cli_pairsearch_a4(tmp_path, capsys):
         assert "hCycles" in entry and "mCycles" in entry and "n" in entry
 
 
+def test_cli_pairsearch_verbose_progress(capsys):
+    assert main(["pairsearch", "--amalgam", "A4s", "--verbose"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "  [candidate] {'order': 2, 'index': 1}",
+        "  [hList] {'n': 6, 'hCandidates': 15, 'hCosets': 7}",
+        "  [accepted] {'count': 1}",
+        "  [accepted] {'count': 2}",
+    ]
+
+
 def test_cli_aut_command(tmp_path, capsys):
     graph_file = tmp_path / "c5.graph"
     graph_file.write_text(cycle_graph(5).to_text())

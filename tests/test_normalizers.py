@@ -1,11 +1,11 @@
 import random
-from itertools import chain, islice
+from itertools import permutations
 
 import pytest
 
 from hatlab import normalizers
 
-from hatlab.examples import _cannot_square_to
+from hatlab.examples import _example_42_setting
 from hatlab.group import PermutationGroup, ResourceExhausted
 from hatlab.normalizers import SymNormalizerData, normalizer
 from hatlab.perm import Permutation
@@ -53,32 +53,39 @@ def test_normalizer_5cycle_in_s5_is_frobenius():
     assert N.order() == len(oracle)
 
 
+def roots(data, targets):
+    """The square-root stream of ``data`` as image lists, with its blocks;
+    every block's squares are checked against its rows."""
+    blocks = list(data.square_roots(targets))
+    for rows, squares in blocks:
+        assert squares.tolist() == [[r[r[a]] for a in range(len(r))] for r in rows.tolist()]
+    return [r for rows, _ in blocks for r in rows.tolist()], blocks
+
+
 def test_normalizer_in_sym_of_cyclic_5():
     S = PermutationGroup([g("(0 1 2 3 4)")])
-    N = SymNormalizerData(S).group()
-    assert N.order() == 20
+    N, _ = roots(SymNormalizerData(S), list(sym(5).elements()))
+    assert len(N) == 20
     oracle = element_scan_normalizer(list(sym(5).elements()), list(S.elements()))
-    assert N.order() == len(oracle)
-    for p in N.gens:
-        assert all(s.conj(p) in S for s in S.gens)
+    assert sorted(N) == sorted(p.images.tolist() for p in oracle)
 
 
 def test_normalizer_in_sym_of_full_symmetric():
     S = sym(4)
-    N = SymNormalizerData(S).group()
-    assert N.order() == 24
+    N, _ = roots(SymNormalizerData(S), list(S.elements()))
+    assert len(N) == 24
 
 
 def test_normalizer_in_sym_semiregular_z3():
     S = PermutationGroup([g("(0 1 2)(3 4 5)")])
-    N = SymNormalizerData(S).group()
+    N, _ = roots(SymNormalizerData(S), list(sym(6).elements()))
     oracle = element_scan_normalizer(list(sym(6).elements()), list(S.elements()))
-    assert N.order() == len(oracle)
+    assert sorted(N) == sorted(p.images.tolist() for p in oracle)
 
 
 def test_normalizer_in_sym_matches_scan_on_random_small_groups():
-    import random
-
+    """With every permutation a target, the stream is N_Sym(n)(S), each
+    element once."""
     rng = random.Random(5)
     sym_elems = {n: list(sym(n).elements()) for n in (4, 5, 6)}
     done = 0
@@ -93,13 +100,10 @@ def test_normalizer_in_sym_matches_scan_on_random_small_groups():
         if S.order() == 1:
             continue
         oracle = {p.key() for p in element_scan_normalizer(sym_elems[n], list(S.elements()))}
-        stream = []
-        N = SymNormalizerData(S).group(lambda rows: stream.extend(r.tobytes() for r in rows))
+        N, _ = roots(SymNormalizerData(S), sym_elems[n])
+        stream = [Permutation(r).key() for r in N]
         assert len(stream) == len(set(stream))
         assert set(stream) == oracle
-        assert N.order() == len(oracle)
-        assert SymNormalizerData(S).group().order() == len(oracle)
-        assert set(N.element_set()) == oracle
         done += 1
 
 
@@ -111,8 +115,8 @@ def _check_automorphisms_against_oracle(S):
     # the only ones conjugation inside Sym(n) can induce
     oracle = {
         phi
-        for phi in automorphisms_by_images(data.elems, S.gens)
-        if all(p.cycle_type() == data.elems[phi[i]].cycle_type() for i, p in enumerate(data.elems))
+        for phi in automorphisms_by_images(data.table.elems, S.gens)
+        if all(p.cycle_type() == data.table.elems[phi[i]].cycle_type() for i, p in enumerate(data.table.elems))
     }
     assert set(auts) == oracle
     return len(auts)
@@ -167,36 +171,110 @@ def test_automorphisms_budget_raises_on_elementary_abelian_16():
         SymNormalizerData(S).automorphisms()
 
 
+def _realized_alphas(monkeypatch, data):
+    """Record the automorphisms ``data`` realizes and whether each came with
+    a row prune."""
+    realized = []
+
+    def spy(alpha, prune=None):
+        realized.append((alpha, prune is not None))
+        return SymNormalizerData._realization_rows(data, alpha, prune)
+
+    monkeypatch.setattr(data, "_realization_rows", spy)
+    return realized
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_realizations_prune_matches_square_filter(seed):
-    """realizations(alpha, prune=...) is the plain enumeration filtered to
-    x*x == t, in the same order."""
+def test_realizations_prune_matches_square_filter(seed, monkeypatch):
+    """square_roots(targets) is the object-level DFS over every automorphism
+    filtered to g*g among the targets, in the same order, and as a set the
+    scan of Sym(n); on seeded S, n <= 7, with the targets {1}, {t}, a group
+    L >= S and all of Sym(n).  Some automorphisms are never realized, and
+    some rows are cut."""
     rng = random.Random(300 + seed)
-    cases = hits = 0
-    while cases < 4:
-        n = rng.randrange(4, 9)
+    sym_elems = {}
+    cases = hits = skipped = pruned = 0
+    while cases < 6:
+        n = rng.randrange(4, 8)
         gens = []
         for _ in range(rng.choice([1, 2])):
+            moved = rng.sample(range(n), rng.randrange(2, n + 1))
             imgs = list(range(n))
-            rng.shuffle(imgs)
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                imgs[a] = b
             gens.append(Permutation(imgs))
         S = PermutationGroup(gens, n)
         if not 2 <= S.order() <= 24:
             continue
+        L = PermutationGroup(list(S.gens) + [Permutation(rng.sample(range(n), n))], n)
+        if L.order() > 720:
+            continue
+        if n not in sym_elems:
+            sym_elems[n] = [Permutation(p) for p in permutations(range(n))]
         data = SymNormalizerData(S)
-        for alpha in data.automorphisms():
-            if data.realization_bound(alpha) > 500:
-                continue
-            plain = list(data.realizations(alpha))
-            squares = {(x * x).key(): x * x for x in plain}
-            targets = [S.identity(), rng.choice(data.elems)]
-            targets += [q for k, q in sorted(squares.items()) if k in data.index_of][:3]
-            for t in targets:
-                wanted = [x for x in plain if x * x == t]
-                assert list(data.realizations(alpha, prune=_cannot_square_to(t))) == wanted
-                hits += len(wanted)
+        elems = data.table.elems
+        plain = [r for alpha in data.automorphisms() for r in dfs_realizations(elems, alpha, n)]
+        normalizing = element_scan_normalizer(sym_elems[n], list(S.elements()))
+        assert sorted(plain) == sorted(p.images.tolist() for p in normalizing)
+        t = rng.choice(elems)
+        for targets in ([S.identity()], [t], list(L.elements()), sym_elems[n]):
+            keys = {p.key() for p in targets}
+            wanted = [r for r in plain if (Permutation(r) * Permutation(r)).key() in keys]
+            realized = _realized_alphas(monkeypatch, data)
+            got, _ = roots(data, targets)
+            assert got == wanted
+            hits += len(got)
+            skipped += len(realized) < len(data.automorphisms())
+            pruned += any(p for _, p in realized)
         cases += 1
-    assert hits > 0
+    assert hits > 0 and skipped > 0 and pruned > 0
+
+
+def test_square_roots_budgets(monkeypatch):
+    """Past SYM_NORM_SIZE_LIMIT realized rows, or with one automorphism's
+    realization bound past 40 times that, the stream raises instead of
+    ending short."""
+    S = PermutationGroup([g("(0 1 2 3 4)")])
+    everything = list(sym(5).elements())
+    monkeypatch.setattr(normalizers, "SYM_NORM_SIZE_LIMIT", 20)
+    assert len(roots(SymNormalizerData(S), everything)[0]) == 20
+    monkeypatch.setattr(normalizers, "SYM_NORM_SIZE_LIMIT", 19)
+    with pytest.raises(ResourceExhausted, match="more than 19 realized rows"):
+        list(SymNormalizerData(S).square_roots(everything))
+    # C5 on 5 of 12 points: each automorphism's bound is 5 * 7^7, and the
+    # involutions and 1 in N are the identity or one of the 5 reflections
+    # of the 5-cycle times one of the 232 of Sym(7)
+    S = PermutationGroup([g("(0 1 2 3 4)", 12)])
+    data = SymNormalizerData(S)
+    bound = data.realization_bound(tuple(range(5)))
+    assert bound == 5 * 7**7
+    monkeypatch.setattr(normalizers, "SYM_NORM_SIZE_LIMIT", bound // 40)
+    with pytest.raises(ResourceExhausted, match="per-automorphism bound"):
+        list(data.square_roots([S.identity()]))
+    monkeypatch.setattr(normalizers, "SYM_NORM_SIZE_LIMIT", bound // 40 + 1)
+    assert len(roots(data, [S.identity()])[0]) == 6 * 232
+
+
+def test_example_42_stays_inside_the_budgets():
+    """Z's largest realization bound is 72^4, under 40 * SYM_NORM_SIZE_LIMIT."""
+    *_, Z, t = _example_42_setting()
+    data = SymNormalizerData(Z)
+    bounds = [data.realization_bound(alpha) for alpha in data.automorphisms()]
+    assert max(bounds) == 72**4 < 40 * normalizers.SYM_NORM_SIZE_LIMIT
+
+
+def test_one_element_table_per_group(monkeypatch):
+    built = []
+    table = normalizers.ElementTable
+
+    def spy(elems, invariants):
+        built.append(len(elems))
+        return table(elems, invariants)
+
+    monkeypatch.setattr(normalizers, "ElementTable", spy)
+    data = SymNormalizerData(sym(4))
+    assert len(data.automorphisms()) == 24
+    assert built == [24]
 
 
 def _seeded_multi_orbit_groups(seed, count):
@@ -242,42 +320,33 @@ def test_realization_blocks_match_dfs_oracle(monkeypatch, budget):
             blocks = list(data._realization_rows(alpha))
             assert all(b.size <= budget or len(b) == 1 for b in blocks)
             rows = [r for b in blocks for r in b.tolist()]
-            assert rows == dfs_realizations(data.elems, alpha, S.degree)
+            assert rows == dfs_realizations(data.table.elems, alpha, S.degree)
             several += len(blocks) > 1
     assert several > 0
 
 
 @pytest.mark.parametrize("budget", [normalizers.BLOCK_ENTRIES, 200])
 def test_group_stream_matches_dfs_oracle(monkeypatch, budget):
-    """group(visit) streams every automorphism's oracle rows in order, in
-    blocks that fit the budget and span automorphisms; the count is N's
-    order, and the first row of each automorphism leads the generator
-    stream."""
+    """With the squares of N_Sym(n)(S) as the targets, the square-root
+    stream is every automorphism's oracle rows in order, in blocks that fit
+    the budget, none spanning two automorphisms."""
     monkeypatch.setattr(normalizers, "BLOCK_ENTRIES", budget)
-    from_stream = PermutationGroup.from_generator_stream
-    leading = []
-
-    def spy(stream, degree, *, order):
-        stream = iter(stream)
-        leading[:] = islice(stream, len(auts))
-        return from_stream(chain(leading, stream), degree, order=order)
-
-    monkeypatch.setattr(PermutationGroup, "from_generator_stream", staticmethod(spy))
     cases = _seeded_multi_orbit_groups(1500, 8) + [(SIX_INVOLUTIONS, None, None)]
-    spanning = several = 0
+    several = 0
     for S, data, auts in cases:
         data = data or SymNormalizerData(S)
         auts = auts or data.automorphisms()
-        oracle = [dfs_realizations(data.elems, alpha, S.degree) for alpha in auts]
-        blocks = []
-        N = data.group(lambda rows: blocks.append(rows.copy()))
-        assert all(b.size <= budget or len(b) == 1 for b in blocks)
-        assert [r for b in blocks for r in b.tolist()] == [r for rows in oracle for r in rows]
-        assert N.order() == sum(map(len, oracle))
-        assert [p.images.tolist() for p in leading] == [rows[0] for rows in oracle]
-        spanning += len(blocks) < sum(1 for rows in oracle if rows)
+        oracle = [dfs_realizations(data.table.elems, alpha, S.degree) for alpha in auts]
+        N = [r for rows in oracle for r in rows]
+        squares = {tuple(r[a] for a in r) for r in N}
+        realized = _realized_alphas(monkeypatch, data)
+        got, blocks = roots(data, [Permutation(q) for q in sorted(squares)])
+        assert got == N
+        assert all(rows.size <= budget or len(rows) == 1 for rows, _ in blocks)
+        assert len(blocks) >= sum(1 for rows in oracle if rows)
+        assert [alpha for alpha, _ in realized] == auts
         several += len(blocks) > 1
-    assert spanning > 0 and several > 0
+    assert several > 0
 
 
 def test_coset_scan_branch():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -53,6 +55,14 @@ def test_parity_and_cycles():
     p = Permutation.parse("(0 1 2)(3 4)(5 6)", 8)
     assert p.cycle_type() == (2, 2, 3)
     assert p.degree - len(p.support()) == 1
+
+
+def test_parity_matches_the_cycles():
+    rng = random.Random(23)
+    for n in [0, 1, 2, 3, 7, 72] + [rng.randrange(2, 40) for _ in range(30)]:
+        p = Permutation(rng.sample(range(n), n))
+        assert p.is_even() == (sum(len(c) - 1 for c in p.cycles()) % 2 == 0)
+    assert Permutation.identity(0).is_even() and Permutation.identity(1).is_even()
 
 
 def test_degree_mismatch():
