@@ -38,11 +38,15 @@ def coset_canonical(H: PermutationGroup, x: Permutation) -> Permutation:
     return p
 
 
+COSET_LIMIT = 10**6
+
+
 class CosetSpace:
     """The right cosets of H in G, with G acting by right multiplication;
-    ``gen_images[i]`` is the action of ``G.gens[i]``, read off the BFS."""
+    ``gen_images[i]`` is the action of ``G.gens[i]``, read off the BFS,
+    which raises ResourceExhausted past COSET_LIMIT cosets."""
 
-    def __init__(self, G: PermutationGroup, H: PermutationGroup, max_index=10**6):
+    def __init__(self, G: PermutationGroup, H: PermutationGroup):
         if not all(g in G for g in H.gens):
             raise ValueError("H is not a subgroup of G")
         self.G = G
@@ -60,10 +64,8 @@ class CosetSpace:
                 nxt = self.canonical(r * g)
                 k = nxt.key()
                 if k not in index:
-                    if len(reps) >= max_index:
-                        raise ResourceExhausted(
-                            "coset enumeration exceeded %d" % max_index
-                        )
+                    if len(reps) >= COSET_LIMIT:
+                        raise ResourceExhausted("coset enumeration exceeded %d" % COSET_LIMIT)
                     index[k] = len(reps)
                     reps.append(nxt)
                 imgs.append(index[k])
@@ -118,30 +120,17 @@ def core(G: PermutationGroup, H: PermutationGroup):
 
 
 def _core_fixpoint(G, H):
-    elems = _conjugation_invariant_part(H.element_set(), G.gens)
-    return PermutationGroup.from_generator_stream(
-        (p for _, p in sorted(elems.items())), G.degree, order=len(elems), parent=G
-    )
-
-
-def _conjugation_invariant_part(elems, conj_gens):
-    """The largest subset of the element dict (key -> perm) closed under
-    conjugation by conj_gens.  For the elements of a subgroup H this is the
-    core of H in <H, conj_gens>; it always holds the identity."""
-    alive = dict(elems)
-    while True:
-        doomed = []
-        for k, u in alive.items():
-            if u.is_identity():
-                continue
-            for g in conj_gens:
-                if u.conj(g).key() not in alive:
-                    doomed.append(k)
-                    break
-        if not doomed:
-            return alive
+    # drop the elements with a conjugate outside the rest until none is left
+    alive = dict(H.element_set())
+    while doomed := [
+        k for k, u in alive.items()
+        if not u.is_identity() and any(u.conj(g).key() not in alive for g in G.gens)
+    ]:
         for k in doomed:
             del alive[k]
+    return PermutationGroup.from_generator_stream(
+        (p for _, p in sorted(alive.items())), G.degree, order=len(alive), parent=G
+    )
 
 
 def _core_via_combined(G, H):

@@ -432,7 +432,8 @@ def _connection_shape_at_zero(x, y_elems):
     S_0 is assembled from 72 products (for y1 in Y the companion y2 is the
     unique element of the regular group sending the right point back to 0).
     Returns (g, h) with S_0 = {g, g^-1, g^h, (g^h)^-1}, h an even involution
-    fixing 0, or None.
+    fixing 0, or None; raises ResourceExhausted past 5000 involutions
+    conjugating g to one partner, rather than skip a shape unchecked.
     """
     # y2 with p^{y2} = 0 is the unique regular element with 0^(y2^-1) = p
     y2_for = {int(y.inverse().images[0]): y for y in y_elems}
@@ -463,7 +464,7 @@ def _connection_shape_at_zero(x, y_elems):
                 if shape == set(s_zero.keys()):
                     return g, h
             if found > 5000:
-                break
+                raise ResourceExhausted("more than 5000 involutions conjugate g to its partner")
     return None
 
 

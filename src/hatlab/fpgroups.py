@@ -4,8 +4,9 @@ Words are tuples of (generator-index, +-1) pairs.  The enumerator is an
 HLT-style scan with a union-find coset table: every live coset is scanned
 against every relator (definitions happen during path following, lowest
 coset first), coincidences collapse through the union-find, and a final
-sweep completes every (coset, letter) entry.  Tables are renumbered by
-first appearance, so results are independent of internal definition order.
+sweep completes every (coset, letter) entry.  The live cosets are then
+numbered in the order they were defined, coset 0 being the subgroup, so
+the table and every result read off it follow the definition strategy.
 Defining more than COSET_LIMIT cosets raises ResourceExhausted.
 
 The built-in amalgam catalog carries the seven distinct (L, B) pairs of
@@ -291,7 +292,7 @@ def todd_coxeter(pres: FpPresentation, subgroup_words=()) -> CosetTable:
                     follow_step(c, letter)
         to_visit += 1
 
-    # compress live cosets by first appearance
+    # compress live cosets in order of definition
     live = [c for c in range(len(labels)) if find(c) == c]
     renumber = {c: i for i, c in enumerate(live)}
     n = len(live)

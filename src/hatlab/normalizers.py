@@ -22,11 +22,12 @@ alpha on S's generators, and a partial g is cut once a known g(g(a)) is
 no target's image of a.
 
 The assembly works on blocks of image rows of at most BLOCK_ENTRIES
-entries.  The trailing orbits whose candidate product fits the budget are
-assigned as one array: each orbit multiplies the rows by its candidates
-with one gather and drops the rows that reuse an image orbit.  Only the
-leading orbits are assigned one candidate at a time.  Each block is
-yielded as soon as it is built.
+entries.  Each orbit is assigned as one array: it multiplies the rows by
+its candidates with one gather and drops the rows that reuse an image
+orbit.  The rows are then split into chunks of as many rows as still fit
+the budget once completed over the later orbits (at least one), and the
+walk goes on chunk by chunk.  Each block is yielded as soon as it is
+built.
 
 Budgets are explicit; exceeding one raises ResourceExhausted rather than
 returning a truncated answer.
@@ -67,7 +68,7 @@ def normalizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
         raise ResourceExhausted("coset scan past its limits: |G|=%d" % G.order())
     gens = list(S.gens)
     count = 0
-    for r in CosetSpace(G, S, max_index=index).reps:
+    for r in CosetSpace(G, S).reps:
         if all(s.conj(r) in S for s in S.gens):
             count += 1
             if not r.is_identity():
@@ -241,19 +242,27 @@ class SymNormalizerData:
 
         Orbits are assigned in order, each over its candidate images of the
         rep in increasing order, so the rows come in that lexicographic
-        order.  The trailing orbits, from the first one whose candidate
-        product times n fits BLOCK_ENTRIES, are assigned together as arrays;
-        the leading ones depth first, one row at a time.  ``prune``, when
+        order.  Each orbit is assigned to a block of rows as one array; the
+        rows are then split into chunks whose rows, completed over the later
+        orbits, fit BLOCK_ENTRIES entries (or one row, when even one does
+        not fit), and the walk goes on chunk by chunk.  ``prune``, when
         given, maps a block of partial rows (-1 where still unknown) to a
         boolean mask of the rows to cut, after each orbit is assigned.
+        Raises ResourceExhausted when the realization bound of alpha passes
+        40 times SYM_NORM_SIZE_LIMIT.
         """
         orbit_cands = self._orbit_candidates(alpha)
-        split, entries = len(orbit_cands), self.n
-        while split and entries * len(orbit_cands[split - 1][2]) <= BLOCK_ENTRIES:
-            split -= 1
-            entries *= len(orbit_cands[split][2])
+        sizes = [len(cands) for *_, cands in orbit_cands]
+        if prod(sizes) > 40 * SYM_NORM_SIZE_LIMIT:
+            raise ResourceExhausted(
+                "symmetric normalizer enumeration is hopeless "
+                "(per-automorphism bound above %d)" % (40 * SYM_NORM_SIZE_LIMIT)
+            )
 
-        def extend(rows, taken, k):
+        def walk(rows, taken, k):
+            if k == len(orbit_cands):
+                yield rows
+                return
             # every row times every candidate q of orbit k whose image orbit
             # the row has not taken yet, in (row, q) order
             pts, elt_rows, cands = orbit_cands[k]
@@ -262,21 +271,12 @@ class SymNormalizerData:
             rows = rows[row]
             rows[:, pts] = self.table.images[elt_rows[:, None], cands].T[q]
             taken = np.column_stack([taken[row], mine[q]])
-            if prune is None:
-                return rows, taken
-            ok = ~prune(rows)
-            return rows[ok], taken[ok]
-
-        def walk(rows, taken, k):
-            if k < split:
-                rows, taken = extend(rows, taken, k)
-                for i in range(len(rows)):
-                    yield from walk(rows[i : i + 1], taken[i : i + 1], k + 1)
-                return
-            for j in range(k, len(orbit_cands)):
-                rows, taken = extend(rows, taken, j)
-            if len(rows):
-                yield rows
+            if prune is not None:
+                ok = ~prune(rows)
+                rows, taken = rows[ok], taken[ok]
+            step = max(1, BLOCK_ENTRIES // (self.n * prod(sizes[k + 1 :])))
+            for i in range(0, len(rows), step):
+                yield from walk(rows[i : i + step], taken[i : i + step], k + 1)
 
         yield from walk(
             np.full((1, self.n), -1, dtype=_DTYPE), np.empty((1, 0), dtype=np.intp), 0
@@ -309,11 +309,6 @@ class SymNormalizerData:
         for alpha in self.automorphisms():
             if tuple(alpha[alpha[s]] for s in gens) not in induced:
                 continue
-            if self.realization_bound(alpha) > 40 * SYM_NORM_SIZE_LIMIT:
-                raise ResourceExhausted(
-                    "symmetric normalizer enumeration is hopeless "
-                    "(per-automorphism bound above %d)" % (40 * SYM_NORM_SIZE_LIMIT)
-                )
             for rows in self._realization_rows(alpha, prune):
                 count += len(rows)
                 if count > SYM_NORM_SIZE_LIMIT:

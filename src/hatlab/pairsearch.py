@@ -3,15 +3,18 @@
 For each amalgam (L, B): realize L faithfully (regular representation via
 coset enumeration), take the degree-4 action on [L:B], and collect the
 candidate local HAT stabilizers: core-free subgroups X with 2|X| bounded by
-the 2-part of |L| and exactly two orbits of size 2 on the four cosets.  For
-each X, pass to the action of L on [L:X] (degree n) and look for arc
-reversers h in the symmetric-group normalizer of the edge-stabilizer image:
-h of 2-power order outside the image of L with h^2 inside it.  Each h that
-makes H = <image(L), h> primitive with the right trivial cores is then
-tested for a forward element m in image(L)*h lying in M = Stab_H(0),
-generating M together with image(X), and reversing no arc (no transversal
-element t of the intersection with m*t*m back in image(X)).  The first such
-m is kept, as the search stops at one witness per (X, h).
+the 2-part of |L| and exactly two orbits of size 2 on the four cosets,
+fused into L-conjugacy classes as the orbits of conjugation on the
+candidate list.  For each class representative X, pass to the action of L
+on [L:X] (degree n) and look for arc reversers h in the symmetric-group
+normalizer of the edge-stabilizer image: h of 2-power order outside the
+image of L with h^2 inside it.  Each h that makes H = <image(L), h>
+primitive, with trivial cores (``cosets.core``) of image(L) in H and of
+image(X) in the stabilizer H_0, is then tested for a forward element m in
+image(L)*h fixing 0, generating M = H_0 together with image(X), and
+reversing no arc (m^-1 outside image(X)*m*image(X)).  The m = i*h fixing
+0 have i in one coset of image(X), scanned in element order; the first
+such m is kept, as the search stops at one witness per (X, h).
 
 The h are the normalizer's square roots of the image of L, as
 ``SymNormalizerData.square_roots`` streams them.  Candidate counts and emitted
@@ -26,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosets import (
-    _conjugation_invariant_part,
     core,
     coset_action,
     coset_canonical as _coset_canonical,
@@ -35,7 +37,7 @@ from .cosets import (
 )
 from .fpgroups import AmalgamSpec, amalgam_by_name, todd_coxeter
 from .group import (
-    BudgetExpired, PermutationGroup, _check_deadline, _dedupe, _is_power_of_two, group_2part,
+    BudgetExpired, PermutationGroup, _check_deadline, _is_power_of_two, group_2part,
 )
 from .normalizers import SymNormalizerData
 from .perm import _DTYPE, Permutation, _wrap
@@ -101,32 +103,23 @@ def conjugacy_class_representatives(Hu: PermutationGroup, candidates, deadline=N
     """One representative per Hu-conjugacy class of the candidate subgroups.
 
     The candidate set is closed under conjugation (its defining conditions
-    are conjugation-invariant), so the classes are exactly the orbits under
-    conjugation by Hu's generators.  Raises BudgetExpired once
-    ``time.time()`` passes ``deadline``.
+    are conjugation-invariant), so each generator of Hu permutes its
+    indices, and the classes are the orbits of those index permutations.
+    Each orbit starts at its least index, which represents it.  Raises
+    BudgetExpired once ``time.time()`` passes ``deadline``.
     """
-    elem_dicts = [X.element_set() for X in candidates]
-    index = {frozenset(d.keys()): i for i, d in enumerate(elem_dicts)}
-    reps = []
-    seen = set()
-    for i, X in enumerate(candidates):
-        if i in seen:
-            continue
-        reps.append(X)
-        seen.add(i)
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
+    index = {frozenset(X.element_set()): i for i, X in enumerate(candidates)}
+    perms = []
+    for g in Hu.gens:
+        images = []
+        for X in candidates:
             _check_deadline(deadline)
-            for g in Hu.gens:
-                conj_set = frozenset(p.conj(g).key() for p in elem_dicts[j].values())
-                k = index.get(conj_set)
-                if k is None:
-                    raise AssertionError("conjugate of a candidate is not a candidate")
-                if k not in seen:
-                    seen.add(k)
-                    frontier.append(k)
-    return reps
+            k = index.get(frozenset(p.conj(g).key() for p in X.element_set().values()))
+            if k is None:
+                raise AssertionError("conjugate of a candidate is not a candidate")
+            images.append(k)
+        perms.append(Permutation(images))
+    return [candidates[orb.base] for orb in PermutationGroup(perms, len(candidates)).orbits()]
 
 
 def _require(ok: bool, what: str):
@@ -258,10 +251,9 @@ def maximal_half_arc_pairs(
             phi_Mu = PermutationGroup(
                 [act.space.action_of(g) for g in X.gens], n, order=X.order()
             )
-            phi_Hu_elems = {p.key(): p for p in phi_Hu.elements()}
-            phi_Mu_elems = [p for p in phi_Mu.elements()]
+            L_elems, X_elems = phi_Hu.element_set(), phi_Mu.element_set()
 
-            h_list = reverser_candidates(phi_Hu_elems, phi_Huv)
+            h_list = reverser_candidates(L_elems, phi_Huv)
             # h-candidates in one right coset of the L-image produce the same
             # group H = <image(L), h>, the same M, and the same forward-element
             # search, so that work is shared across the coset
@@ -283,22 +275,23 @@ def maximal_half_arc_pairs(
                 H = PermutationGroup(H_gens, n)
                 if not is_primitive(H):
                     continue
-                if len(_conjugation_invariant_part(phi_Hu_elems, H.gens)) != 1:
+                if core(H, phi_Hu).order() != 1:
                     continue
                 H_order = H.order()
                 M_order, rem = divmod(H_order, n)
                 if rem:
                     raise AssertionError("orbit size does not divide |H|")
-                M_schreier = _dedupe(H.orbit(0).schreier_generators(H.gens))
-                mu_elem_dict = {p.key(): p for p in phi_Mu_elems}
-                if len(_conjugation_invariant_part(mu_elem_dict, M_schreier)) != 1:
+                H_0 = PermutationGroup(H.orbit(0).schreier_generators(H.gens), n)
+                if core(H_0, phi_Mu).order() != 1:
                     continue
+                # m = i*h0 fixes 0 iff i takes 0 to h0^-1(0): one coset of X
+                start = int(h0.inverse().images[0])
                 found_m = None
-                for i_elem in phi_Hu.elements():
-                    m = i_elem * h0
-                    if int(m.images[0]) != 0:
+                for i_elem in L_elems.values():
+                    if int(i_elem.images[0]) != start:
                         continue
-                    if _reverses_an_arc(m, phi_Mu_elems, mu_elem_dict):
+                    m = i_elem * h0
+                    if _reverses_an_arc(m, X_elems):
                         continue
                     T = PermutationGroup(list(phi_Mu.gens) + [m], n)
                     if T.order() == M_order:
@@ -333,25 +326,12 @@ def maximal_half_arc_pairs(
     return SearchOutcome(spec_name, results, complete, stats)
 
 
-def _reverses_an_arc(m, mu_elems, mu_keys):
-    """The appendix skip condition: some transversal element t of
-    Mu over (Mu meet Mu^m) has m*t*m back in Mu."""
-    minv = m.inverse()
-    inter_keys = set()
-    for t in mu_elems:
-        if (minv * t * m).key() in mu_keys:
-            inter_keys.add(t.key())
-    reps = []
-    seen_cosets = set()
-    for t in mu_elems:
-        coset = frozenset((u * t).key() for u in mu_elems if u.key() in inter_keys)
-        if coset not in seen_cosets:
-            seen_cosets.add(coset)
-            reps.append(t)
-    for t in reps:
-        if (m * t * m).key() in mu_keys:
-            return True
-    return False
+def _reverses_an_arc(m, X_elems):
+    """Whether m^-1 lies in XmX, X the keyed elements ``X_elems``: the
+    appendix skip condition, under which the orbital of m is self-paired.
+    That holds iff m*t*m lies in X for some t in X: if m^-1 = a*m*b with a,
+    b in X, then m*a*m = b^-1, and conversely m*t*m = c gives m^-1 = t*m*c^-1."""
+    return any((m * t * m).key() in X_elems for t in X_elems.values())
 
 
 DEEP_REQUIRED = {"S3xS4", "7-AT"}

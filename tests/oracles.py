@@ -8,6 +8,8 @@ expected values, and ``tree_path_product``, which reads a Schreier tree's
 edge labels but multiplies them with public products only.
 """
 
+import hashlib
+import json
 from itertools import permutations as iter_permutations
 from itertools import product
 
@@ -346,3 +348,26 @@ def edge_map_is_automorphism(graph, p):
     """Whether p maps every edge of graph to an edge, by a plain loop."""
     edges = set(graph.edges)
     return all((min(p(u), p(v)), max(p(u), p(v))) in edges for u, v in graph.edges)
+
+
+def pair_tuples(results):
+    """Pair-search results as plain data: n, the images of h and m, the
+    generators of H and M, the four orders and the quadruple."""
+    return [
+        {
+            "n": r.n,
+            "h": r.h.images.tolist(),
+            "m": r.m.images.tolist(),
+            "H.gens": [g.images.tolist() for g in r.H.gens],
+            "M.gens": [g.images.tolist() for g in r.M.gens],
+            "orders": [str(G.order()) for G in (r.H, r.M, r.Hu_image, r.Mu_image)],
+            "quadruple": list(r.quadruple),
+        }
+        for r in results
+    ]
+
+
+def json_digest(payload):
+    """sha256 of the canonical JSON of payload: sorted keys, no spaces."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -13,8 +13,12 @@ from itertools import permutations as iter_permutations
 from hatlab.examples import run_example_41, run_example_42, run_example_43, run_example_44
 from hatlab.pairsearch import search_amalgam
 
+from oracles import json_digest, pair_tuples
+
 QUAD_SMALL = ("S5", "F5", "A4", "C2")
 QUAD_BIG = ("A72", "A71", "S3*S4", "C2")
+# sha256 of the canonical JSON of the 576 deep S3xS4 tuples (oracles.pair_tuples)
+DEEP_TUPLES_DIGEST = "45eaaa41af40c7ae2209815d80dc11a591a78f2972e4ef517f7ef4df6d484e1e"
 
 
 def _line(num, ok, detail):
@@ -60,14 +64,16 @@ def test_criterion_3_deep_amalgam_search():
         r.quadruple == QUAD_BIG for r in out.results
     )
     exact = out.complete and len(out.results) == 576
+    pinned = json_digest(pair_tuples(out.results)) == DEEP_TUPLES_DIGEST
     ok = at_least_one and elapsed < 14400
-    detail = "S3xS4 deep -> %d results (complete=%s) in %.1fs%s" % (
+    detail = "S3xS4 deep -> %d results (complete=%s) in %.1fs%s%s" % (
         len(out.results),
         out.complete,
         elapsed,
         "" if exact else " [stretch count not reached]",
+        "" if pinned else " [tuples differ from their digest]",
     )
-    _line(3, ok and exact, detail)
+    _line(3, ok and exact and pinned, detail)
 
 
 def test_criterion_4_example_43():

@@ -14,7 +14,7 @@ from hatlab.cosets import (
     small_subgroups,
     wreath_square,
 )
-from hatlab.group import PermutationGroup, closure_elements
+from hatlab.group import PermutationGroup, ResourceExhausted, closure_elements
 from hatlab.perm import Permutation
 
 from oracles import (
@@ -54,6 +54,15 @@ def test_coset_action_s4_point_stabilizer():
     # image order via independent closure
     assert act.image.order() == closure_order(act.image.gens, 4)
     assert act.image.order() == 24
+
+
+def test_coset_space_raises_past_its_limit(monkeypatch):
+    G, H = S4(), S4().point_stabilizer(3)
+    monkeypatch.setattr(cosets, "COSET_LIMIT", 3)
+    with pytest.raises(ResourceExhausted, match="exceeded 3"):
+        cosets.CosetSpace(G, H)
+    monkeypatch.setattr(cosets, "COSET_LIMIT", 4)
+    assert len(cosets.CosetSpace(G, H)) == 4
 
 
 def test_coset_action_a4_amalgam_shape():

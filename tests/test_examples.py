@@ -120,6 +120,18 @@ def test_witness_search_raises_when_no_realization_fits(monkeypatch):
         search_ex42_witness(_example_42_setting())
 
 
+def test_shape_search_raises_past_its_involution_budget(monkeypatch):
+    """Involutions that never give the shape end the shape search at the
+    witness x loudly after 5000, instead of reporting no shape."""
+    setting = _example_42_setting()
+    x = Permutation(search_ex42_witness(setting)["x"])
+    y_elems = list(setting[3].elements())
+    h = Permutation.from_cycles(72, [(1, 2), (3, 4)])
+    monkeypatch.setattr(examples, "_involutions_conjugating", lambda g, gp, v: itertools.repeat(h))
+    with pytest.raises(ResourceExhausted, match="more than 5000 involutions"):
+        examples._connection_shape_at_zero(x, y_elems)
+
+
 def test_example_42_with_stored_witness():
     rep = run_example_42(witness=_shipped_witness())
     assert rep.passed, rep.failing()

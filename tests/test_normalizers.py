@@ -310,7 +310,7 @@ SIX_INVOLUTIONS = PermutationGroup([Permutation([i ^ 1 for i in range(12)])])
 def test_realization_blocks_match_dfs_oracle(monkeypatch, budget):
     """Per automorphism, the blocks of ``_realization_rows`` are the
     object-level DFS rows in order, and each block fits the budget; the
-    small budgets split the orbits between depth first and array product."""
+    small budgets split the rows into chunks before the later orbits."""
     monkeypatch.setattr(normalizers, "BLOCK_ENTRIES", budget)
     cases = _seeded_multi_orbit_groups(1400, 8)
     cases.append((SIX_INVOLUTIONS, SymNormalizerData(SIX_INVOLUTIONS), None))

@@ -10,10 +10,12 @@ import pytest
 import hatlab
 
 from hatlab import pairsearch
+from hatlab.cosets import double_coset
 from hatlab.fpgroups import amalgam_by_name
 from hatlab.group import PermutationGroup
 from hatlab.normalizers import SymNormalizerData
 from hatlab.pairsearch import (
+    _reverses_an_arc,
     candidate_stabilizers,
     conjugacy_class_representatives,
     maximal_half_arc_pairs,
@@ -29,6 +31,8 @@ from oracles import (
     element_scan_normalizer,
     graph_isomorphism_by_backtracking,
     h_candidates_by_scan,
+    json_digest,
+    pair_tuples,
     random_element,
 )
 
@@ -280,3 +284,70 @@ def test_time_budget_covers_the_candidate_enumeration():
     complete, results, candidates, seconds = proc.stdout.split()
     assert (complete, results, candidates) == ("False", "0", "0")
     assert float(seconds) < 10
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_arc_test_matches_the_double_coset(seed):
+    """_reverses_an_arc(m, X) is m^-1 in XmX, on seeded X <= G <= Sym(n),
+    4 <= n <= 7, and m in G; both answers occur."""
+    rng = random.Random(2000 + seed)
+    answers = []
+    while len(answers) < 100:
+        n = rng.randrange(4, 8)
+        G = PermutationGroup([Permutation(rng.sample(range(n), n)) for _ in range(2)], n)
+        X = G.subgroup([random_element(G, rng) for _ in range(rng.choice([1, 2]))])
+        if X.order() > 48:
+            continue
+        m = random_element(G, rng)
+        want = m.inverse().key() in double_coset(X, m, X)
+        assert _reverses_an_arc(m, X.element_set()) == want
+        answers.append(want)
+    assert any(answers) and not all(answers)
+
+
+def test_arc_test_finds_a_reversal_off_a_right_coset_transversal():
+    """A case of the seeded draw above where m^-1 lies in XmX, but m*t*m
+    leaves X for the first element t of every right coset of X meet X^m,
+    the transversal an earlier arc test scanned."""
+    X = PermutationGroup([Permutation.parse("(0 3 2)", 5), Permutation.parse("(1 2 3)", 5)])
+    m = Permutation.parse("(0 3 4 1 2)", 5)
+    assert X.order() == 12
+    assert m.inverse().key() in double_coset(X, m, X)
+    assert _reverses_an_arc(m, X.element_set())
+
+
+def _fusion_by_conjugation(Hu, candidates):
+    """Class representatives: the first candidate of each class, the class
+    found by conjugating it by every element of Hu."""
+    keys = [frozenset(X.element_set()) for X in candidates]
+    reps, seen = [], set()
+    for i, X in enumerate(candidates):
+        if i in seen:
+            continue
+        reps.append(i)
+        for g in Hu.elements():
+            seen.add(keys.index(frozenset(p.conj(g).key() for p in X.element_set().values())))
+    return reps
+
+
+@pytest.mark.parametrize("name", ["A4s", "S4", "Z3xA4", "Z3sS4", "S3xS4"])
+def test_class_fusion_matches_brute_force_conjugation(name):
+    realized = realize_amalgam(amalgam_by_name(name))
+    cands = candidate_stabilizers(realized)
+    reps = conjugacy_class_representatives(realized.Hu, cands)
+    assert [cands.index(X) for X in reps] == _fusion_by_conjugation(realized.Hu, cands)
+
+
+# sha256 of the canonical JSON of the five default searches: per amalgam
+# the complete flag, the stats without seconds, and every tuple's n, h, m,
+# generators of H and M, orders and quadruple
+DEFAULT_SEARCHES_DIGEST = "471b7c01b4e3cc1782bd996dbdc99b11e35ca617817e18750a3f71fc9e8d6d6d"
+
+
+def test_default_searches_match_their_digest():
+    payload = {}
+    for name in ("A4s", "S4", "Z3xA4", "Z3sS4", "4-AT"):
+        out = search_amalgam(name)
+        stats = {k: v for k, v in out.stats.items() if k != "seconds"}
+        payload[name] = {"complete": out.complete, "results": pair_tuples(out.results), "stats": stats}
+    assert json_digest(payload) == DEFAULT_SEARCHES_DIGEST
