@@ -7,6 +7,7 @@ minimal.  This makes coset enumeration a plain BFS keyed on bytes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -44,7 +45,9 @@ COSET_LIMIT = 10**6
 class CosetSpace:
     """The right cosets of H in G, with G acting by right multiplication;
     ``gen_images[i]`` is the action of ``G.gens[i]``, read off the BFS,
-    which raises ResourceExhausted past COSET_LIMIT cosets."""
+    which raises ResourceExhausted past COSET_LIMIT cosets.  ``image`` is
+    the group they generate, built on first use; its kernel is
+    ``core(G, H)`` and |G| bounds its order."""
 
     def __init__(self, G: PermutationGroup, H: PermutationGroup):
         if not all(g in G for g in H.gens):
@@ -85,24 +88,9 @@ class CosetSpace:
     def action_of(self, g: Permutation) -> Permutation:
         return _wrap(np.array([self.coset_of(r * g) for r in self.reps], dtype=_DTYPE))
 
-
-class CosetAction:
-    """Result of G acting on [G:H]: the coset space and the image group."""
-
-    def __init__(self, space, image):
-        self.space = space
-        self.image = image
-
-    @property
-    def degree(self):
-        return len(self.space)
-
-
-def coset_action(G: PermutationGroup, H: PermutationGroup) -> CosetAction:
-    """Right-multiplication action of G on the right cosets of H.  Its
-    kernel is ``core(G, H)``; |G| bounds the image's order."""
-    space = CosetSpace(G, H)
-    return CosetAction(space, PermutationGroup(space.gen_images, len(space), bound=G))
+    @cached_property
+    def image(self) -> PermutationGroup:
+        return PermutationGroup(self.gen_images, len(self), bound=self.G)
 
 
 def core(G: PermutationGroup, H: PermutationGroup):
@@ -223,10 +211,10 @@ def is_primitive(G: PermutationGroup) -> bool:
 
 def is_maximal_subgroup(G: PermutationGroup, M: PermutationGroup) -> bool:
     """M < G is maximal iff the action of G on [G:M] is primitive."""
-    act = coset_action(G, M)
-    if act.degree == 1:
+    space = CosetSpace(G, M)
+    if len(space) == 1:
         raise ValueError("M equals G; maximality is undefined")
-    return is_primitive(act.image)
+    return is_primitive(space.image)
 
 
 # -- subgroup constructions --------------------------------------------------

@@ -311,7 +311,7 @@ def run_example_42(witness=None) -> ExampleReport:
 
     ``witness`` is a dict with keys "x", "g", "h" (72 images each) and "v" (a
     point); without one, ``search_ex42_witness`` derives it.  A supplied and
-    a derived witness pass the same checks.
+    a derived witness pass the same checks, ``_witness_facts``.
     """
     t0 = time.time()
     rep = ExampleReport("4.2")
@@ -327,62 +327,73 @@ def run_example_42(witness=None) -> ExampleReport:
 
     if witness is None:
         witness = search_ex42_witness(setting)
-    x = Permutation(witness["x"])
-    rep.extras["x"] = x.cycle_string()
-    rep.record("x_order", 4, x.order())
-    rep.record("x_even", True, x.is_even())
-    rep.record("x_squared_is_t", True, x * x == t)
-    rep.record("x_normalizes_Z", True, all(z.conj(x) in Z for z in Z.gens))
+    rep.extras["x"] = Permutation(witness["x"]).cycle_string()
+    for fact in _witness_facts(setting, witness):
+        rep.record(*fact)
+    rep.seconds = time.time() - t0
+    return rep
 
+
+def _witness_facts(setting, witness):
+    """Yield the facts of an example-4.2 witness as (name, expected,
+    computed), in report order, each computed only when it is asked for.
+
+    ``witness`` is a dict with keys "x", "g", "h" (72 images each) and "v"
+    (a point): x an even permutation of order 4 with square t, normalizing
+    Z, with Y meet Y^x = Z and <Y, x> = Alt(72); S_v, the elements of YxY
+    fixing v, a 4-set with YxY = Y*S_v generating Alt(71); and S_v =
+    {g, g^-1, g^h, (g^h)^-1} for an even involution h fixing v.
+    """
+    pres, table, RM, Y, Z, t = setting
+    x = Permutation(witness["x"])
+    yield "x_order", 4, x.order()
+    yield "x_even", True, x.is_even()
+    yield "x_squared_is_t", True, x * x == t
+    yield "x_normalizes_Z", True, all(z.conj(x) in Z for z in Z.gens)
     y_keys = set(Y.element_set().keys())
     xinv = x.inverse()
     meet = {p.key() for p in Y.elements() if (xinv * p * x).key() in y_keys}
-    rep.record("YmeetYx_isZ", True, meet == set(Z.element_set().keys()))
-
+    yield "YmeetYx_isZ", True, meet == set(Z.element_set().keys())
     X = PermutationGroup(list(Y.gens) + [x], 72)
-    rep.record("X_isAlt72", str(factorial(72) // 2), str(X.order()))
-
+    yield "X_isAlt72", str(factorial(72) // 2), str(X.order())
     D = double_coset(Y, x, Y)
-    rep.record("doubleCosetSize", 288, len(D))
+    yield "doubleCosetSize", 288, len(D)
     v = witness["v"]
     Sv = {k: p for k, p in D.items() if int(p.images[v]) == v}
-    rep.record("S_size", 4, len(Sv))
+    yield "S_size", 4, len(Sv)
     ys = {(p1 * p2).key() for p1 in Y.elements() for p2 in Sv.values()}
-    rep.record("YxY_equals_YS", True, ys == set(D.keys()))
-    gen_S = PermutationGroup([p for p in Sv.values()], 72)
-    rep.record("S_generates_Alt71", str(factorial(71) // 2), str(gen_S.order()))
+    yield "YxY_equals_YS", True, ys == set(D.keys())
+    gen_S = PermutationGroup(list(Sv.values()), 72)
+    yield "S_generates_Alt71", str(factorial(71) // 2), str(gen_S.order())
     g = Permutation(witness["g"])
     h = Permutation(witness["h"])
     gh = g.conj(h)
-    rep.record("g_inS", True, g.key() in Sv)
-    rep.record("h_involution", 2, h.order())
-    rep.record("h_fixes_v", v, int(h.images[v]))
-    rep.record("h_even", True, h.is_even())
+    yield "g_inS", True, g.key() in Sv
+    yield "h_involution", 2, h.order()
+    yield "h_fixes_v", v, int(h.images[v])
+    yield "h_even", True, h.is_even()
     shape = {g.key(), g.inverse().key(), gh.key(), gh.inverse().key()}
-    rep.record("S_shape", True, shape == set(Sv.keys()))
-    rep.seconds = time.time() - t0
-    return rep
+    yield "S_shape", True, shape == set(Sv.keys())
 
 
 WITNESS_SCAN_LIMIT = 10**5
 
 
 def search_ex42_witness(setting):
-    """Search for the order-4 witness: an even permutation normalizing Z,
-    centralizing t with square t, satisfying all four conditions.
+    """The first example-4.2 witness among the square roots of t in the
+    symmetric-group normalizer of Z.
 
-    ``setting`` is the ``_example_42_setting()`` tuple.  Scans the square
-    roots of t in the symmetric-group normalizer of Z, as
-    ``SymNormalizerData.square_roots([t])`` streams them, and filters.
-    Returns the witness dict {"x", "v", "g", "h"} with v = 0.  Raises
-    ResourceExhausted past WITNESS_SCAN_LIMIT realizations, and LookupError
-    when every realization fails.
+    ``setting`` is the ``_example_42_setting()`` tuple.  Scans
+    ``SymNormalizerData(Z).square_roots([t])`` in stream order; an even
+    root x with a shape at vertex 0 (``_connection_shape_at_zero``) is
+    returned as the witness dict {"x", "v", "g", "h"}, v = 0, once all of
+    ``_witness_facts`` hold for it.  Raises ResourceExhausted past
+    WITNESS_SCAN_LIMIT realizations, and LookupError when every realization
+    fails.
     """
     from .normalizers import SymNormalizerData
 
     pres, table, RM, Y, Z, t = setting
-    y_keys = set(Y.element_set().keys())
-    z_keys = set(Z.element_set().keys())
     y_elems = list(Y.elements())
     tried = 0
     for rows, _ in SymNormalizerData(Z).square_roots([t]):
@@ -403,26 +414,11 @@ def search_ex42_witness(setting):
             if shape is None:
                 continue
             g, h = shape
-            xinv = x.inverse()
-            meet = {p.key() for p in y_elems if (xinv * p * x).key() in y_keys}
-            if meet != z_keys:
-                continue
-            X = PermutationGroup(list(Y.gens) + [x], 72)
-            if X.order() != factorial(72) // 2:
-                continue
-            D = double_coset(Y, x, Y)
-            if len(D) != 288:
-                continue
-            Sv = {k: p for k, p in D.items() if int(p.images[0]) == 0}
-            ys = {(p1 * p2).key() for p1 in y_elems for p2 in Sv.values()}
-            if ys != set(D.keys()):
-                continue
-            return {
-                "x": [int(i) for i in x.images],
-                "v": 0,
-                "g": [int(i) for i in g.images],
-                "h": [int(i) for i in h.images],
+            witness = {
+                "x": x.images.tolist(), "v": 0, "g": g.images.tolist(), "h": h.images.tolist(),
             }
+            if all(want == got for _, want, got in _witness_facts(setting, witness)):
+                return witness
     raise LookupError("no realization of %d is an example-4.2 witness" % tried)
 
 

@@ -17,9 +17,9 @@ found, which certifies that group's chain.
 For vertex-transitive graphs the full group is assembled as <transitive
 seed, stabilizer of one vertex> with the order fixed by orbit-stabilizer,
 which avoids any search over the whole vertex set; the seed's vertex
-stabilizer prunes that search, each seeded permutation verified against the
-graph first.  Every search visits at most NODE_BUDGET refinement nodes and
-raises ResourceExhausted past it.
+stabilizer prunes that search.  The seed's generators and its stabilizer's
+are verified against the graph first.  Every search visits at most
+NODE_BUDGET refinement nodes and raises ResourceExhausted past it.
 
 A partition is stored as in nauty (McKay and Piperno, Practical graph
 isomorphism II, 2014): ``lab`` lists the vertices cell by cell, each cell in
@@ -223,12 +223,15 @@ def automorphism_group(graph: Graph, transitive_seed=None) -> PermutationGroup:
     ``transitive_seed`` may pass a vertex-transitive group of automorphisms;
     the result is then assembled as <seed, Aut_v> with order fixed by
     orbit-stabilizer, which is how the large Cayley/coset graphs stay cheap.
+    A seed generator that is not an automorphism raises ValueError.
     """
     if graph.n == 0:
         raise ValueError("empty graph")
     if transitive_seed is not None:
         if not transitive_seed.is_transitive():
             raise ValueError("transitive_seed is not transitive")
+        if not all(graph.is_automorphism(g) for g in transitive_seed.gens):
+            raise ValueError("transitive_seed has a generator that is not an automorphism")
         stab_seed = transitive_seed.point_stabilizer(0)
         stab = automorphism_stabilizer(graph, 0, seed_gens=stab_seed.gens)
         order = graph.n * stab.order()

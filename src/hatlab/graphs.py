@@ -2,6 +2,13 @@
 coset graphs, Cayley graphs, cycles, K_{n,n} minus a perfect matching, and
 normal quotients.
 
+Coset and Cayley graphs are built the same way.  A group acting
+transitively by automorphisms carries the base vertex's neighbours to
+every vertex, so both read the neighbours of vertex 0 (the cosets Hd, d in
+D, or the points s(base), s in S) and transport them breadth first along
+the generators.  Their input checks are what make the action one by
+automorphisms, and ``VertexAction`` checks every generator again.
+
 A vertex action checks its generators once and keeps its arc orbits after
 their first use, so all reports on one action share one orbit pass.
 
@@ -178,6 +185,26 @@ class VertexAction:
         return self._arc_orbits
 
 
+def _transported_edges(gens, base, neighbours):
+    """The edges of the graph on which the permutations ``gens`` act
+    transitively by automorphisms, given the neighbours of ``base``.
+
+    Breadth first from base: when g takes a to a new vertex b, the
+    neighbours of b are g applied to the neighbours of a.  Each edge comes
+    once from each end; ``Graph`` keeps one copy.
+    """
+    images = [g.images.tolist() for g in gens]
+    nbrs = {base: list(neighbours)}
+    queue = [base]
+    for a in queue:
+        for g in images:
+            b = g[a]
+            if b not in nbrs:
+                nbrs[b] = [g[w] for w in nbrs[a]]
+                queue.append(b)
+    return [(a, w) for a in queue for w in nbrs[a]]
+
+
 def coset_graph(G: PermutationGroup, H: PermutationGroup, D):
     """Cos(G, H, D): vertices are right cosets of H, with Hx ~ Hy iff
     y x^-1 in D.  D must be inverse-closed and a union of H-double-cosets,
@@ -198,16 +225,7 @@ def coset_graph(G: PermutationGroup, H: PermutationGroup, D):
                 raise ValueError("D is not a union of H-double-cosets")
     space = CosetSpace(G, H)
     n = len(space)
-    # neighbors of Hx are the cosets H(dx); only one d per coset Hd matters
-    d_reps = {}
-    for d in dlist:
-        d_reps.setdefault(space.canonical(d).key(), d)
-    edges = []
-    for i, r in enumerate(space.reps):
-        for d in d_reps.values():
-            j = space.coset_of(d * r)
-            if j != i:
-                edges.append((min(i, j), max(i, j)))
+    edges = _transported_edges(space.gen_images, 0, {space.coset_of(d) for d in dlist})
     graph = Graph(n, edges)
     if len(dlist) % H.order() == 0:
         expected_valency = len(dlist) // H.order()
@@ -215,7 +233,7 @@ def coset_graph(G: PermutationGroup, H: PermutationGroup, D):
             raise AssertionError("valency %d != |D|/|H|" % graph.valency())
     if not graph.is_connected():
         raise ValueError("<H, D> is a proper subgroup: coset graph is disconnected")
-    action = VertexAction(PermutationGroup(space.gen_images, n, bound=G), graph)
+    action = VertexAction(space.image, graph)
     action.space = space
     return graph, action
 
@@ -240,28 +258,8 @@ def cayley_graph(R: PermutationGroup, connection, base_point=0):
     prof = R.transitivity_profile()
     if not prof["regular"]:
         raise ValueError("the acting group is not regular on the vertex set")
-    n = R.degree
-    # left translation L(s): base^{R(g)} -> base^{R(sg)}, propagated along
-    # the orbit: L(s)(p^{R(x)}) = L(s)(p)^{R(x)}
-    edges = []
-    for s in S:
-        sigma = np.full(n, -1, dtype=np.int64)
-        sigma[base_point] = s.images[base_point]
-        frontier = [base_point]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for x in R.gens:
-                    q = int(x.images[p])
-                    if sigma[q] == -1:
-                        sigma[q] = x.images[sigma[p]]
-                        nxt.append(q)
-            frontier = nxt
-        if (sigma == -1).any():
-            raise AssertionError("regular action failed to cover the domain")
-        for v in range(n):
-            edges.append((v, int(sigma[v])))
-    graph = Graph(n, [(min(u, v), max(u, v)) for u, v in edges])
+    edges = _transported_edges(R.gens, base_point, [s(base_point) for s in S])
+    graph = Graph(R.degree, edges)
     action = VertexAction(R, graph)
     return graph, action
 

@@ -232,10 +232,6 @@ class SymNormalizerData:
             out.append((pts, arr[sigma], np.flatnonzero((self._fixes.T == want).all(axis=1))))
         return out
 
-    def realization_bound(self, alpha) -> int:
-        """Upper bound on the number of realizations of alpha."""
-        return prod(len(cands) for *_, cands in self._orbit_candidates(alpha))
-
     def _realization_rows(self, alpha, prune=None):
         """The g in Sym(n) with s^g = alpha(s) for all s in S, as blocks of
         image rows.

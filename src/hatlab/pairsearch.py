@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosets import (
+    CosetSpace,
     core,
-    coset_action,
     coset_canonical as _coset_canonical,
     is_primitive,
     small_subgroups,
@@ -49,7 +49,7 @@ class RealizedAmalgam:
     spec: AmalgamSpec
     Hu: PermutationGroup      # regular representation of L
     Huv: PermutationGroup     # image of B
-    delta: object             # degree-4 coset action of Hu on [Hu:Huv]
+    delta: CosetSpace         # the 4 cosets of Huv in Hu
 
     @property
     def name(self):
@@ -66,9 +66,9 @@ def realize_amalgam(spec: AmalgamSpec) -> RealizedAmalgam:
     Hu = table.group(order=table.coset_count)
     b_imgs = [table.evaluate(w) for w in spec.b_generator_words()]
     Huv = Hu.subgroup(b_imgs, order=spec.expected_orders[1])
-    delta = coset_action(Hu, Huv)
-    if delta.degree != 4:
-        raise AssertionError("amalgam %s has |L:B| = %d, expected 4" % (spec.name, delta.degree))
+    delta = CosetSpace(Hu, Huv)
+    if len(delta) != 4:
+        raise AssertionError("amalgam %s has |L:B| = %d, expected 4" % (spec.name, len(delta)))
     return RealizedAmalgam(spec, Hu, Huv, delta)
 
 
@@ -88,7 +88,7 @@ def candidate_stabilizers(realized: RealizedAmalgam, deadline=None):
         _check_deadline(deadline)
         if X.order() == 1:
             continue
-        imgs = [realized.delta.space.action_of(p) for p in X.gens]
+        imgs = [realized.delta.action_of(p) for p in X.gens]
         delta_X = PermutationGroup(imgs, 4)
         orbits = delta_X.orbits()
         if sorted(len(o) for o in orbits) != [2, 2]:
@@ -236,21 +236,19 @@ def maximal_half_arc_pairs(
             stats["candidates"] += 1
             note("candidate", {"order": X.order(), "index": stats["candidates"]})
             _check_deadline(deadline)
-            act = coset_action(Hu, X)
-            n = act.degree
+            space = CosetSpace(Hu, X)
+            n = len(space)
             if n > degree_cap:
                 complete = False
                 stats.setdefault("skippedDegrees", []).append(n)
                 continue
-            phi_Hu_gens = act.space.gen_images
+            phi_Hu_gens = space.gen_images
             phi_Hu = PermutationGroup(phi_Hu_gens, n, order=Hu.order())
             phi_Huv = PermutationGroup(
-                [act.space.action_of(g) for g in realized.Huv.gens], n,
+                [space.action_of(g) for g in realized.Huv.gens], n,
                 order=realized.Huv.order(),
             )
-            phi_Mu = PermutationGroup(
-                [act.space.action_of(g) for g in X.gens], n, order=X.order()
-            )
+            phi_Mu = PermutationGroup([space.action_of(g) for g in X.gens], n, order=X.order())
             L_elems, X_elems = phi_Hu.element_set(), phi_Mu.element_set()
 
             h_list = reverser_candidates(L_elems, phi_Huv)

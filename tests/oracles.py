@@ -4,14 +4,16 @@ Everything here avoids the stabilizer chain and the refinement machinery on
 purpose: closures are plain BFS products, scans iterate explicit element
 lists, and partition checks enumerate candidate partitions directly.  The
 exceptions are ``random_element``, which draws test inputs rather than
-expected values, and ``tree_path_product``, which reads a Schreier tree's
-edge labels but multiplies them with public products only.
+expected values, ``tree_path_product``, which reads a Schreier tree's
+edge labels but multiplies them with public products only, and
+``realization_bound``, which sizes test cases and budgets.
 """
 
 import hashlib
 import json
 from itertools import permutations as iter_permutations
 from itertools import product
+from math import prod
 
 from hatlab.group import closure_elements
 from hatlab.perm import Permutation
@@ -102,6 +104,12 @@ def dfs_realizations(elems, alpha, n):
 
     assign(0, frozenset())
     return out
+
+
+def realization_bound(data, alpha):
+    """Upper bound on the number of g in Sym(n) realizing alpha, for
+    ``SymNormalizerData`` data: the product of the orbits' candidate counts."""
+    return prod(len(cands) for *_, cands in data._orbit_candidates(alpha))
 
 
 def _mul_table(elems):

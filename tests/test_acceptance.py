@@ -5,11 +5,13 @@ the explicit HATLAB_RUN_7AT opt-in, as its search space only fits a deep
 multi-hour budget.
 """
 
+import hashlib
 import os
 import random
 import time
 from itertools import permutations as iter_permutations
 
+from hatlab import examples
 from hatlab.examples import run_example_41, run_example_42, run_example_43, run_example_44
 from hatlab.pairsearch import search_amalgam
 
@@ -19,6 +21,25 @@ QUAD_SMALL = ("S5", "F5", "A4", "C2")
 QUAD_BIG = ("A72", "A71", "S3*S4", "C2")
 # sha256 of the canonical JSON of the 576 deep S3xS4 tuples (oracles.pair_tuples)
 DEEP_TUPLES_DIGEST = "45eaaa41af40c7ae2209815d80dc11a591a78f2972e4ef517f7ef4df6d484e1e"
+# sha256 of graph.to_text() for the coset graph of example 4.1 and the
+# Cayley graph of example 4.4
+EX41_COSET_GRAPH_DIGEST = "5ab5f86600e0f83491be91532c0228ab2ffbdb908d2e35366a12694d6e3e55f7"
+EX44_CAYLEY_GRAPH_DIGEST = "dc11120b86804f647d7375e385ae7aeac33402c6872a411f41efc554d1f80424"
+
+
+def _graph_digests(monkeypatch, name):
+    """Wrap ``examples.<name>`` so that it records the sha256 of the text of
+    each graph it builds; returns the list it records into."""
+    digests = []
+    build = getattr(examples, name)
+
+    def recording(*args, **kwargs):
+        graph, action = build(*args, **kwargs)
+        digests.append(hashlib.sha256(graph.to_text().encode()).hexdigest())
+        return graph, action
+
+    monkeypatch.setattr(examples, name, recording)
+    return digests
 
 
 def _line(num, ok, detail):
@@ -93,7 +114,8 @@ def test_criterion_4_example_43():
     _line(4, ok, "example 4.3 report in %.1fs (failing: %s)" % (rep.seconds, rep.failing()))
 
 
-def test_criterion_5_example_41():
+def test_criterion_5_example_41(monkeypatch):
+    digests = _graph_digests(monkeypatch, "coset_graph")
     rep = run_example_41()
     facts = {f.name: f for f in rep.facts}
     ok = (
@@ -107,10 +129,15 @@ def test_criterion_5_example_41():
         and facts["altArcOrbits"].computed == 2
         and rep.seconds < 1800
     )
-    _line(5, ok, "example 4.1 report in %.1fs (failing: %s)" % (rep.seconds, rep.failing()))
+    pinned = digests == [EX41_COSET_GRAPH_DIGEST]
+    detail = "example 4.1 report in %.1fs (failing: %s)%s" % (
+        rep.seconds, rep.failing(), "" if pinned else " [coset graph differs from its digest]"
+    )
+    _line(5, ok and pinned, detail)
 
 
-def test_criterion_6_example_44():
+def test_criterion_6_example_44(monkeypatch):
+    digests = _graph_digests(monkeypatch, "cayley_graph")
     rep = run_example_44()
     facts = {f.name: f for f in rep.facts}
     ok = (
@@ -126,7 +153,11 @@ def test_criterion_6_example_44():
         and facts["theoremCase"].computed == "c2"
         and rep.seconds < 7200
     )
-    _line(6, ok, "example 4.4 report in %.1fs (failing: %s)" % (rep.seconds, rep.failing()))
+    pinned = digests == [EX44_CAYLEY_GRAPH_DIGEST]
+    detail = "example 4.4 report in %.1fs (failing: %s)%s" % (
+        rep.seconds, rep.failing(), "" if pinned else " [Cayley graph differs from its digest]"
+    )
+    _line(6, ok and pinned, detail)
 
 
 def test_criterion_7_example_42():

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from hatlab.cosets import core, coset_action
+from hatlab.cosets import CosetSpace, core
 from hatlab.graphauto import automorphism_group, automorphism_stabilizer
 from hatlab.graphs import (
     Graph,
@@ -102,7 +102,7 @@ def test_coset_actions_match_the_oracles(seed, monkeypatch):
     groups += [_direct_product(rng, a, b) for a, b in ((4, 2), (4, 3), (5, 3), (4, 4))]
     for G in groups:
         H = G.point_stabilizer(0)
-        image, reached, plain_passes = _check(monkeypatch, lambda: coset_action(G, H).image)
+        image, reached, plain_passes = _check(monkeypatch, lambda: CosetSpace(G, H).image)
         assert image._bound is G
         assert reached == (core(G, H).order() == 1)
         outcomes.append((reached, plain_passes))

@@ -4,9 +4,9 @@ import pytest
 
 from hatlab import cosets
 from hatlab.cosets import (
+    CosetSpace,
     block_system,
     core,
-    coset_action,
     derived_subgroup,
     double_coset,
     is_maximal_subgroup,
@@ -40,20 +40,20 @@ def D8():
 
 def test_coset_action_on_self_is_degree_one():
     G = S4()
-    act = coset_action(G, G)
-    assert act.degree == 1
+    space = CosetSpace(G, G)
+    assert len(space) == 1
     assert core(G, G).order() == G.order()
 
 
 def test_coset_action_s4_point_stabilizer():
     G = S4()
     H = G.point_stabilizer(3)
-    act = coset_action(G, H)
-    assert act.degree == 4
+    space = CosetSpace(G, H)
+    assert len(space) == 4
     assert core(G, H).order() == 1
     # image order via independent closure
-    assert act.image.order() == closure_order(act.image.gens, 4)
-    assert act.image.order() == 24
+    assert space.image.order() == closure_order(space.image.gens, 4)
+    assert space.image.order() == 24
 
 
 def test_coset_space_raises_past_its_limit(monkeypatch):
@@ -69,9 +69,9 @@ def test_coset_action_a4_amalgam_shape():
     # order-12 group acting on cosets of an order-2 subgroup: degree 6
     L = PermutationGroup([g("(0 1 2)", 4), g("(1 2 3)", 4)])
     X = L.subgroup([g("(0 1)(2 3)", 4)])
-    act = coset_action(L, X)
-    assert act.degree == 6
-    assert act.image.order() == 12
+    space = CosetSpace(L, X)
+    assert len(space) == 6
+    assert space.image.order() == 12
 
 
 def test_core_of_normal_subgroup_is_itself():

@@ -111,6 +111,15 @@ def test_seed_rejects_non_automorphism():
         automorphism_stabilizer(G, 0, seed_gens=[Permutation.parse("(1 2)", 5)])
 
 
+def test_transitive_seed_rejects_non_automorphism():
+    """A transitive seed generator that breaks an edge raises instead of
+    joining the result: (0 1 3 2 4) takes the edge {0, 1} of the 5-cycle
+    to {1, 3}."""
+    seed = PermutationGroup([Permutation.parse("(0 1 3 2 4)", 5)])
+    with pytest.raises(ValueError, match="not an automorphism"):
+        automorphism_group(cycle_graph(5), transitive_seed=seed)
+
+
 def test_automorphism_group_checks_each_generator_once(monkeypatch):
     calls = []
     check = Graph.is_automorphism

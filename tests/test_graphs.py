@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from hatlab.cosets import CosetSpace, double_coset
 from hatlab.graphs import (
     Digraph,
     Graph,
@@ -12,6 +15,8 @@ from hatlab.graphs import (
 )
 from hatlab.group import PermutationGroup, read_group_file
 from hatlab.perm import Permutation
+
+from oracles import random_element
 
 
 def g(s, n=None):
@@ -131,6 +136,54 @@ def test_coset_graph_disconnected_errors():
     d = g("(0 1)", 4)
     with pytest.raises(ValueError):
         coset_graph(G, H, [d, d.inverse()] if d != d.inverse() else [d])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coset_graph_matches_its_definition(seed):
+    """On seeded H <= G <= Sym(4..7), |H| <= 48 and |G:H| <= 40, with D
+    a union of random double cosets HxH (x outside H) and their inverses,
+    the edges are the pairs Hx ~ Hy with y x^-1 in D over all pairs of
+    coset representatives, and a D whose graph that definition leaves
+    disconnected raises.  Both occur."""
+    rng = random.Random(3000 + seed)
+    connected = disconnected = 0
+    while connected < 15 or disconnected < 3:
+        n = rng.randrange(4, 8)
+        G = PermutationGroup([Permutation(rng.sample(range(n), n)) for _ in range(2)], n)
+        H = G.subgroup([random_element(G, rng) for _ in range(rng.choice([1, 2]))])
+        if H.order() > 48 or not 2 <= G.order() // H.order() <= 40:
+            continue
+        D = {}
+        for _ in range(rng.choice([1, 2, 3])):
+            x = random_element(G, rng)
+            if x not in H:
+                D.update(double_coset(H, x, H))
+                D.update(double_coset(H, x.inverse(), H))
+        if not D:
+            continue
+        reps = CosetSpace(G, H).reps
+        want = {
+            (i, j)
+            for i, x in enumerate(reps)
+            for j, y in enumerate(reps)
+            if i < j and (y * x.inverse()).key() in D
+        }
+        # the definition's graph is connected iff vertex 0 reaches every coset
+        reach = {0}
+        while True:
+            nxt = reach | {v for u, v in want if u in reach} | {u for u, v in want if v in reach}
+            if nxt == reach:
+                break
+            reach = nxt
+        if len(reach) < len(reps):
+            with pytest.raises(ValueError, match="disconnected"):
+                coset_graph(G, H, D)
+            disconnected += 1
+            continue
+        graph, action = coset_graph(G, H, D)
+        assert [r.key() for r in action.space.reps] == [r.key() for r in reps]
+        assert set(graph.edges) == want
+        connected += 1
 
 
 def test_cayley_graph_c5():

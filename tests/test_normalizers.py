@@ -15,6 +15,7 @@ from oracles import (
     dfs_realizations,
     element_scan_normalizer,
     random_element,
+    realization_bound,
 )
 
 
@@ -246,7 +247,7 @@ def test_square_roots_budgets(monkeypatch):
     # of the 5-cycle times one of the 232 of Sym(7)
     S = PermutationGroup([g("(0 1 2 3 4)", 12)])
     data = SymNormalizerData(S)
-    bound = data.realization_bound(tuple(range(5)))
+    bound = realization_bound(data, tuple(range(5)))
     assert bound == 5 * 7**7
     monkeypatch.setattr(normalizers, "SYM_NORM_SIZE_LIMIT", bound // 40)
     with pytest.raises(ResourceExhausted, match="per-automorphism bound"):
@@ -259,7 +260,7 @@ def test_example_42_stays_inside_the_budgets():
     """Z's largest realization bound is 72^4, under 40 * SYM_NORM_SIZE_LIMIT."""
     *_, Z, t = _example_42_setting()
     data = SymNormalizerData(Z)
-    bounds = [data.realization_bound(alpha) for alpha in data.automorphisms()]
+    bounds = [realization_bound(data, alpha) for alpha in data.automorphisms()]
     assert max(bounds) == 72**4 < 40 * normalizers.SYM_NORM_SIZE_LIMIT
 
 
@@ -296,7 +297,7 @@ def _seeded_multi_orbit_groups(seed, count):
             continue
         data = SymNormalizerData(S)
         auts = data.automorphisms()
-        if sum(data.realization_bound(a) for a in auts) <= 4000:
+        if sum(realization_bound(data, a) for a in auts) <= 4000:
             out.append((S, data, auts))
     return out
 

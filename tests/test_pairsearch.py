@@ -34,6 +34,7 @@ from oracles import (
     json_digest,
     pair_tuples,
     random_element,
+    realization_bound,
 )
 
 
@@ -48,7 +49,7 @@ def test_candidate_stabilizers_a4(a4_realized):
     for X in cands:
         assert X.order() == 2
         # each acts as a double transposition on the 4 cosets
-        img = a4_realized.delta.space.action_of(X.gens[0])
+        img = a4_realized.delta.action_of(X.gens[0])
         assert img.cycle_type() == (2, 2)
     reps = conjugacy_class_representatives(a4_realized.Hu, cands)
     assert len(reps) == 1
@@ -172,7 +173,7 @@ def test_reverser_filter_matches_a_row_loop(seed):
             continue
         B = L.subgroup([random_element(L, rng)])
         data = SymNormalizerData(B)
-        if B.order() == 1 or sum(map(data.realization_bound, data.automorphisms())) > 20000:
+        if B.order() == 1 or sum(realization_bound(data, a) for a in data.automorphisms()) > 20000:
             continue
         rows = [r for alpha in data.automorphisms()
                 for r in dfs_realizations(data.table.elems, alpha, n)]
