@@ -2,7 +2,10 @@
 
 Right cosets Hx are identified by a canonical representative: the unique
 element of Hx whose base-image tuple under H's chain is lexicographically
-minimal.  This makes coset enumeration a plain BFS keyed on bytes.
+minimal.  Coset enumeration is a BFS over blocks of image rows: each block
+of representatives is multiplied by every generator in one gather,
+canonicalized as a whole by the routine behind ``coset_canonical`` and keyed
+on the rows' bytes.
 """
 
 from __future__ import annotations
@@ -22,21 +25,56 @@ def commutator(a: Permutation, b: Permutation) -> Permutation:
     return a.inverse() * b.inverse() * a * b
 
 
-def coset_canonical(H: PermutationGroup, x: Permutation) -> Permutation:
-    """The minimal element of Hx under the base-image order of H's chain.
+# Image entries per block of rows: 32 KiB of int32.  Blocks of 2**16
+# entries, the normalizers' BLOCK_ENTRIES, ran as fast but raised the peak
+# RSS of the examples' coset enumerations more than twice as much.
+BLOCK_ENTRIES = 1 << 13
+
+
+def _rows_per_block(width: int) -> int:
+    return max(1, BLOCK_ENTRIES // max(1, width))
+
+
+def coset_canonical(H: PermutationGroup, rows):
+    """The minimal element of each right coset H·row under the base-image
+    order of H's chain, for every row of the 2-D image array ``rows``, as a
+    new array.
 
     Greedy per level: elements of H are distinguished by their base images,
     so minimizing the image of each base point in turn picks out one element
-    of the coset, the same one for every x in Hx.
+    of the coset, the same one for every element of it.
     """
-    p = x
-    for lvl in H.levels():
-        imgs = p.images[lvl.points_arr]
-        j = int(imgs.argmin())
-        a = int(lvl.points_arr[j])
-        if a != lvl.base:
-            p = lvl.transversal(a) * p
-    return p
+    return _canonicalize(H.levels(), np.array(rows, dtype=_DTYPE), {})
+
+
+def _canonicalize(levels, P, u):
+    """Canonicalize the rows of P in place and return P: per level, take
+    each row's least image of an orbit point a and, where a is not the
+    base, replace the row p by u_a * p, one gather per distinct a.  ``u``
+    caches the transversal images by (level, a), computed only for the
+    points hit."""
+    for depth, lvl in enumerate(levels):
+        pts = lvl.points_arr
+        if len(pts) == 1:
+            continue
+        hit = pts[P[:, pts].argmin(axis=1)]
+        moved = np.flatnonzero(hit != lvl.base)
+        hit = hit[moved]
+        for a in sorted(set(hit.tolist())):
+            ua = u.get((depth, a))
+            if ua is None:
+                ua = u[depth, a] = lvl.transversal(a).images
+            rows = moved[hit == a]
+            P[rows] = P[rows[:, None], ua]
+    return P
+
+
+def _row_keys(P):
+    """The bytes of each row of the C-contiguous int32 array P, as
+    ``Permutation.key`` gives them."""
+    if not P.shape[1]:
+        return [b""] * len(P)  # numpy has no void type of size 0
+    return P.view(np.dtype((np.void, P.shape[1] * P.itemsize))).ravel().tolist()
 
 
 COSET_LIMIT = 10**6
@@ -44,49 +82,79 @@ COSET_LIMIT = 10**6
 
 class CosetSpace:
     """The right cosets of H in G, with G acting by right multiplication;
-    ``gen_images[i]`` is the action of ``G.gens[i]``, read off the BFS,
-    which raises ResourceExhausted past COSET_LIMIT cosets.  ``image`` is
-    the group they generate, built on first use; its kernel is
-    ``core(G, H)`` and |G| bounds its order."""
+    ``gen_images[i]`` is the action of ``G.gens[i]``.
+
+    The BFS takes a block of consecutive representatives at a time, forms
+    every product r·g in (r, g) order with one gather, canonicalizes the
+    block and then walks it in order, so each new coset gets the next index
+    as in a one-product-at-a-time BFS.  It raises ResourceExhausted past
+    COSET_LIMIT cosets.  ``reps`` lists the canonical representatives as
+    permutations and ``index`` maps their keys to their indices.  ``image``
+    is the group the ``gen_images`` generate, built on first use; its
+    kernel is ``core(G, H)`` and |G| bounds its order."""
 
     def __init__(self, G: PermutationGroup, H: PermutationGroup):
         if not all(g in G for g in H.gens):
             raise ValueError("H is not a subgroup of G")
         self.G = G
         self.H = H
-        H.levels()
-        rep0 = self.canonical(G.identity())
-        reps = [rep0]
-        index = {rep0.key(): 0}
-        images = [[] for _ in G.gens]
+        self._u = {}  # u_a images by (level, a), for _canonicalize
+        n, levels = G.degree, H.levels()
+        k = len(G.gens)
+        gens = np.array([g.images for g in G.gens], dtype=_DTYPE).reshape(k, n)
+        which = np.arange(k)[:, None]  # gens[which, block[:, None]][r, g] is r·g
+        rep0 = _canonicalize(levels, np.arange(n, dtype=_DTYPE)[None], self._u)
+        reps = [_wrap(rep0[0].copy())]
+        index = {reps[0].key(): 0}
+        flat = []  # the coset index of each product r·g, in (r, g) order
+        step = _rows_per_block(k * n)
         head = 0
         while head < len(reps):
-            r = reps[head]
-            head += 1
-            for g, imgs in zip(G.gens, images):
-                nxt = self.canonical(r * g)
-                k = nxt.key()
-                if k not in index:
+            block = np.array([r.images for r in reps[head : head + step]])
+            head += len(block)
+            products = gens[which, block[:, None]].reshape(len(block) * k, n)
+            _canonicalize(levels, products, self._u)
+            for q, key in enumerate(_row_keys(products)):
+                i = index.get(key)
+                if i is None:
                     if len(reps) >= COSET_LIMIT:
                         raise ResourceExhausted("coset enumeration exceeded %d" % COSET_LIMIT)
-                    index[k] = len(reps)
-                    reps.append(nxt)
-                imgs.append(index[k])
+                    i = index[key] = len(reps)
+                    reps.append(_wrap(products[q].copy()))
+                flat.append(i)
         self.reps = reps
         self.index = index
-        self.gen_images = [_wrap(np.array(imgs, dtype=_DTYPE)) for imgs in images]
+        self.gen_images = [_wrap(np.array(flat[j::k], dtype=_DTYPE)) for j in range(k)]
 
     def __len__(self):
         return len(self.reps)
 
-    def canonical(self, x: Permutation) -> Permutation:
-        return coset_canonical(self.H, x)
+    def _indices(self, rows):
+        """The coset index of each row of the fresh array rows; ValueError
+        for a row outside G."""
+        try:
+            return [self.index[k] for k in _row_keys(_canonicalize(self.H.levels(), rows, self._u))]
+        except KeyError:
+            raise ValueError("the permutation is not in G") from None
 
     def coset_of(self, x: Permutation) -> int:
-        return self.index[self.canonical(x).key()]
+        return self.cosets_of([x])[0]
+
+    def cosets_of(self, xs):
+        """The coset index of each permutation in xs; ValueError unless
+        every one is in G."""
+        if any(x.degree != self.G.degree for x in xs):
+            raise ValueError("the permutation is not in G: its degree is not G's")
+        rows = np.array([x.images for x in xs], dtype=_DTYPE).reshape(len(xs), self.G.degree)
+        step = _rows_per_block(self.G.degree)
+        return [i for s in range(0, len(rows), step) for i in self._indices(rows[s : s + step])]
 
     def action_of(self, g: Permutation) -> Permutation:
-        return _wrap(np.array([self.coset_of(r * g) for r in self.reps], dtype=_DTYPE))
+        step = _rows_per_block(self.G.degree)
+        blocks = (
+            np.array([r.images for r in self.reps[s : s + step]]) for s in range(0, len(self), step)
+        )
+        return _wrap(np.array([i for b in blocks for i in self._indices(g.images[b])], dtype=_DTYPE))
 
     @cached_property
     def image(self) -> PermutationGroup:

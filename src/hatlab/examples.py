@@ -310,8 +310,9 @@ def run_example_42(witness=None) -> ExampleReport:
     """Verify the order-4 witness element and its four defining conditions.
 
     ``witness`` is a dict with keys "x", "g", "h" (72 images each) and "v" (a
-    point); without one, ``search_ex42_witness`` derives it.  A supplied and
-    a derived witness pass the same checks, ``_witness_facts``.
+    point); without one, ``search_ex42_witness`` derives it and hands back
+    the facts it evaluated.  A supplied and a derived witness pass the same
+    checks, ``_witness_facts``.
     """
     t0 = time.time()
     rep = ExampleReport("4.2")
@@ -326,9 +327,11 @@ def run_example_42(witness=None) -> ExampleReport:
     rep.record("t_inZ", True, t in Z)
 
     if witness is None:
-        witness = search_ex42_witness(setting)
+        witness, facts = search_ex42_witness(setting)
+    else:
+        facts = _witness_facts(setting, witness)
     rep.extras["x"] = Permutation(witness["x"]).cycle_string()
-    for fact in _witness_facts(setting, witness):
+    for fact in facts:
         rep.record(*fact)
     rep.seconds = time.time() - t0
     return rep
@@ -387,9 +390,10 @@ def search_ex42_witness(setting):
     ``SymNormalizerData(Z).square_roots([t])`` in stream order; an even
     root x with a shape at vertex 0 (``_connection_shape_at_zero``) is
     returned as the witness dict {"x", "v", "g", "h"}, v = 0, once all of
-    ``_witness_facts`` hold for it.  Raises ResourceExhausted past
-    WITNESS_SCAN_LIMIT realizations, and LookupError when every realization
-    fails.
+    ``_witness_facts`` hold for it, together with the list of those facts
+    (a candidate's facts stop at its first failing one).  Raises
+    ResourceExhausted past WITNESS_SCAN_LIMIT realizations, and LookupError
+    when every realization fails.
     """
     from .normalizers import SymNormalizerData
 
@@ -417,8 +421,13 @@ def search_ex42_witness(setting):
             witness = {
                 "x": x.images.tolist(), "v": 0, "g": g.images.tolist(), "h": h.images.tolist(),
             }
-            if all(want == got for _, want, got in _witness_facts(setting, witness)):
-                return witness
+            facts = []
+            for fact in _witness_facts(setting, witness):
+                facts.append(fact)
+                if fact[1] != fact[2]:
+                    break
+            else:
+                return witness, facts
     raise LookupError("no realization of %d is an example-4.2 witness" % tried)
 
 

@@ -207,8 +207,9 @@ def _transported_edges(gens, base, neighbours):
 
 def coset_graph(G: PermutationGroup, H: PermutationGroup, D):
     """Cos(G, H, D): vertices are right cosets of H, with Hx ~ Hy iff
-    y x^-1 in D.  D must be inverse-closed and a union of H-double-cosets,
-    and <H, D> must be all of G (equivalently the graph is connected).
+    y x^-1 in D.  D must be a subset of G, inverse-closed and a union of
+    H-double-cosets, and <H, D> must be all of G (equivalently the graph is
+    connected); an element of D outside G raises ValueError.
 
     Returns (graph, action) where the action is G by right multiplication.
     """
@@ -225,7 +226,7 @@ def coset_graph(G: PermutationGroup, H: PermutationGroup, D):
                 raise ValueError("D is not a union of H-double-cosets")
     space = CosetSpace(G, H)
     n = len(space)
-    edges = _transported_edges(space.gen_images, 0, {space.coset_of(d) for d in dlist})
+    edges = _transported_edges(space.gen_images, 0, set(space.cosets_of(dlist)))
     graph = Graph(n, edges)
     if len(dlist) % H.order() == 0:
         expected_valency = len(dlist) // H.order()
@@ -243,10 +244,10 @@ def cayley_graph(R: PermutationGroup, connection, base_point=0):
 
     ``R`` must be regular; vertices are the points of its domain, with the
     base point playing the identity.  ``connection`` lists elements of R (as
-    permutations) forming the inverse-closed, identity-free set S.  Edges
-    join base^R(g) to base^R(sg); the returned action is R itself, acting by
-    right multiplication.  Connectivity is reported via the graph, not
-    required.
+    permutations) forming the inverse-closed, identity-free set S; an
+    element outside R raises ValueError.  Edges join base^R(g) to
+    base^R(sg); the returned action is R itself, acting by right
+    multiplication.  Connectivity is reported via the graph, not required.
     """
     S = list(connection.values()) if isinstance(connection, dict) else list(connection)
     skeys = {s.key() for s in S}
@@ -258,6 +259,8 @@ def cayley_graph(R: PermutationGroup, connection, base_point=0):
     prof = R.transitivity_profile()
     if not prof["regular"]:
         raise ValueError("the acting group is not regular on the vertex set")
+    if not all(s in R for s in S):
+        raise ValueError("a connection element is not in R")
     edges = _transported_edges(R.gens, base_point, [s(base_point) for s in S])
     graph = Graph(R.degree, edges)
     action = VertexAction(R, graph)

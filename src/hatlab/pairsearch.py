@@ -30,6 +30,7 @@ import numpy as np
 
 from .cosets import (
     CosetSpace,
+    _rows_per_block,
     core,
     coset_canonical as _coset_canonical,
     is_primitive,
@@ -256,9 +257,11 @@ def maximal_half_arc_pairs(
             # group H = <image(L), h>, the same M, and the same forward-element
             # search, so that work is shared across the coset
             cosets = {}
-            for h in h_list:
-                key = _coset_canonical(phi_Hu, h).key()
-                cosets.setdefault(key, []).append(h)
+            step = _rows_per_block(n)
+            for start in range(0, len(h_list), step):
+                hs = h_list[start : start + step]
+                for h, row in zip(hs, _coset_canonical(phi_Hu, [h.images for h in hs])):
+                    cosets.setdefault(row.tobytes(), []).append(h)
             note(
                 "hList",
                 {"n": n, "hCandidates": len(h_list), "hCosets": len(cosets)},

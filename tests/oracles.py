@@ -5,8 +5,10 @@ purpose: closures are plain BFS products, scans iterate explicit element
 lists, and partition checks enumerate candidate partitions directly.  The
 exceptions are ``random_element``, which draws test inputs rather than
 expected values, ``tree_path_product``, which reads a Schreier tree's
-edge labels but multiplies them with public products only, and
-``realization_bound``, which sizes test cases and budgets.
+edge labels but multiplies them with public products only,
+``realization_bound``, which sizes test cases and budgets, and
+``CosetsByElements``, which reads the base points of H's chain, since
+they define the canonical coset representatives.
 """
 
 import hashlib
@@ -14,6 +16,8 @@ import json
 from itertools import permutations as iter_permutations
 from itertools import product
 from math import prod
+
+import numpy as np
 
 from hatlab.group import closure_elements
 from hatlab.perm import Permutation
@@ -379,3 +383,35 @@ def json_digest(payload):
     """sha256 of the canonical JSON of payload: sorted keys, no spaces."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+class CosetsByElements:
+    """The right cosets of H in G by a BFS that canonicalizes one product
+    r·g at a time: ``reps``, ``gen_images`` (lists) and ``index`` as
+    ``CosetSpace`` numbers them.  The canonical element of a coset Hx is
+    the hx, over the closure elements h of H, whose images of H's base
+    points are lexicographically least."""
+
+    def __init__(self, G, H):
+        self.base = [lvl.base for lvl in H.levels()]
+        self.h_rows = np.array([h.images for h in closure_elements(H.gens, H.degree).values()])
+        rep0 = self.canonical(G.identity())
+        self.reps, self.index = [rep0], {rep0.key(): 0}
+        self.gen_images = [[] for _ in G.gens]
+        for r in self.reps:
+            for g, imgs in zip(G.gens, self.gen_images):
+                nxt = self.canonical(r * g)
+                if nxt.key() not in self.index:
+                    self.index[nxt.key()] = len(self.reps)
+                    self.reps.append(nxt)
+                imgs.append(self.index[nxt.key()])
+
+    def canonical(self, x):
+        rows = x.images[self.h_rows].tolist()  # h * x for every h in H
+        return Permutation(min(rows, key=lambda row: [row[b] for b in self.base]))
+
+    def coset_of(self, x):
+        return self.index[self.canonical(x).key()]
+
+    def action_of(self, g):
+        return [self.coset_of(r * g) for r in self.reps]

@@ -14,15 +14,17 @@ from hatlab.cosets import (
     small_subgroups,
     wreath_square,
 )
-from hatlab.group import PermutationGroup, ResourceExhausted, closure_elements
+from hatlab.group import Orbit, PermutationGroup, ResourceExhausted, closure_elements
 from hatlab.perm import Permutation
 
 from oracles import (
+    CosetsByElements,
     all_subgroups,
     block_systems_exhaustive,
     closure_order,
     finest_block_system,
     is_maximal_by_lattice,
+    random_element,
 )
 
 
@@ -43,6 +45,8 @@ def test_coset_action_on_self_is_degree_one():
     space = CosetSpace(G, G)
     assert len(space) == 1
     assert core(G, G).order() == G.order()
+    empty = PermutationGroup([], 0)
+    assert len(CosetSpace(empty, empty)) == 1
 
 
 def test_coset_action_s4_point_stabilizer():
@@ -63,6 +67,84 @@ def test_coset_space_raises_past_its_limit(monkeypatch):
         cosets.CosetSpace(G, H)
     monkeypatch.setattr(cosets, "COSET_LIMIT", 4)
     assert len(cosets.CosetSpace(G, H)) == 4
+
+
+def _coset_cases(seed):
+    """Seeded H <= G <= Sym(4..9) with |G| <= 2000, G generated by one to
+    three random permutations of 2-5 points each; per G the trivial
+    subgroup, G itself and the subgroups of one and of two random
+    elements."""
+    rng = random.Random(900 + seed)
+    cases = []
+    while len(cases) < 40:
+        n = rng.randrange(4, 10)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            pts = rng.sample(range(n), rng.randrange(2, 6))
+            imgs = list(range(n))
+            for a, b in zip(pts, rng.sample(pts, len(pts))):
+                imgs[a] = b
+            gens.append(Permutation(imgs))
+        G = PermutationGroup(gens, n)
+        if G.order() > 2000:
+            continue
+        subs = [[], list(G.gens)] + [[random_element(G, rng) for _ in range(j)] for j in (1, 2)]
+        cases += [(G, G.subgroup(s)) for s in subs]
+    return cases
+
+
+@pytest.mark.parametrize("one_row", [False, True], ids=["blocks", "one-row-blocks"])
+@pytest.mark.parametrize("seed", range(2))
+def test_coset_spaces_match_the_element_bfs(monkeypatch, seed, one_row):
+    """The block BFS numbers the cosets as the one-product-at-a-time BFS
+    of ``CosetsByElements`` does: the same representatives, generator
+    images and index, and the same ``coset_of``, ``cosets_of`` and
+    ``action_of`` on random elements; also with blocks of one row."""
+    if one_row:
+        monkeypatch.setattr(cosets, "BLOCK_ENTRIES", 1)
+    rng = random.Random(seed)
+    depths = set()
+    for G, H in _coset_cases(seed):
+        space, ref = CosetSpace(G, H), CosetsByElements(G, H)
+        assert [r.key() for r in space.reps] == [r.key() for r in ref.reps]
+        assert [p.images.tolist() for p in space.gen_images] == ref.gen_images
+        assert space.index == ref.index
+        xs = [random_element(G, rng) for _ in range(4)]
+        assert space.cosets_of(xs) == [ref.coset_of(x) for x in xs]
+        for x in xs[:2]:
+            assert space.coset_of(x) == ref.coset_of(x)
+            assert space.action_of(x).images.tolist() == ref.action_of(x)
+        depths.add((len(H.levels()), H.order() == G.order()))
+    assert (0, False) in depths and any(same for _, same in depths)
+    assert max(d for d, _ in depths) >= 3
+
+
+def test_coset_of_outside_g_raises():
+    G, H = S4(), S4().point_stabilizer(3)
+    space = CosetSpace(G.subgroup([g("(0 1 2)", 4)]), G.subgroup([]))
+    with pytest.raises(ValueError, match="not in G"):
+        space.coset_of(g("(0 1)", 4))
+    with pytest.raises(ValueError, match="not in G"):
+        CosetSpace(G, H).coset_of(g("(0 1)", 5))
+
+
+def test_coset_enumeration_computes_only_the_transversals_it_hits(monkeypatch):
+    """The rotations of a 1000-gon are regular of index 2 in its dihedral
+    group: enumerating their cosets and one action multiplies by a few u_a,
+    not by one per point of the rotations' orbit."""
+    n = 1000
+    rot = Permutation([(i + 1) % n for i in range(n)])
+    flip = Permutation([-i % n for i in range(n)])
+    G = PermutationGroup([rot, flip], order=2 * n)
+    H = G.subgroup([rot], order=n)
+    G.levels(), H.levels()
+    calls = []
+    transversal = Orbit.transversal
+    monkeypatch.setattr(Orbit, "transversal", lambda lvl, a: calls.append(a) or transversal(lvl, a))
+    space = CosetSpace(G, H)
+    assert len(space) == 2
+    assert space.action_of(rot * flip).images.tolist() == [1, 0]
+    assert 0 < len(calls) <= len(space) * len(G.gens)
 
 
 def test_coset_action_a4_amalgam_shape():

@@ -96,8 +96,21 @@ def test_example_42_derives_its_witness():
     assert rep.extras == {"x": x.cycle_string()}
 
 
+def test_derived_witness_facts_are_evaluated_once(monkeypatch):
+    """run_example_42 records the facts the witness search evaluated for
+    the derived x rather than evaluating them a second time."""
+    calls = []
+    facts = examples._witness_facts
+    monkeypatch.setattr(
+        examples, "_witness_facts", lambda setting, w: calls.append(w["x"]) or facts(setting, w)
+    )
+    assert run_example_42().passed
+    assert calls.count(_shipped_witness()["x"]) == 1
+
+
 def test_derived_witness_is_the_shipped_one():
-    derived = search_ex42_witness(_example_42_setting())
+    derived, facts = search_ex42_witness(_example_42_setting())
+    assert [(name, computed) for name, _, computed in facts] == EXAMPLE_42_FACTS[6:]
     shipped = _shipped_witness()
     assert set(derived) == {"x", "v", "g", "h"}
     for key in derived:
@@ -110,7 +123,7 @@ def test_witness_search_is_bounded(monkeypatch):
     with pytest.raises(ResourceExhausted):
         search_ex42_witness(_example_42_setting())
     monkeypatch.setattr(examples, "WITNESS_SCAN_LIMIT", 3)
-    assert search_ex42_witness(_example_42_setting())["v"] == 0
+    assert search_ex42_witness(_example_42_setting())[0]["v"] == 0
 
 
 def test_witness_search_raises_when_no_realization_fits(monkeypatch):
@@ -124,7 +137,7 @@ def test_shape_search_raises_past_its_involution_budget(monkeypatch):
     """Involutions that never give the shape end the shape search at the
     witness x loudly after 5000, instead of reporting no shape."""
     setting = _example_42_setting()
-    x = Permutation(search_ex42_witness(setting)["x"])
+    x = Permutation(search_ex42_witness(setting)[0]["x"])
     y_elems = list(setting[3].elements())
     h = Permutation.from_cycles(72, [(1, 2), (3, 4)])
     monkeypatch.setattr(examples, "_involutions_conjugating", lambda g, gp, v: itertools.repeat(h))

@@ -207,6 +207,21 @@ def test_cayley_graph_validation():
         cayley_graph(S3, [g("(0 1)", 3)])
 
 
+def test_cayley_graph_rejects_connection_elements_outside_r():
+    """(0 1)(2 3)(4 5) is not in the rotation group of the hexagon; the
+    graph it would give, the 6-cycle, is Cay(C6, {1, -1}), not Cay(R, S)."""
+    R = PermutationGroup([g("(0 1 2 3 4 5)")])
+    with pytest.raises(ValueError, match="not in R"):
+        cayley_graph(R, [g("(0 1)(2 3)(4 5)")])
+
+
+def test_coset_graph_rejects_d_outside_g():
+    G = PermutationGroup([g("(0 1 2 3)", 5)])
+    d = g("(3 4)")
+    with pytest.raises(ValueError, match="not in G"):
+        coset_graph(G, G.subgroup([]), [d])
+
+
 def test_cayley_equals_coset_graph_with_trivial_subgroup():
     # Lemma-style correspondence under the canonical vertex bijection
     R = PermutationGroup([g("(0 1 2 3 4 5)")])
