@@ -1,16 +1,17 @@
 """Permutation groups backed by a base and strong generating set.
 
 The chain is built by a randomized Schreier-Sims pass, and the order is
-made exact by one of five routes: a claimed order (``order=``), which the
-chain must reach; a proven upper bound (``bound=``: the order of a parent, of
-a source the group is a homomorphic image of, or a search-tree count), which
-ends the build once the chain reaches it; Jordan's theorem, which proves the
-group Alt(n) or Sym(n) from one sample and ends the build without a chain;
-the alternating/symmetric sandwich, when the chain reaches the ceiling of
-its moved points; or else a deterministic verification that sifts every
+made exact by one of four routes: a proven upper bound (``bound=``: the
+order of a parent, of a source the group is a homomorphic image of, or a
+search-tree count; or a claimed order, ``order=``), which ends the build
+once the chain reaches it; Jordan's theorem, which proves the group Alt(n)
+or Sym(n) from one sample and ends the build without a chain; the
+alternating/symmetric sandwich, when the chain reaches the ceiling of its
+moved points; or else a deterministic verification that sifts every
 Schreier generator.  The chain order is always a lower bound for the group
 order (every stored permutation is a product of input generators), so
-matching an upper bound certifies completeness.
+matching an upper bound certifies completeness.  A claim is a bound that
+the certified order must also equal.
 
 Jordan's theorem: a primitive group of degree n with a p-cycle, p prime and
 p <= n - 3, contains Alt(n) (Wielandt, *Finite Permutation Groups*, 1964,
@@ -25,7 +26,7 @@ blocks, none of which has p points.  The parity of the generators then
 decides between Alt(n) and Sym(n).  A proven giant answers its order,
 membership (support and parity) and primitivity from the proof, and builds
 its chain only when one is read: from scratch, with the proven order as its
-claim, which gives the chain the unclaimed build would have reached.
+bound, which gives the chain of the build without the Jordan route.
 
 Each level's Schreier tree is extended incrementally as strong generators
 arrive and fully rebuilt only when it would pass its shallow-tree depth
@@ -203,19 +204,19 @@ def _dedupe(perms):
 
 class PermutationGroup:
     """A group of permutations of {0,...,degree-1}, its order certified by
-    one of the five routes of the module docstring.
+    one of the four routes of the module docstring.
 
-    ``order=`` claims a trusted order, e.g. one obtained from the
-    orbit-stabilizer identity; the chain build then runs until that order is
-    reached.  Claiming an order the generators cannot reach raises; claiming
-    a proper divisor of the true order is undetectable here, so the value
-    must come from a sound derivation.  ``bound=`` is a proven upper bound:
-    an int, or a group mapping homomorphically onto this one (generators
-    onto generators), whose order is read only when the chain is built; a
-    ``parent`` (checked to hold every generator) is the default.  A chain
-    short of its bound, such as that of a proper subgroup or a non-faithful
-    image, is finished as without one; a chain or a Jordan proof past it
-    raises.  Without a claim, a group that Jordan's theorem proves Alt(n) or
+    ``bound=`` is a proven upper bound: an int, or a group mapping
+    homomorphically onto this one (generators onto generators), whose order
+    is read only when the chain is built; a ``parent`` (checked to hold
+    every generator) is the default.  A chain short of its bound, such as
+    that of a proper subgroup or a non-faithful image, is finished as
+    without one; a chain or a Jordan proof past it raises.  ``order=``
+    claims a trusted order, e.g. one obtained from the orbit-stabilizer
+    identity, and takes the place of the bound; a certified order other
+    than the claim raises.  Claiming a proper divisor of the true order is
+    undetectable here (the build stops at the claim), so the value must come
+    from a sound derivation.  A group that Jordan's theorem proves Alt(n) or
     Sym(n) keeps the proof instead of a chain until ``levels`` is read.
     """
 
@@ -233,8 +234,8 @@ class PermutationGroup:
         self.degree = degree
         self.gens = _dedupe(gens)
         self.parent = parent
-        self._claimed_order = order
-        self._bound = parent if bound is None else bound
+        self._claim = order
+        self._bound = order if order is not None else parent if bound is None else bound
         self._levels = None
         self._order = None
         self._proof = None  # (giant type, fixed points) of a Jordan proof
@@ -249,62 +250,59 @@ class PermutationGroup:
 
     def _certify(self):
         """Certify the order: by a Jordan proof, or else by a complete chain."""
-        if self._order is not None:
-            return
-        levels, proof = self._build(self._claimed_order, self._bound)
-        if proof is None:
-            self._levels = levels
-            self._order = _chain_order(levels)
-        else:
-            self._accept(proof)
+        if self._order is None:
+            self._accept(*self._build(self._bound))
 
-    def _build(self, claim, upper):
+    def _build(self, upper):
         """A chain from scratch, with the Jordan proof that cut it short, if any."""
         levels = [Orbit(b, self.degree) for b in self._base_prefix]
         for g in self.gens:
             self._chain_add(levels, g)
-        return levels, self._complete(levels, self.gens, claim, upper)
+        return levels, self._complete(levels, self.gens, upper)
 
-    def _accept(self, proof):
-        """Keep a Jordan proof as the certificate of the order."""
-        (kind, n), _ = proof
-        order = factorial(n) // (2 if kind == "alt" else 1)
-        bound = self._bound
-        if bound is not None and not isinstance(bound, int):
-            bound = bound.order()
-        if bound is not None and order > bound:
-            raise ValueError("proven order %d exceeds its bound %d" % (order, bound))
-        self._proof, self._order = proof, order
+    def _accept(self, levels, proof):
+        """Keep the certificate of the order: the complete chain ``levels``,
+        or else a Jordan proof, which must not pass the bound.  An order
+        other than the claim raises."""
+        if proof is None:
+            what, order = "chain", _chain_order(levels)
+        else:
+            (kind, n), _ = proof
+            what, order, levels = "proven", factorial(n) // (2 if kind == "alt" else 1), None
+            bound = self._bound
+            if bound is not None and not isinstance(bound, int):
+                bound = bound.order()
+            if bound is not None and order > bound:
+                raise ValueError("proven order %d exceeds its bound %d" % (order, bound))
+        if self._claim is not None and order != self._claim:
+            raise ValueError("%s order %d is not the claimed %d" % (what, order, self._claim))
+        self._levels, self._proof, self._order = levels, proof, order
 
-    def _complete(self, levels, gens, target, upper=None):
+    def _complete(self, levels, gens, upper):
         """Complete the chain of <gens>: randomized Schreier-Sims, then a
         rigorous finish (Seress, *Permutation Group Algorithms*, §4.2).
 
-        Seeded product-replacement samples are sifted into the chain.  With a
-        claimed order ``target`` sampling runs until the chain reaches it,
-        and the Schreier pass finishes after more than 400 idle samples; a
-        chain that ends anywhere but at the claim raises ValueError.  Without
-        a claim, sampling stops when the chain reaches the bound ``upper`` (an
-        int or a group's order), which needs no finish, or else after
-        ``_STATIONARY_ROUNDS`` idle samples, and the Alt/Sym sandwich or else
-        the Schreier pass certifies the chain.  A chain past the bound raises.
-        Without a claim, once the partial chain shows <gens> transitive on
-        its n >= ``JORDAN_MIN_DEGREE`` moved points with a transitive point
-        stabilizer, each sample is first tested for a Jordan cycle; on the
-        first, the build stops and returns the proof (else None).
+        Seeded product-replacement samples are sifted into the chain until
+        it reaches the bound ``upper`` (an int, a group whose order is read
+        here, or None), which needs no finish, or for ``_STATIONARY_ROUNDS``
+        idle samples, after which the Alt/Sym sandwich or else the Schreier
+        pass certifies it; a chain past the bound raises.  Unless the group
+        holds a Jordan proof, once the partial chain shows <gens> transitive
+        on its n >= ``JORDAN_MIN_DEGREE`` moved points with a transitive
+        point stabilizer, each sample is first tested for a Jordan cycle; on
+        the first, the build stops and returns the proof (else None).
         """
-        bound = target
-        if gens and (target is None or _chain_order(levels) < target):
-            if target is None and upper is not None:
-                bound = upper if isinstance(upper, int) else upper.order()
+        if not gens:
+            return None
+        bound = upper if upper is None or isinstance(upper, int) else upper.order()
+        if bound is None or _chain_order(levels) < bound:
             rng = _Rattle(gens, random.Random(0))
-            patience = _STATIONARY_ROUNDS if target is None else 401
             moved = None  # counted once the partial chain looks 2-transitive
             idle = 0
-            while idle < patience and (bound is None or _chain_order(levels) < bound):
+            while idle < _STATIONARY_ROUNDS and (bound is None or _chain_order(levels) < bound):
                 p = rng.sample()
                 if (
-                    target is None
+                    self._proof is None
                     and len(levels) > 1
                     and len(levels[0]) >= JORDAN_MIN_DEGREE
                     and len(levels[1]) == len(levels[0]) - 1
@@ -317,13 +315,8 @@ class PermutationGroup:
                         return _giant_proof(gens, moved, self.degree)
                 idle = 0 if self._chain_add(levels, p) else idle + 1
             short = bound is None or _chain_order(levels) < bound
-            if short and (target is not None or _giant_type(gens, _chain_order(levels)) is None):
+            if short and _giant_type(gens, _chain_order(levels)) is None:
                 self._schreier_complete(levels)
-        if target is not None and _chain_order(levels) != target:
-            raise ValueError(
-                "chain order %d does not match claimed order %d"
-                % (_chain_order(levels), target)
-            )
         if bound is not None and _chain_order(levels) > bound:
             raise ValueError("chain order %d exceeds its bound %d" % (_chain_order(levels), bound))
         return None
@@ -398,26 +391,26 @@ class PermutationGroup:
     def prove_giant(self) -> bool:
         """Whether Jordan's theorem proves the group Alt(n) or Sym(n) on its
         n moved points, without a chain: by the proof of an earlier order
-        certification or, when neither an order nor a claim is there yet, by
+        certification or, when no order is certified yet, by
         ``JORDAN_SAMPLES`` fresh seeded samples of a group transitive on its
-        n >= ``JORDAN_MIN_DEGREE`` moved points.  A proof found is kept;
-        False proves nothing."""
-        if self._order is None and self._claimed_order is None:
+        n >= ``JORDAN_MIN_DEGREE`` moved points.  A proof found certifies
+        the order (see ``_accept``); False proves nothing."""
+        if self._order is None:
             moved = _moved_points(self.gens)
             n = len(moved)
             if n >= JORDAN_MIN_DEGREE and len(self.orbit(min(moved))) == n:
                 primes, rng = _jordan_primes(n), _Rattle(self.gens, random.Random(0))
                 if any(_jordan_cycle(rng.sample().images, primes) for _ in range(JORDAN_SAMPLES)):
-                    self._accept(_giant_proof(self.gens, moved, self.degree))
+                    self._accept(None, _giant_proof(self.gens, moved, self.degree))
         return self._proof is not None
 
     def levels(self):
         """The stabilizer chain.  A proven giant builds it here, from scratch
-        with its proven order as the claim."""
+        with its proven order as the bound (and no Jordan test: it has one)."""
         if self._levels is None:
             self._certify()
             if self._levels is None:
-                self._levels, _ = self._build(self._order, None)
+                self._levels, _ = self._build(self._order)
         return self._levels
 
     def identity(self) -> Permutation:
@@ -509,8 +502,10 @@ class PermutationGroup:
     @classmethod
     def from_generator_stream(cls, stream, degree, *, order, parent=None):
         """Group from a generator stream known to generate a group of the
-        given order; generators are consumed only until the chain reaches
-        that order, and ``_complete`` finishes a chain the stream left short.
+        claimed order; generators are consumed only until the chain reaches
+        that order.  A chain the stream left short is completed with the
+        claim as its bound, which may end in a Jordan proof instead; either
+        certificate is checked against the claim.
         """
         levels = []
         shell = cls([], degree)
@@ -521,10 +516,8 @@ class PermutationGroup:
                     kept.append(p)
                     if _chain_order(levels) == order:
                         break
-        shell._complete(levels, kept, order)
         G = cls(kept, degree, order=order, parent=parent)
-        G._levels = levels
-        G._order = order
+        G._accept(levels, G._complete(levels, G.gens, order))
         return G
 
     def subgroup(self, generators, *, order=None) -> "PermutationGroup":

@@ -282,6 +282,7 @@ def maximal_half_arc_pairs(
                 M_order, rem = divmod(H_order, n)
                 if rem:
                     raise AssertionError("orbit size does not divide |H|")
+                # unclaimed, not H.point_stabilizer(0): that timed the deep S3xS4 search slower
                 H_0 = PermutationGroup(H.orbit(0).schreier_generators(H.gens), n)
                 if core(H_0, phi_Mu).order() != 1:
                     continue

@@ -3,10 +3,12 @@
 A group built with ``bound=`` (a parent, the source of a homomorphic image,
 or a search-tree count) must report the closure order, keep the very chain
 that the build without a bound gives, and skip the Schreier pass exactly
-when its chain reaches the bound.
+when its chain reaches the bound.  A claimed order is a bound too: the same
+generators with their closure order claimed must do the same.
 """
 
 import random
+from math import factorial
 
 import pytest
 
@@ -20,7 +22,7 @@ from hatlab.graphs import (
     induced_quotient_action,
     quotient_graph,
 )
-from hatlab.group import PermutationGroup
+from hatlab.group import PermutationGroup, _Rattle
 from hatlab.perm import Permutation
 from hatlab.symmetry import local_action
 
@@ -46,20 +48,26 @@ def _passes(monkeypatch):
 
 
 def _check(monkeypatch, build):
-    """Build a group with a bound (``build()``) while counting Schreier
-    passes; returns it, whether its chain reached the bound, and how many
+    """Build a group with a bound (``build()``), and the same generators
+    with their closure order claimed, while counting Schreier passes;
+    returns the first, whether its chain reached the bound, and how many
     passes the same build without a bound makes."""
     passes = _passes(monkeypatch)
     G = build()
-    order = G.order()
-    limit = G._bound if isinstance(G._bound, int) else G._bound.order()
-    assert order == closure_order(G.gens, G.degree)
+    closure = closure_order(G.gens, G.degree)
+    claimed = PermutationGroup(G.gens, G.degree, order=closure)
     plain = PermutationGroup(G.gens, G.degree)
-    assert _chain(G) == _chain(plain)
-    reached = order == limit
-    assert passes.count(G) == (0 if reached else passes.count(plain))
+    reached = []
+    for H in (G, claimed):
+        order = H.order()
+        limit = H._bound if isinstance(H._bound, int) else H._bound.order()
+        assert order == closure
+        assert _chain(H) == _chain(plain)
+        reached.append(order == limit)
+        assert passes.count(H) == (0 if reached[-1] else passes.count(plain))
+    assert claimed._bound == closure and reached[1]
     monkeypatch.undo()
-    return G, reached, passes.count(plain)
+    return G, reached[0], passes.count(plain)
 
 
 def _random_group(rng, n):
@@ -185,3 +193,43 @@ def test_chain_past_its_bound_raises():
     four_cycle = Permutation([1, 2, 3, 0])
     with pytest.raises(ValueError, match="exceeds its bound"):
         PermutationGroup([four_cycle], bound=2).order()
+
+
+def test_no_sampler_when_the_chain_meets_its_bound(monkeypatch):
+    """A chain that meets its bound from the generators alone builds no
+    product-replacement sampler.  A group that samples draws the seeded
+    sampler's first samples: 14 for D7 without a bound, 7 for S7 with a
+    bound or a claim, and fewer for a claimed Alt(8), ended by a Jordan
+    proof."""
+    built, drawn = [], []
+    real_init, real_sample = _Rattle.__init__, _Rattle.sample
+
+    def init(self, gens, rng):
+        built.append(gens)
+        real_init(self, gens, rng)
+
+    monkeypatch.setattr(_Rattle, "__init__", init)
+    monkeypatch.setattr(_Rattle, "sample", lambda self: drawn.append(real_sample(self)) or drawn[-1])
+    D = _dihedral(7)
+    S = D.subgroup(list(D.gens))  # certifies D, for the membership test
+    built.clear()
+    assert S.order() == 14 and built == []
+
+    s7 = [Permutation.parse("(0 1 2 3 4 5 6)"), Permutation.parse("(0 1)", 7)]
+    a8 = [Permutation.parse("(0 1 2)", 8), Permutation.parse("(1 2 3 4 5 6 7)", 8)]
+    cases = [  # group, order, samples drawn (None: a Jordan proof ends the build)
+        (lambda: PermutationGroup(D.gens), 14, 14),
+        (lambda: PermutationGroup(s7, order=5040), 5040, 7),
+        (lambda: PermutationGroup(s7, bound=5040), 5040, 7),
+        (lambda: PermutationGroup(a8, order=factorial(8) // 2), factorial(8) // 2, None),
+    ]
+    for build, order, samples in cases:
+        G = build()
+        built.clear()
+        drawn.clear()
+        assert G.order() == order and len(built) == 1
+        assert (G._proof is None) == (samples is not None)
+        assert samples is None or len(drawn) == samples
+        keys = [p.key() for p in drawn]
+        fresh = _Rattle(G.gens, random.Random(0))
+        assert keys == [fresh.sample().key() for _ in keys]

@@ -8,6 +8,7 @@ from hatlab.group import PermutationGroup, _level_gens, closure_elements
 from hatlab.perm import Permutation
 
 from oracles import closure_order, orbit_points, random_element
+from test_jordan_route import _bare, _chain
 
 
 def g(s, n=None):
@@ -97,11 +98,15 @@ def test_big_alternating_order():
     assert G.order() == math.factorial(72) // 2
 
 
-def test_big_alternating_point_stabilizer():
+def test_big_alternating_point_stabilizer(monkeypatch):
+    """The claimed stabilizer Alt(71) of Alt(72) is proven by Jordan's
+    theorem, not given a chain; read, its chain is the bare one."""
     G = PermutationGroup([g("(0 1 2)", 72), Permutation.from_cycles(72, [tuple(range(1, 72))])])
     S = G.point_stabilizer(0)
     assert S.order() == math.factorial(71) // 2
     assert all(p(0) == 0 for p in S.gens)
+    assert S._proof is not None and S._levels is None
+    assert _chain(S) == _chain(_bare(monkeypatch, S.gens, S.degree))
 
 
 def test_known_order_build():
@@ -248,6 +253,13 @@ def test_claimed_order_without_generators_is_checked():
     with pytest.raises(ValueError):
         PermutationGroup([], 4, order=5).order()
     assert PermutationGroup([], 4, order=1).order() == 1
+    # a stream that generates less than its claim, and a claim past a Jordan proof
+    stream = iter([g("(0 1 2 3)"), g("(0 2)", 4)])
+    with pytest.raises(ValueError, match="chain order 8 is not the claimed 24"):
+        PermutationGroup.from_generator_stream(stream, 4, order=24)
+    alt72 = [g("(0 1 2)", 72), Permutation.from_cycles(72, [tuple(range(1, 72))])]
+    with pytest.raises(ValueError, match="proven order %d is not" % (math.factorial(72) // 2)):
+        PermutationGroup(alt72, order=math.factorial(72)).order()
 
 
 @pytest.mark.parametrize("seed", range(3))
