@@ -25,9 +25,9 @@ def commutator(a: Permutation, b: Permutation) -> Permutation:
     return a.inverse() * b.inverse() * a * b
 
 
-# Image entries per block of rows: 32 KiB of int32.  Blocks of 2**16
-# entries, the normalizers' BLOCK_ENTRIES, ran as fast but raised the peak
-# RSS of the examples' coset enumerations more than twice as much.
+# Image entries per block of rows: 32 KiB of int32, or one row if longer.
+# Blocks of 2**16 entries, the normalizers' BLOCK_ENTRIES, ran as fast but
+# raised the examples' coset enumerations' peak RSS more than twice as much.
 BLOCK_ENTRIES = 1 << 13
 
 
@@ -84,14 +84,16 @@ class CosetSpace:
     """The right cosets of H in G, with G acting by right multiplication;
     ``gen_images[i]`` is the action of ``G.gens[i]``.
 
-    The BFS takes a block of consecutive representatives at a time, forms
-    every product r·g in (r, g) order with one gather, canonicalizes the
-    block and then walks it in order, so each new coset gets the next index
-    as in a one-product-at-a-time BFS.  It raises ResourceExhausted past
+    The BFS takes a block of consecutive representatives at a time, forms every
+    product r·g in (r, g) order with one gather, canonicalizes the block and
+    then walks it in order, so each new coset gets the next index as in a
+    one-product-at-a-time BFS.  A block holds at least one representative, so
+    up to max(BLOCK_ENTRIES, k·n) entries for k generators on n points: 19,404
+    in example 4.1's normalizer scan.  It raises ResourceExhausted past
     COSET_LIMIT cosets.  ``reps`` lists the canonical representatives as
-    permutations and ``index`` maps their keys to their indices.  ``image``
-    is the group the ``gen_images`` generate, built on first use; its
-    kernel is ``core(G, H)`` and |G| bounds its order."""
+    permutations and ``index`` maps their keys to their indices.  ``image`` is
+    the group the ``gen_images`` generate, built on first use; its kernel is
+    ``core(G, H)`` and |G| bounds its order."""
 
     def __init__(self, G: PermutationGroup, H: PermutationGroup):
         if not all(g in G for g in H.gens):
@@ -266,7 +268,8 @@ def is_primitive(G: PermutationGroup) -> bool:
         top, stab = G.levels()[0], PermutationGroup(_level_gens(G.levels(), 1), G.degree)
         u0 = top.transversal(0)
         return all(
-            len(block_system(G, u0(o.base))) == 1 for o in stab.orbits() if o.base != top.base
+            len(block_system(G, u0(b))) == 1
+            for b, label in enumerate(stab.orbit_labels().tolist()) if b == label != top.base
         )
     betas = range(1, G.degree)
     head, tail = betas[:BETAS_BEFORE_SAMPLES], betas[BETAS_BEFORE_SAMPLES:]

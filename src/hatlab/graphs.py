@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cosets import CosetSpace
-from .group import PermutationGroup, read_counted_lines
+from .group import PermutationGroup, _label_classes, orbit_labels, read_counted_lines
 from .perm import Permutation
 
 
@@ -158,31 +158,31 @@ class VertexAction:
             raise ValueError("generator does not preserve adjacency")
         self.group = group
         self.graph = graph
-        self._arc_orbits = None
+        self._partition = None
+
+    def _arc_partition(self):
+        """The ``orbit_labels`` of ``graph.arcs()``, arcs found by their codes
+        u*n + v in sorted order, and the arc orbits.  Computed once and kept."""
+        if self._partition is None:
+            arcs, weights = self.graph.arcs(), [self.graph.n, 1]
+            ends = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+            order = np.argsort(ends @ weights)
+            codes = ends[order] @ weights
+            images = [order[np.searchsorted(codes, g.images[ends] @ weights)] for g in self.group.gens]
+            labels = orbit_labels(images, len(arcs))
+            self._partition = labels, [[arcs[i] for i in orb.tolist()] for orb in _label_classes(labels)]
+        return self._partition
 
     def arc_orbits(self):
-        """Orbits of the group on ordered adjacent pairs; their union is all
-        arcs.  Computed on first use and kept."""
-        if self._arc_orbits is None:
-            arcs = self.graph.arcs()
-            code = {arc: i for i, arc in enumerate(arcs)}
-            orbit_id = [-1] * len(arcs)
-            orbits = []
-            for start, arc in enumerate(arcs):
-                if orbit_id[start] >= 0:
-                    continue
-                oid = len(orbits)
-                members = [arc]
-                orbit_id[start] = oid
-                for u, v in members:  # the loop also visits appended arcs
-                    for g in self.group.gens:
-                        idx = code[(int(g.images[u]), int(g.images[v]))]
-                        if orbit_id[idx] == -1:
-                            orbit_id[idx] = oid
-                            members.append(arcs[idx])
-                orbits.append(members)
-            self._arc_orbits = orbits
-        return self._arc_orbits
+        """Orbits of the group on ordered adjacent pairs, ordered by first
+        arc, each in ``graph.arcs()`` order; their union is all arcs."""
+        return self._arc_partition()[1]
+
+    def edge_orbit_count(self) -> int:
+        """The number of orbits on edges: in ``graph.arcs()`` order arc i^1
+        is arc i reversed, and an edge orbit joins their arc orbits."""
+        labels = self._arc_partition()[0]
+        return len(set(np.minimum(labels, labels[np.arange(len(labels)) ^ 1]).tolist()))
 
 
 def _transported_edges(gens, base, neighbours):
@@ -298,40 +298,28 @@ def quotient_graph(action: VertexAction, N: PermutationGroup) -> QuotientResult:
     gives a degenerate single-vertex result, flagged rather than raised.
     """
     graph = action.graph
-    n = graph.n
-    orbit_of = np.full(n, -1, dtype=np.int64)
-    orbits = N.orbits()
-    for i, orb in enumerate(orbits):
-        orbit_of[orb.points_arr] = i
-    count = len(orbits)
-    if count == 1:
+    reps, orbit_of = np.unique(N.orbit_labels(), return_inverse=True)
+    if len(reps) == 1:
         return QuotientResult(Graph(1, []), orbit_of, 1, False, True)
-    edges = set()
-    for u, v in graph.edges:
-        a, b = int(orbit_of[u]), int(orbit_of[v])
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    quotient = Graph(count, edges)
+    ends = orbit_of[graph._ends]
+    quotient = Graph(len(reps), ends[ends[:, 0] != ends[:, 1]])
     is_cover = (
         graph.is_regular()
         and quotient.is_regular()
         and quotient.n > 1
         and quotient.valency() == graph.valency()
     )
-    return QuotientResult(quotient, orbit_of, count, is_cover, False)
+    return QuotientResult(quotient, orbit_of, len(reps), is_cover, False)
 
 
 def induced_quotient_action(action: VertexAction, N, result: QuotientResult):
     """The permutation group induced on the quotient vertices by the acting group."""
     orbit_of = result.orbit_of
-    k = result.orbit_count
-    reps = [int(np.flatnonzero(orbit_of == i)[0]) for i in range(k)]
+    reps = np.unique(orbit_of, return_index=True)[1]  # the least point of each orbit
     gens = []
     for g in action.group.gens:
-        imgs = np.array(
-            [int(orbit_of[int(g.images[reps[i]])]) for i in range(k)], dtype=np.int64
-        )
+        imgs = orbit_of[g.images[reps]]
         if not (orbit_of[g.images] == imgs[orbit_of]).all():
             raise ValueError("generator does not permute the orbits of N")
         gens.append(Permutation(imgs))
-    return PermutationGroup(gens, k, bound=action.group)
+    return PermutationGroup(gens, result.orbit_count, bound=action.group)

@@ -52,6 +52,8 @@ _STATIONARY_ROUNDS = 14
 # n = 8 on; a chainless primitivity test draws this many samples for it.
 JORDAN_MIN_DEGREE = 8
 JORDAN_SAMPLES = 48
+# orbit_labels' image entries per block of generators (small groups: one block)
+LABEL_BLOCK_ENTRIES = 1 << 13
 
 
 class ResourceExhausted(RuntimeError):
@@ -183,6 +185,39 @@ class Orbit:
                 if edge is not None and self.nav is nav and self.tree_gens[edge[0]][edge[1]] == g:
                     continue
                 yield self.cancel_into(u_a * g)
+
+
+def orbit_labels(images, n):
+    """The least point of each point's orbit under the permutations of
+    {0,...,n-1} with image arrays ``images`` (a list), as an array.
+
+    Labels only fall, each to a point of its orbit.  Where labels differ
+    along g, a round hooks, along g and its inverse, the label of x's label
+    to that of g(x) (Shiloach and Vishkin, J. Algorithms 3, 1982), then
+    jumps once through the labels; labels equal along every g are the least
+    points.  Lowering only x's own label took 11,692 rounds on a 60,000-cycle.
+    """
+    lab = np.arange(n)
+    step = max(1, LABEL_BLOCK_ENTRIES // max(1, n))
+    blocks = [np.array(images[i : i + step], dtype=np.intp).ravel() for i in range(0, len(images), step)]
+    src = np.tile(lab, min(step, len(images)))
+    while True:
+        moved = False
+        for dst in blocks:
+            a, b = lab[src[: len(dst)]], lab[dst]
+            if (a != b).any():
+                moved = True
+                np.minimum.at(lab, a, b)
+                np.minimum.at(lab, b, a)
+        if not moved:
+            return lab
+        lab = lab[lab]
+
+
+def _label_classes(labels):
+    """The classes of equal labels, as sorted index arrays ordered by label."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
 
 
 def _tree_gen(g: Permutation):
@@ -398,7 +433,7 @@ class PermutationGroup:
         if self._order is None:
             moved = _moved_points(self.gens)
             n = len(moved)
-            if n >= JORDAN_MIN_DEGREE and len(self.orbit(min(moved))) == n:
+            if n >= JORDAN_MIN_DEGREE and (self.orbit_labels() == min(moved)).sum() == n:
                 primes, rng = _jordan_primes(n), _Rattle(self.gens, random.Random(0))
                 if any(_jordan_cycle(rng.sample().images, primes) for _ in range(JORDAN_SAMPLES)):
                     self._accept(None, _giant_proof(self.gens, moved, self.degree))
@@ -453,21 +488,16 @@ class PermutationGroup:
         orb.extend([_tree_gen(g) for g in self.gens])
         return orb
 
+    def orbit_labels(self):
+        """``orbit_labels`` of the generators: the least point of each orbit."""
+        return orbit_labels([g.images for g in self.gens], self.degree)
+
     def orbits(self):
-        seen = np.zeros(self.degree, dtype=bool)
-        out = []
-        for v in range(self.degree):
-            if not seen[v]:
-                orb = self.orbit(v)
-                seen[orb.points_arr] = True
-                out.append(orb)
-        return out
+        """The orbits as sorted point arrays, ordered by least point."""
+        return _label_classes(self.orbit_labels())
 
     def is_transitive(self) -> bool:
-        n = self.degree
-        if n <= 1:
-            return True
-        return len(self.orbit(0)) == n
+        return not self.orbit_labels().any()
 
     def transitivity_profile(self):
         """{transitive, semiregular, regular} on the whole domain.

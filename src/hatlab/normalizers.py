@@ -39,8 +39,8 @@ from math import prod
 
 import numpy as np
 
-from .group import PermutationGroup, ResourceExhausted
-from .perm import _DTYPE, Permutation
+from .group import PermutationGroup, ResourceExhausted, orbit_labels
+from .perm import _DTYPE
 
 SCAN_LIMIT = 10**5
 COSET_SCAN_LIMIT = 10**4
@@ -150,21 +150,19 @@ class SymNormalizerData:
         # conjugation by g permutes the element indices (row i of
         # g[T[:, g^-1]] is elems[i]^g); the classes are the orbits
         conj = [
-            Permutation([table.index_of[r.tobytes()] for r in g.images[table.images[:, g.inverse().images]]])
+            [table.index_of[r.tobytes()] for r in g.images[table.images[:, g.inverse().images]]]
             for g in S.gens
         ]
-        class_size = np.empty(m, dtype=np.intp)
-        for orb in PermutationGroup(conj, m).orbits():
-            class_size[orb.points_arr] = len(orb)
+        labels = orbit_labels(conj, m)
+        class_size = np.bincount(labels)[labels]
         table.invariants = [(p.order(), int(class_size[i]), p.cycle_type()) for i, p in enumerate(table.elems)]
         # orbits (points, sigma), rep first, sigma[j] the index of an element
         # taking rep to points[j]; orbit_of[v] the number of v's orbit
         self.orbits = []
-        self._orbit_of = np.empty(self.n, dtype=np.intp)
-        for k, orb in enumerate(S.orbits()):
+        reps, self._orbit_of = np.unique(S.orbit_labels(), return_inverse=True)
+        for orb in map(S.orbit, reps.tolist()):
             sigma = [table.index_of[orb.transversal(a).key()] for a in orb.points]
             self.orbits.append((orb.points_arr, np.array(sigma)))
-            self._orbit_of[orb.points_arr] = k
 
     def automorphisms(self):
         """All automorphisms of S as index permutations of the element list.

@@ -38,7 +38,7 @@ from .cosets import (
 )
 from .fpgroups import AmalgamSpec, amalgam_by_name, todd_coxeter
 from .group import (
-    BudgetExpired, PermutationGroup, _check_deadline, _is_power_of_two, group_2part,
+    BudgetExpired, PermutationGroup, _check_deadline, _is_power_of_two, group_2part, orbit_labels,
 )
 from .normalizers import SymNormalizerData
 from .perm import _DTYPE, Permutation, _wrap
@@ -119,8 +119,9 @@ def conjugacy_class_representatives(Hu: PermutationGroup, candidates, deadline=N
             if k is None:
                 raise AssertionError("conjugate of a candidate is not a candidate")
             images.append(k)
-        perms.append(Permutation(images))
-    return [candidates[orb.base] for orb in PermutationGroup(perms, len(candidates)).orbits()]
+        perms.append(images)
+    labels = orbit_labels(perms, len(candidates)).tolist()
+    return [X for k, X in enumerate(candidates) if labels[k] == k]
 
 
 def _require(ok: bool, what: str):

@@ -2,7 +2,7 @@
 main-theorem case classifier for maximal (1/2, t)-pairs, which takes the
 caller's two actions and returns what it derived from them.
 
-Reports read the arc orbits their action keeps.  G is transitive on s-arcs
+Reports read the arc-orbit labels their action keeps.  G is transitive on s-arcs
 iff it is transitive on (s-1)-arcs and the stabilizer of a representative
 (s-1)-arc is transitive on its extensions, so one climb of a tower of
 point stabilizers, each taken in the level below, decides every s.
@@ -21,26 +21,14 @@ from .graphs import (
     induced_quotient_action,
     quotient_graph,
 )
-from .group import PermutationGroup, _is_power_of_two
+from .group import PermutationGroup, ResourceExhausted, _is_power_of_two
 from .normalizers import normalizer
 from .perm import Permutation
 from .signatures import group_name
 
 HALF = Fraction(1, 2)
 MAX_S = 4
-
-
-def edge_orbit_count(orbits) -> int:
-    """The number of edge orbits, given the arc orbits of an action."""
-    rep_of = {}
-    for i, orb in enumerate(orbits):
-        for arc in orb:
-            rep_of[arc] = i
-    merged = set()
-    for i, orb in enumerate(orbits):
-        u, v = orb[0]
-        merged.add(frozenset((i, rep_of[(v, u)])))
-    return len(merged)
+LOCAL_STABILIZER_LIMIT = 10**5
 
 
 def _extensions(graph: Graph, arc):
@@ -60,8 +48,7 @@ def _s_arc_degree(action: VertexAction, limit: int) -> int:
         exts = _extensions(action.graph, arc)
         if not exts:
             return s
-        orb = stab.orbit(exts[0])
-        if any(w not in orb for w in exts):
+        if len(set(stab.orbit_labels()[exts].tolist())) > 1:
             return s
         arc.append(exts[0])
     return limit
@@ -105,9 +92,8 @@ def transitivity_report(action: VertexAction) -> TransitivityReport:
         raise ValueError("transitivity reports require a connected graph")
     group = action.group
     vt = group.is_transitive()
-    orbits = action.arc_orbits()
-    arc_count = len(orbits)
-    et = edge_orbit_count(orbits) == 1
+    arc_count = len(action.arc_orbits())
+    et = action.edge_orbit_count() == 1
     at = arc_count == 1
     if not (vt and et):
         return TransitivityReport(vt, et, at, arc_count, None)
@@ -294,7 +280,7 @@ def cayley_normality_report(regular_sub: PermutationGroup, aut: PermutationGroup
     act_N = VertexAction(N, graph)
     return {
         "normalizerOrder": int(N.order()),
-        "normalEdgeTransitive": edge_orbit_count(act_N.arc_orbits()) == 1,
+        "normalEdgeTransitive": act_N.edge_orbit_count() == 1,
         "normal": bool(N.order() == aut.order()),
         "normalizer": N,
         "action": act_N,
@@ -308,7 +294,8 @@ def normal_local_action_checks(graph: Graph, M: PermutationGroup, H: Permutation
     """For a (1/2,1)-pair with M_u^{Gamma(u)} normal in H_u^{Gamma(u)}:
     (a) the subgroup of H_u stabilizing each M_u-neighbor-orbit is M_u;
     (b) the two local-action kernels coincide; (c) |H:M| = |H_u:M_u|.
-    Raises AssertionError when any identity fails; returns witness data.
+    Raises AssertionError when any identity fails, ResourceExhausted when
+    |H_u| passes ``LOCAL_STABILIZER_LIMIT``; returns witness data.
     """
     act_M = VertexAction(M, graph)
     act_H = VertexAction(H, graph)
@@ -316,19 +303,11 @@ def normal_local_action_checks(graph: Graph, M: PermutationGroup, H: Permutation
     loc_H = local_action(act_H, u)
     if not loc_M.induced.is_normal_in(loc_H.induced):
         raise ValueError("local action of M is not normal in that of H")
-    nbrs = loc_M.neighbors
-    orb_sets = []
-    seen = set()
-    for w in nbrs:
-        if w in seen:
-            continue
-        orb = loc_M.stabilizer.orbit(w)
-        pts = frozenset(int(p) for p in orb.points if p in nbrs)
-        seen.update(pts)
-        orb_sets.append(pts)
+    nbrs, labels = loc_M.neighbors, loc_M.stabilizer.orbit_labels()
+    orb_sets = list(dict.fromkeys(frozenset(p for p in nbrs if labels[p] == labels[w]) for w in nbrs))
     stab_elems = []
-    if loc_H.stabilizer.order() > 10**5:
-        raise ValueError("vertex stabilizer too large to enumerate")
+    if loc_H.stabilizer.order() > LOCAL_STABILIZER_LIMIT:
+        raise ResourceExhausted("|H_u| = %d passes LOCAL_STABILIZER_LIMIT" % loc_H.stabilizer.order())
     for h in loc_H.stabilizer.elements():
         if all(frozenset(int(h.images[w]) for w in o) == o for o in orb_sets):
             stab_elems.append(h)

@@ -40,6 +40,27 @@ def orbit_points(gens, point):
     return order
 
 
+def orbits_by_bfs(items, gens, act):
+    """The orbits of <gens> on ``items``, ordered by first item in ``items``
+    order, each in forward-BFS order from it; ``act(g, x)`` is the image of
+    x under g."""
+    seen = set()
+    orbits = []
+    for x in items:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:
+            for g in gens:
+                z = act(g, y)
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        orbits.append(orbit)
+    return orbits
+
+
 def element_scan_normalizer(ambient_elems, sub_elems):
     sub_keys = {p.key() for p in sub_elems}
     out = []

@@ -309,3 +309,46 @@ def test_schreier_generators_skip_only_identities(seed):
                 p for p in direct if not p.is_identity()
             ]
     assert skipped > 0
+
+
+def _orbit_label_cases(rng):
+    """(generators, degree): seeded sets of degree 0-40 whose generators move
+    random subsets, no generators, one shuffled 600-cycle with fixed points,
+    and Alt(72) = <(0 1 2), (1 2 ... 71)>."""
+    cases = [([], 0), ([], 6), ([g("(2 5)", 9)], 9)]
+    for _ in range(80):
+        n = rng.randrange(41)
+        gens = []
+        for _ in range(rng.randrange(4)):
+            moved = rng.sample(range(n), rng.randrange(n + 1))
+            images = list(range(n))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                images[a] = b
+            gens.append(Permutation(images))
+        cases.append((gens, n))
+    cycle = rng.sample(range(610), 600)
+    images = list(range(610))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        images[a] = b
+    cases.append(([Permutation(images)], 610))
+    cases.append(([g("(0 1 2)", 72), g("(%s)" % " ".join(map(str, range(1, 72))), 72)], 72))
+    return cases
+
+
+@pytest.mark.parametrize("entries", [None, 16])
+def test_orbit_labels_match_bfs_oracle(entries, monkeypatch):
+    """Also with blocks of at most 16 image entries, so one generator or a
+    few per block."""
+    if entries:
+        monkeypatch.setattr(group_mod, "LABEL_BLOCK_ENTRIES", entries)
+    for gens, n in _orbit_label_cases(random.Random(2200)):
+        labels = group_mod.orbit_labels([p.images for p in gens], n)
+        G = PermutationGroup(gens, n)
+        assert G.orbit_labels().tolist() == labels.tolist()
+        orbits = {}
+        for v in range(n):
+            orbit = sorted(orbit_points(gens, v))
+            assert labels[v] == orbit[0]
+            orbits[orbit[0]] = orbit
+        assert [orb.tolist() for orb in G.orbits()] == [orbits[v] for v in sorted(orbits)]
+        assert G.is_transitive() == (len(orbits) <= 1)

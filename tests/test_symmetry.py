@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
+from hatlab import symmetry
 from hatlab.graphs import (
     VertexAction,
     complete_bipartite_minus_matching,
     cycle_graph,
 )
 from hatlab.graphauto import automorphism_group
-from hatlab.group import PermutationGroup
+from hatlab.group import PermutationGroup, ResourceExhausted
 from hatlab.normalizers import normalizer
 from hatlab.perm import Permutation
 from hatlab.signatures import group_name
@@ -17,6 +20,8 @@ from hatlab.symmetry import (
     normal_local_action_checks,
     transitivity_report,
 )
+
+from oracles import orbits_by_bfs
 
 
 def g(s, n=None):
@@ -140,6 +145,59 @@ def test_each_action_computes_its_arc_orbits_once(monkeypatch):
     assert classify_theorem_case(act_M, act_H, 0).label == "c-normal"
     hat_orientation(act_M)
     assert len(calls) == 2
+
+
+def _arc_orbit_cases():
+    """(graph, group): seeded small random and 3-regular graphs, a cycle and
+    K_{4,4} minus a matching, each under its automorphism group and under
+    the subgroup of two of its generators; then HAT circulants under M and
+    under <M, x -> -x>."""
+    from test_graphauto import random_graph, random_regular
+
+    rng = random.Random(4400)
+    graphs = [random_graph(rng, rng.randrange(2, 9)) for _ in range(12)]
+    graphs += [random_regular(rng, 2 * rng.randrange(2, 6), 3) for _ in range(6)]
+    graphs += [cycle_graph(6), complete_bipartite_minus_matching(4)]
+    for graph in graphs:
+        A = automorphism_group(graph)
+        yield graph, A
+        yield graph, PermutationGroup(A.gens[:2], graph.n)
+    for n, k in ((8, 3), (12, 5), (16, 7), (24, 5), (24, 11)):
+        graph, act = hat_circulant(n, k)
+        neg = Permutation([(-v) % n for v in range(n)])
+        yield graph, act.group
+        yield graph, PermutationGroup(list(act.group.gens) + [neg])
+
+
+def test_arc_and_edge_orbits_match_bfs_oracle():
+    def image(p, pair):
+        return (p(pair[0]), p(pair[1]))
+
+    kinds = set()
+    for graph, G in _arc_orbit_cases():
+        act = VertexAction(G, graph)
+        want = orbits_by_bfs(graph.arcs(), G.gens, image)
+        got = act.arc_orbits()
+        assert [set(o) for o in got] == [set(o) for o in want]
+        assert [o[0] for o in got] == [o[0] for o in want]
+        edges = orbits_by_bfs(graph.edges, G.gens, lambda p, e: tuple(sorted(image(p, e))))
+        assert act.edge_orbit_count() == len(edges)
+        kinds.add((len(want) == len(edges), len(edges) == 1))
+    # orbits where an edge's arcs split and where they do not, edge-
+    # transitive groups and others
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_local_stabilizer_budget_raises(monkeypatch):
+    graph, act = hat_circulant(16, 7)
+    M = act.group
+    H = PermutationGroup(list(M.gens) + [Permutation([(-v) % 16 for v in range(16)])])
+    order = H.order() // 16  # |H_u|, H being transitive
+    monkeypatch.setattr(symmetry, "LOCAL_STABILIZER_LIMIT", order - 1)
+    with pytest.raises(ResourceExhausted):
+        normal_local_action_checks(graph, M, H, 0)
+    monkeypatch.setattr(symmetry, "LOCAL_STABILIZER_LIMIT", order)
+    assert normal_local_action_checks(graph, M, H, 0)["index"] == 2
 
 
 def test_classifier_rejects_actions_on_different_graphs():
