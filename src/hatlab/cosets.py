@@ -214,11 +214,12 @@ def _core_via_combined(G, H):
 def block_system(G: PermutationGroup, beta: int):
     """Finest block system of the transitive group G with 0 and beta together.
 
-    Atkinson's union-find algorithm.  Returns the partition as a sorted tuple
-    of sorted tuples.
+    Atkinson's union-find algorithm, on image lists made once per call.
+    Returns the partition as a sorted tuple of sorted tuples.
     """
     n = G.degree
     parent = list(range(n))
+    gens = [g.images.tolist() for g in G.gens]
 
     def find(x):
         while parent[x] != x:
@@ -230,9 +231,8 @@ def block_system(G: PermutationGroup, beta: int):
     parent[beta] = 0
     while queue:
         a, b = queue.pop()
-        for g in G.gens:
-            ga, gb = int(g.images[a]), int(g.images[b])
-            ra, rb = find(ga), find(gb)
+        for g in gens:
+            ra, rb = find(g[a]), find(g[b])
             if ra != rb:
                 parent[rb] = ra
                 queue.append((ra, rb))
@@ -318,13 +318,19 @@ def small_subgroups(G: PermutationGroup, order_bound: int, deadline=None):
     <p> each (p first of its generators), complete since every subgroup is
     reached one generator at a time below the bound, joined as right cosets
     (Dimino; Butler, LNCS 559).  A join whose product set S<p>, of size
-    |S||<p>|/|S & <p>|, exceeds the bound is skipped before any product.  A
-    subgroup's generators are its elements in ``closure_elements`` order
-    from the first pair that reached it.  Raises BudgetExpired once
-    ``time.time()`` passes ``deadline``.
+    |S||<p>|/|S & <p>|, exceeds the bound is skipped before any product.
+    Elements are keyed by their images of G's base points (an int for a
+    one-point base).  A subgroup's generators are its elements in
+    ``closure_elements`` order from the first pair that reached it.  Raises
+    BudgetExpired once ``time.time()`` passes ``deadline``.
     """
     if order_bound > 16:
         raise ValueError("order bound %d exceeds 16" % order_bound)
+    base = [lvl.base for lvl in G.levels()]
+
+    def key(p):
+        return p.images[base[0]].item() if len(base) == 1 else tuple(p.images[base].tolist())
+
     first_of = {}  # cyclic subgroup (key set) -> its first generator in element order
     for p in G.elements():
         _check_deadline(deadline)
@@ -332,45 +338,47 @@ def small_subgroups(G: PermutationGroup, order_bound: int, deadline=None):
         while not powers[-1].is_identity() and len(powers) <= order_bound:
             powers.append(powers[-1] * p)
         if len(powers) > 1 and order_bound % len(powers) == 0:
-            first_of.setdefault(frozenset(q.key() for q in powers), p)
+            first_of.setdefault(frozenset(map(key, powers)), p)
+    cyclics = [(cyclic, p, key(p), p.images.tolist()) for cyclic, p in first_of.items()]
     ident = G.identity()
-    frontier = [frozenset([ident.key()])]
+    frontier = [frozenset([key(ident)])]
     seen = {frontier[0]: ([ident], [])}  # key set -> (elements, generator images)
     while frontier:
         nxt = []
         for key_set in frontier:
             elems, gens = seen[key_set]
-            table = np.stack([s.images for s in elems])
-            for cyclic, p in first_of.items():
+            table = np.stack([s.images for s in elems])[:, base].ravel().tolist()
+            for cyclic, p, p_key, p_images in cyclics:
                 _check_deadline(deadline)
-                if p.key() in key_set:
+                if p_key in key_set:
                     continue
                 if len(key_set) * len(cyclic) > order_bound * len(key_set & cyclic):
                     continue
-                joined = _coset_join(key_set, table, gens + [p.images], order_bound)
+                joined = _coset_join(key_set, table, len(base), gens + [p_images], order_bound)
                 if joined is None or order_bound % len(joined) != 0 or joined in seen:
                     continue
-                closed = closure_elements(elems + [p], G.degree)
-                if frozenset(closed) != joined:
+                closed = list(closure_elements(elems + [p], G.degree).values())
+                if frozenset(map(key, closed)) != joined:
                     raise AssertionError("coset closure disagrees with the plain closure")
-                seen[joined] = (list(closed.values()), gens + [p.images])
+                seen[joined] = (closed, gens + [p_images])
                 nxt.append(joined)
         frontier = nxt
-    out = sorted((len(e), sorted(k), e[1:]) for k, (e, _) in seen.items())
+    out = sorted((len(e), sorted(s.key() for s in e), e[1:]) for e, _ in seen.values())
     return [G.subgroup(gens, order=size) for size, _, gens in out]
 
 
-def _coset_join(key_set, table, gens, limit):
-    """The keys of <gens> as right cosets S*r of S = <gens[:-1]> (keys
-    ``key_set``, image rows ``table``, identity first); None past limit."""
-    keys, reps = set(key_set), [table[0]]
+def _coset_join(key_set, table, width, gens, limit):
+    """The base keys of <gens> as right cosets S*r of S = <gens[:-1]>, None past
+    limit; S has keys ``key_set`` and images ``table`` of the ``width`` base points,
+    flattened, identity first.  Each r holds its images of the table's points."""
+    keys, reps, size = set(key_set), [table], len(table) // width
     for r in reps:
         for g in gens:
-            x = g[r]  # r * g
-            if x.tobytes() not in keys:
-                if len(keys) + len(table) > limit:
+            x = [g[i] for i in r]  # r * g
+            if (x[0] if width == 1 else tuple(x[:width])) not in keys:
+                if len(keys) + size > limit:
                     return None
-                keys.update(row.tobytes() for row in x[table])  # S * x
+                keys.update(x if width == 1 else zip(*[iter(x)] * width))  # S * x
                 reps.append(x)
     return frozenset(keys)
 

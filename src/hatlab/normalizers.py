@@ -9,10 +9,10 @@ for a fixed automorphism alpha the solutions are assembled orbit by orbit
 (the image of one point per orbit determines g on the whole orbit, and a
 point q is a valid image of p iff the point stabilizers satisfy
 S_q = alpha(S_p)).  Enumerating Aut(S) (images of a generating sequence,
-each extended to a homomorphism by ``extend_homomorphism``) and those
+each node's homomorphism extended from its parent's by one image) and those
 assembly choices streams N_{Sym(n)}(S), none stored, with no search over
-Sym(n).  The same extension proves the isomorphisms behind
-``signatures.group_name``.
+Sym(n).  ``extend_homomorphism``, the same extension from the identity,
+proves the isomorphisms behind ``signatures.group_name``.
 
 That stream is read only as ``square_roots``: the g with g*g among some
 targets (the pair search's arc reversers, example 4.2's witness).  Its two
@@ -113,17 +113,25 @@ def extend_homomorphism(src: ElementTable, dst: ElementTable, pairs):
     phi = [-1] * len(src.elems)
     phi[src.identity] = dst.identity
     edges = [(src.row(s), dst.row(t)) for s, t in pairs]
-    queue = [src.identity]
-    for p in queue:
+    return _extend(src.invariants, dst.invariants, phi, [src.identity], 0, edges)
+
+
+def _extend(src_inv, dst_inv, phi, span, old, edges):
+    """Extend phi, a homomorphism on the elements listed in ``span``, in
+    place by the last of ``edges``: span[:old] follow only that edge, the
+    rest and every element reached follow all, as in ``Orbit.extend``.  The
+    map, or None, is ``extend_homomorphism``'s on the same pairs."""
+    last = edges[-1:]
+    for i, p in enumerate(span):  # the iterator sees the elements appended
         fp = phi[p]
-        for rs, rt in edges:
+        for rs, rt in last if i < old else edges:
             q, t = rs[p], rt[fp]
             known = phi[q]
             if known == -1:
-                if src.invariants[q] != dst.invariants[t]:
+                if src_inv[q] != dst_inv[t]:
                     return None
                 phi[q] = t
-                queue.append(q)
+                span.append(q)
             elif known != t:
                 return None
     return phi
@@ -168,11 +176,11 @@ class SymNormalizerData:
         """All automorphisms of S as index permutations of the element list.
 
         Depth-first over images of a generating sequence g_1, g_2, ...: the
-        images of g_1..g_k extend to at most one homomorphism on <g_1..g_k>
-        (``extend_homomorphism``).  A branch dies when an edge clashes or
-        when an element and its image differ in the (order, class size,
-        cycle type) invariant, from which the candidate images are also
-        drawn.
+        images of g_1..g_k extend to at most one homomorphism on <g_1..g_k>,
+        which a child node extends from its parent's by one image (``_extend``).
+        A branch dies when an edge clashes or when an element and its image
+        differ in the (order, class size, cycle type) invariant, from which
+        the candidate images are also drawn.
         """
         table = self.table
         elems, inv_class = table.elems, table.invariants
@@ -181,28 +189,26 @@ class SymNormalizerData:
         for i in range(m):
             candidates_of.setdefault(inv_class[i], []).append(i)
 
-        def extend(gens, images):
-            return extend_homomorphism(table, table, list(zip(gens, images)))
-
         # generating sequence, greedily preferring rare invariants; extending
         # the identity images spans the subgroup generated so far
-        gens_idx = []
-        span = extend([], [])
+        root = extend_homomorphism(table, table, [])  # defined on the identity
+        gens_idx, edges, phi, span = [], [], root[:], [table.identity]
         by_rarity = sorted(
             (i for i in range(m) if i != table.identity),
             key=lambda i: (len(candidates_of[inv_class[i]]), elems[i].key()),
         )
         for i in by_rarity:
-            if span[i] == -1:
+            if phi[i] == -1:
                 gens_idx.append(i)
-                span = extend(gens_idx, gens_idx)
-                if -1 not in span:
+                edges.append((table.row(i), table.row(i)))
+                _extend(inv_class, inv_class, phi, span, len(span), edges)
+                if len(span) == m:
                     break
 
         auts = []
 
-        def dfs(images, phi):
-            level = len(images)
+        def dfs(edges, phi, span):
+            level = len(edges)
             if level == len(gens_idx):
                 if len(set(phi)) == m:
                     auts.append(tuple(phi))
@@ -211,12 +217,13 @@ class SymNormalizerData:
                             "more than %d automorphisms" % AUT_ENUM_LIMIT
                         )
                 return
+            rs = table.row(gens_idx[level])
             for img in candidates_of[inv_class[gens_idx[level]]]:
-                nxt = extend(gens_idx[: level + 1], images + [img])
-                if nxt is not None:
-                    dfs(images + [img], nxt)
+                child, child_phi, child_span = edges + [(rs, table.row(img))], phi[:], span[:]
+                if _extend(inv_class, inv_class, child_phi, child_span, len(span), child):
+                    dfs(child, child_phi, child_span)
 
-        dfs([], extend([], []))
+        dfs([], root, [table.identity])
         return auts
 
     def _orbit_candidates(self, alpha):

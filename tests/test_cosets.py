@@ -402,18 +402,26 @@ def test_small_subgroups_d8():
         done += 1
 
 
+def _base_key(p, base):
+    """The key ``small_subgroups`` gives p: its images of the base points,
+    an int for a base of one point."""
+    imgs = [int(p.images[b]) for b in base]
+    return imgs[0] if len(base) == 1 else tuple(imgs)
+
+
 def test_small_subgroups_join_only_within_the_bound(monkeypatch):
     """Every join made has a product set S<p> within the bound, and the
     subgroup lists, in order, are the lattice's subgroups of orders dividing
     the bound."""
     real, joins = cosets._coset_join, []
 
-    def join(key_set, table, gens, limit):
+    def join(key_set, table, width, gens, limit):
+        base = table[:width]  # the identity's images of the base points
         p = Permutation(gens[-1])
-        cyclic = {(p**k).key() for k in range(p.order())}
+        cyclic = {_base_key(p**k, base) for k in range(p.order())}
         assert len(key_set) * len(cyclic) <= limit * len(key_set & cyclic)
         joins.append(len(key_set))
-        return real(key_set, table, gens, limit)
+        return real(key_set, table, width, gens, limit)
 
     monkeypatch.setattr(cosets, "_coset_join", join)
     rng = random.Random(62)
@@ -430,6 +438,35 @@ def test_small_subgroups_join_only_within_the_bound(monkeypatch):
             assert got == want
         done += 1
     assert max(joins) > 1
+
+
+def test_coset_join_matches_closure_on_longer_bases():
+    """_coset_join against closure_elements on seeded (S, p) in groups with a
+    base of two points or more: the base keys of <S, p> while they fit the
+    limit, None past it."""
+    rng = random.Random(63)
+    done = 0
+    while done < 12:
+        n = rng.randrange(4, 8)
+        G = PermutationGroup([Permutation(rng.sample(range(n), n)) for _ in range(2)], n)
+        base = [lvl.base for lvl in G.levels()]
+        if len(base) < 2:
+            continue
+        s_gens = [random_element(G, rng) for _ in range(rng.choice([1, 2]))]
+        S = list(closure_elements(s_gens, n).values())  # identity first
+        p = random_element(G, rng)
+        closure = closure_elements(s_gens + [p], n)
+        if p.key() in {s.key() for s in S} or len(closure) > 120:
+            continue
+        keys = frozenset(_base_key(q, base) for q in closure.values())
+        assert len(keys) == len(closure)
+        key_set = frozenset(_base_key(s, base) for s in S)
+        table = [int(s.images[b]) for s in S for b in base]
+        gens = [q.images.tolist() for q in s_gens + [p]]
+        for limit in range(len(S), len(closure) + 2):
+            got = cosets._coset_join(key_set, table, len(base), gens, limit)
+            assert got == (keys if len(closure) <= limit else None)
+        done += 1
 
 
 def _regular(G):

@@ -1,4 +1,6 @@
+import copy
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -123,8 +125,8 @@ def _check_automorphisms_against_oracle(S):
     return len(auts)
 
 
-def test_automorphisms_match_brute_force_on_named_groups():
-    groups = {
+def _named_groups():
+    return {
         "S3": PermutationGroup([g("(0 1 2)"), g("(0 1)", 3)]),
         "V4": PermutationGroup([g("(0 1)(2 3)"), g("(0 2)(1 3)")]),
         "D8": PermutationGroup([g("(0 1 2 3)"), g("(0 2)", 4)]),
@@ -136,6 +138,10 @@ def test_automorphisms_match_brute_force_on_named_groups():
         # that pass the invariant on every element and still clash
         "3^2:4": PermutationGroup([g("(0 5)(1 4)"), g("(0 1 3 2)(4 5)")]),
     }
+
+
+def test_automorphisms_match_brute_force_on_named_groups():
+    groups = _named_groups()
     counts = {name: _check_automorphisms_against_oracle(S) for name, S in groups.items()}
     # |Aut| is 6, 6, 8, 24, 24, 24, 72; the outer automorphism of D8 swaps
     # a class of transpositions with a class of double transpositions
@@ -159,6 +165,45 @@ def test_automorphisms_match_brute_force_on_random_two_generator_groups():
             continue
         assert _check_automorphisms_against_oracle(S) >= 1
         done += 1
+
+
+def test_incremental_extension_matches_extension_from_scratch(monkeypatch):
+    """At every node of the Aut(S) walk, and at every step of its generating
+    sequence, extending the parent's map by one generator image gives what
+    extend_homomorphism gives from scratch on the same pairs: the same list,
+    or None for both; a returned map is defined exactly on the span list.
+    Both ways to die occur: an edge clash, and an invariant mismatch where
+    the same pairs extend once the invariants are ignored."""
+    real, seen, table = normalizers._extend, Counter(), None
+
+    def spy(src_inv, dst_inv, phi, span, old, edges):
+        got = real(src_inv, dst_inv, phi, span, old, edges)
+        if old:  # an incremental step; from scratch starts with old = 0
+            pairs = [(rs[table.identity], rt[table.identity]) for rs, rt in edges]
+            assert got == normalizers.extend_homomorphism(table, table, pairs)
+            if got is None:
+                plain = copy.copy(table)
+                plain.invariants = [0] * len(table.elems)
+                clash = normalizers.extend_homomorphism(plain, plain, pairs) is None
+                seen["clash" if clash else "invariant"] += 1
+            else:
+                assert sorted(span) == [i for i, t in enumerate(got) if t != -1]
+                seen["map"] += 1
+        return got
+
+    monkeypatch.setattr(normalizers, "_extend", spy)
+    groups = list(_named_groups().values())
+    rng = random.Random(71)
+    while len(groups) < 19:
+        n = rng.randrange(3, 8)
+        S = PermutationGroup([Permutation(rng.sample(range(n), n)) for _ in range(2)], n)
+        if 2 <= S.order() <= 24:
+            groups.append(S)
+    for S in groups:
+        data = SymNormalizerData(S)
+        table = data.table
+        assert data.automorphisms()
+    assert min(seen["map"], seen["clash"], seen["invariant"]) > 0
 
 
 def test_automorphisms_budget_raises_on_elementary_abelian_16():
