@@ -11,7 +11,9 @@ moved points; or else a deterministic verification that sifts every
 Schreier generator.  The chain order is always a lower bound for the group
 order (every stored permutation is a product of input generators), so
 matching an upper bound certifies completeness.  A claim is a bound that
-the certified order must also equal.
+the certified order must also equal.  The fourth route checks the chain's
+bottom level on a few columns before it sifts there: the fixed points of a
+point stabilizer form a block (see ``_schreier_complete``).
 
 Jordan's theorem: a primitive group of degree n with a p-cycle, p prime and
 p <= n - 3, contains Alt(n) (Wielandt, *Finite Permutation Groups*, 1964,
@@ -185,6 +187,27 @@ class Orbit:
                 if edge is not None and self.nav is nav and self.tree_gens[edge[0]][edge[1]] == g:
                     continue
                 yield self.cancel_into(u_a * g)
+
+    def schreier_trivial(self, gens) -> bool:
+        """Whether every Schreier generator of ``gens``, whose group has
+        this orbit O of the base b, is the identity: whether each fixes X,
+        the points b^g and those a generator moves outside O, which suffices
+        by the lemma of ``PermutationGroup._schreier_complete``.  u_a(x) for
+        x in X is carried down the tree (u_a = u_parent * edge label), and
+        g(u_a(x)) = u_{a^g}(x) is checked in |O|·|gens|·|X| look-ups."""
+        nav = self.nav
+        lists = [(g.images.tolist(), g_inv.images.tolist()) for g, g_inv in self.tree_gens]
+        outside = _moved_points(gens).difference(nav)
+        u = {self.base: sorted({int(g.images[self.base]) for g in gens} | outside)}
+        for a in self.points[1:]:
+            idx, pol = nav[a]
+            u[a] = [lists[idx][pol][y] for y in u[lists[idx][1 - pol][a]]]
+        for g in gens:
+            imgs = g.images.tolist()
+            for a, ua in u.items():
+                if [imgs[y] for y in ua] != u[imgs[a]]:
+                    return False
+        return True
 
 
 def orbit_labels(images, n):
@@ -376,13 +399,34 @@ class PermutationGroup:
         """Deterministic completion: sift every Schreier generator, bottom-up.
 
         Trees are always current, so each level is scanned as it stands; any
-        install restarts from the bottom.
+        install restarts from the bottom.  The bottom level has nothing to
+        sift into, so its scan installs a generator exactly when some
+        Schreier generator is not the identity; ``Orbit.schreier_trivial``
+        decides that first, and only a level it rejects is scanned, so
+        chains and trees are those of the scan alone.
+
+        The lemma behind it (Dixon and Mortimer, *Permutation Groups*, 1996,
+        ch. 1): let H be the group of the level's generators, b its base and
+        O its orbit, and let X hold each b^g for a generator g and each
+        point a generator moves outside O; if the Schreier generators fix
+        every point of X, then H_b = 1.  Proof:
+        F = Fix(H_b) ∩ O is the set of a in O with H_a = H_b, since H_a is
+        conjugate to H_b, of the same order.  F is a block: if a and a^h are
+        in F, then H_b^h = H_a^h = H_{a^h} = H_b, so h normalizes H_b and
+        maps F onto F.  The Schreier generators generate H_b (Schreier's
+        lemma), so F holds b and each b^g; F^g then meets F, so each
+        generator g maps F onto F, and F, H-invariant and holding b, is O.
+        H_b thus fixes O, the moved points outside O and every point no
+        generator moves.
         """
         i = len(levels) - 1
         while i >= 0:
-            lvl = levels[i]
+            lvl, gens = levels[i], _level_gens(levels, i)
+            if i == len(levels) - 1 and lvl.schreier_trivial(gens):
+                i -= 1
+                continue
             restart = False
-            for schreier in lvl.schreier_generators(_level_gens(levels, i)):
+            for schreier in lvl.schreier_generators(gens):
                 if self._chain_add(levels, schreier, start=i + 1):
                     restart = True
             if restart:

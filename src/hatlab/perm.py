@@ -55,10 +55,14 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
+        """The product of disjoint cycles; a point repeated within one cycle
+        or across two raises ValueError."""
         imgs = np.arange(degree, dtype=_DTYPE)
+        seen = set()
         for cyc in cycles:
-            if len(cyc) != len(set(cyc)):
+            if len(cyc) != len(set(cyc)) or not seen.isdisjoint(cyc):
                 raise ValueError("repeated point in cycle %r" % (cyc,))
+            seen.update(cyc)
             for a, b in zip(cyc, cyc[1:]):
                 imgs[a] = b
             if cyc:

@@ -1,6 +1,6 @@
 """Array-level fast paths against their object-level references: the
-product-replacement sampler, Schreier-tree paths, frozen products and the
-vectorized edge check."""
+product-replacement sampler, Schreier-tree paths, the bottom-level check of
+the Schreier pass, frozen products and the vectorized edge check."""
 
 import random
 
@@ -9,7 +9,7 @@ import pytest
 
 from hatlab.graphauto import automorphism_group
 from hatlab.graphs import Graph, cycle_graph
-from hatlab.group import PermutationGroup, _Rattle
+from hatlab.group import PermutationGroup, _Rattle, closure_elements
 from hatlab.perm import DegreeMismatch, Permutation
 
 from oracles import ObjectRattle, edge_map_is_automorphism, random_element, tree_path_product
@@ -56,6 +56,75 @@ def test_tree_paths_match_public_products(seed):
                 assert lvl.cancel_into(x) == want
             s = _fixing(rng, n, lvl.base)
             assert lvl.cancel_into(s) is s
+
+
+def _schreier_trivial_by_products(orb, gens):
+    """Whether every u_a * g * u_{a^g}^-1 is the identity, with u_a the
+    tree path as public products."""
+    return all(
+        (tree_path_product(orb, a) * s * tree_path_product(orb, s(a)).inverse()).is_identity()
+        for a in orb.points
+        for s in gens
+    )
+
+
+def _partial_moves(rng, n):
+    """A random permutation of degree n moving a random subset of points."""
+    pts = rng.sample(range(n), rng.randrange(n + 1))
+    imgs = list(range(n))
+    for a, b in zip(pts, rng.sample(pts, len(pts))):
+        imgs[a] = b
+    return Permutation(imgs)
+
+
+def _bottom_levels(G):
+    """The bottom level of G's chain before and after its completion: the
+    generators sifted in alone, then the certified chain."""
+    partial = []
+    for p in G.gens:
+        G._chain_add(partial, p)
+    return [levels[-1] for levels in (partial, G.levels()) if levels]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bottom_check_matches_the_schreier_generators(seed):
+    rng = random.Random(900 + seed)
+    verdicts = []
+    for _ in range(550):
+        n = rng.randrange(2, 13)
+        G = PermutationGroup([_partial_moves(rng, n) for _ in range(rng.choice([1, 2, 3]))], n)
+        cases = [(G.orbit(rng.randrange(n)), G.gens)]
+        cases += [(lvl, lvl.gens) for lvl in _bottom_levels(G)]
+        for orb, gens in cases:
+            want = _schreier_trivial_by_products(orb, gens)
+            assert orb.schreier_trivial(gens) is want
+            verdicts.append(want)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+def _regular(gens, degree):
+    """The right regular representation of <gens>, x -> x * s on the
+    closure elements in sorted key order."""
+    elems = sorted(closure_elements(gens, degree).values(), key=lambda p: p.key())
+    index = {p.key(): i for i, p in enumerate(elems)}
+    return [Permutation([index[(x * s).key()] for x in elems]) for s in gens]
+
+
+def test_bottom_check_named_cases():
+    g = Permutation.parse
+    # H_0 = <(2 3)> fixes the orbit {0, 1}: only the outside column sees it
+    G = PermutationGroup([g("(0 1)", 4), g("(2 3)", 4)])
+    assert not G.orbit(0).schreier_trivial(G.gens)
+    s3 = PermutationGroup([g("(0 1 2)"), g("(0 1)", 3)])
+    assert not s3.orbit(0).schreier_trivial(s3.gens)
+    bottom = s3.levels()[-1]
+    assert bottom.schreier_trivial(bottom.gens)
+    for gens, degree, order in (([g("(0 1 2 3)"), g("(0 1)", 4)], 4, 24),
+                                ([g("(0 1 2 3 4)"), g("(0 1 2)", 5)], 5, 60)):
+        R = PermutationGroup(_regular(gens, degree), order)
+        for orb in (R.orbit(0), R.orbit(order - 1)):
+            assert orb.schreier_trivial(R.gens) and _schreier_trivial_by_products(orb, R.gens)
+        assert R.order() == order and len(R.levels()) == 1
 
 
 def test_products_and_inverses_are_read_only():

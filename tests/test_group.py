@@ -249,6 +249,43 @@ def test_schreier_pass_completes_pgl27(monkeypatch):
     assert g("(0 1)", 8) not in G
 
 
+def _chain_shape(G):
+    return [
+        (lvl.base, list(lvl.points), [p.key() for p in lvl.gens], len(lvl.tree_gens))
+        for lvl in G.levels()
+    ]
+
+
+def test_bottom_check_keeps_the_chains_of_the_scan(monkeypatch):
+    """The Schreier pass gives the same chain, trees and strong generators
+    with the bottom-level check as with every bottom level scanned."""
+    pgl27 = [g("(0 1 2 3 4 5 6)", 8), g("(1 3 2 6 4 5)", 8), g("(0 7)(1 6)(2 3)(4 5)")]
+    # PGL(2,7) again, from an involution and an 8-cycle: here, unlike above,
+    # the pass meets a bottom level whose point stabilizer is not trivial
+    pair = [g("(0 2)(3 6)(4 5)", 8), g("(0 6 2 7 1 4 3 5)")]
+    rng = random.Random(1300)
+    cases = [(pgl27, 0), (pair, 0)]
+    cases += [(_random_pair(rng, n), rounds) for n in range(4, 10) for rounds in (0, 14)]
+    real = group_mod.Orbit.schreier_trivial
+    fallbacks = []
+    for gens, rounds in cases:
+        verdicts = []
+
+        def recording(self, sgens):
+            verdicts.append(real(self, sgens))
+            return verdicts[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(group_mod, "_STATIONARY_ROUNDS", rounds)
+            m.setattr(group_mod.Orbit, "schreier_trivial", recording)
+            checked = _chain_shape(PermutationGroup(gens))
+            m.setattr(group_mod.Orbit, "schreier_trivial", lambda self, sgens: False)
+            scanned = _chain_shape(PermutationGroup(gens))
+        assert checked == scanned
+        fallbacks.append(verdicts.count(False))
+    assert fallbacks[1] > 0
+
+
 def test_claimed_order_without_generators_is_checked():
     with pytest.raises(ValueError):
         PermutationGroup([], 4, order=5).order()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hatlab.group import read_group_file
 from hatlab.perm import DegreeMismatch, Permutation, evaluate_word
 
 
@@ -23,6 +24,15 @@ def test_parse_rejects_garbage():
         Permutation.parse("(0 1)(1 2)")
     with pytest.raises(ValueError):
         Permutation.parse("(0 5)", 3)
+
+
+@pytest.mark.parametrize("text", ["(0 1)(0 1)", "(0 1)(1 0)", "(0 1 2)(3 2)", "(0 0)"])
+def test_parse_rejects_a_point_in_two_cycles(text):
+    # the notation is disjoint: a point lies in one cycle at most
+    with pytest.raises(ValueError, match="repeated point"):
+        Permutation.parse(text)
+    with pytest.raises(ValueError, match="repeated point"):
+        read_group_file("4 1\n%s\n" % text)
 
 
 def test_right_action_convention():
