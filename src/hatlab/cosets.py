@@ -2,10 +2,13 @@
 
 Right cosets Hx are identified by a canonical representative: the unique
 element of Hx whose base-image tuple under H's chain is lexicographically
-minimal.  Coset enumeration is a BFS over blocks of image rows: each block
-of representatives is multiplied by every generator in one gather,
+minimal.  Coset enumeration is a BFS over blocks of image rows restricted
+to a column set Ω, the H-orbits of the base points of G and of H: each
+block of representatives is multiplied by every generator in one gather,
 canonicalized as a whole by the routine behind ``coset_canonical`` and keyed
-on the rows' bytes.
+on the bytes of the rows' Ω-columns, which determine an element of G (Holt,
+Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 4).  Only a
+new coset's representative is formed on every point.
 """
 
 from __future__ import annotations
@@ -42,28 +45,36 @@ def coset_canonical(H: PermutationGroup, rows):
 
     Greedy per level: elements of H are distinguished by their base images,
     so minimizing the image of each base point in turn picks out one element
-    of the coset, the same one for every element of it.
+    of the coset, the same one for every element of it.  Each step reads
+    only the images of the level's orbit points.
     """
     return _canonicalize(H.levels(), np.array(rows, dtype=_DTYPE), {})
 
 
-def _canonicalize(levels, P, u):
+def _canonicalize(levels, P, u, pos=None, omega=None):
     """Canonicalize the rows of P in place and return P: per level, take
     each row's least image of an orbit point a and, where a is not the
     base, replace the row p by u_a * p, one gather per distinct a.  ``u``
     caches the transversal images by (level, a), computed only for the
-    points hit."""
+    points hit.
+
+    Without ``pos`` the rows are whole image arrays.  With it they are
+    the images of the points ``omega`` only, an H-invariant set holding
+    every level's orbit, and ``pos`` maps each point of omega to its
+    column: a level reads the columns pos[pts], and u_a * p is the gather
+    of the columns pos[u_a[omega]], which ``u`` caches in place of u_a."""
     for depth, lvl in enumerate(levels):
         pts = lvl.points_arr
         if len(pts) == 1:
             continue
-        hit = pts[P[:, pts].argmin(axis=1)]
+        hit = pts[P[:, pts if pos is None else pos[pts]].argmin(axis=1)]
         moved = np.flatnonzero(hit != lvl.base)
         hit = hit[moved]
         for a in sorted(set(hit.tolist())):
             ua = u.get((depth, a))
             if ua is None:
-                ua = u[depth, a] = lvl.transversal(a).images
+                ua = lvl.transversal(a).images
+                ua = u[depth, a] = ua if pos is None else pos[ua[omega]]
             rows = moved[hit == a]
             P[rows] = P[rows[:, None], ua]
     return P
@@ -77,6 +88,46 @@ def _row_keys(P):
     return P.view(np.dtype((np.void, P.shape[1] * P.itemsize))).ravel().tolist()
 
 
+def _columns(G, H):
+    """The column set Ω of ``CosetSpace(G, H)``, sorted: the union of the
+    H-orbits of the base points of G and of H, or every point when Jordan's
+    theorem proves G a giant, which gets no chain here."""
+    G.order()
+    if G.prove_giant():
+        return np.arange(G.degree)
+    base = [lvl.base for lvl in G.levels()] + [lvl.base for lvl in H.levels()]
+    labels = H.orbit_labels()
+    keep = np.zeros(G.degree, dtype=bool)
+    keep[labels[base]] = True
+    return np.flatnonzero(keep[labels])
+
+
+def _block_rows(reps, rows, start, stop):
+    """The Ω-rows of reps[start:stop]: a slice of their stored array
+    ``rows``, or their images when Ω is every point (``rows`` None)."""
+    if rows is None:
+        return np.array([r.images for r in reps[start:stop]])
+    return rows[start:stop]
+
+
+def _members(G, xs):
+    """Whether every permutation in xs, of G's degree, is in G, by one sift
+    each: two or more rows are sifted together, per level one gather by
+    u_a^-1 for each distinct base image a; a single x, or any x of a
+    Jordan-proven G, goes through ``x in G``."""
+    if len(xs) < 2 or G.prove_giant():
+        return all(x in G for x in xs)
+    P = np.array([x.images for x in xs], dtype=_DTYPE).reshape(len(xs), G.degree)
+    for lvl in G.levels():
+        hit = P[:, lvl.base]
+        for a in set(hit.tolist()) - {lvl.base}:
+            if a not in lvl:
+                return False
+            rows = np.flatnonzero(hit == a)
+            P[rows] = lvl.transversal(a).inverse().images[P[rows]]
+    return bool((P == np.arange(G.degree)).all())
+
+
 COSET_LIMIT = 10**6
 
 
@@ -84,15 +135,29 @@ class CosetSpace:
     """The right cosets of H in G, with G acting by right multiplication;
     ``gen_images[i]`` is the action of ``G.gens[i]``.
 
-    The BFS takes a block of consecutive representatives at a time, forms every
-    product r·g in (r, g) order with one gather, canonicalizes the block and
-    then walks it in order, so each new coset gets the next index as in a
-    one-product-at-a-time BFS.  A block holds at least one representative, so
-    up to max(BLOCK_ENTRIES, k·n) entries for k generators on n points: 19,404
-    in example 4.1's normalizer scan.  It raises ResourceExhausted past
-    COSET_LIMIT cosets.  ``reps`` lists the canonical representatives as
-    permutations and ``index`` maps their keys to their indices.  ``image`` is
-    the group the ``gen_images`` generate, built on first use; its kernel is
+    The BFS runs on the images of a column set Ω: the union of the H-orbits
+    of the base points of G and of H (every point for a Jordan-proven giant
+    G).  Ω is H-invariant, so u_a * p, for u_a in H, permutes the columns of
+    p's row; it holds every orbit of H's chain, so a row's canonical form
+    (see ``coset_canonical``) is read off its Ω-row; and it holds a base of
+    G, so elements of G with equal Ω-rows are equal.  So two canonical
+    products are the same coset exactly when their Ω-rows are equal, and
+    the Ω-rows' bytes key the cosets.  An Ω-row alone does not prove an
+    element in G, so ``coset_of``, ``cosets_of`` and ``action_of`` sift
+    each element first and raise ValueError outside G.
+
+    The BFS takes a block of consecutive representatives at a time, forms
+    the Ω-row of every product r·g in (r, g) order with one gather,
+    canonicalizes the block and then walks it in order, so each new coset
+    gets the next index as in a one-product-at-a-time BFS.  A block holds
+    at least one representative, so up to max(BLOCK_ENTRIES, k·|Ω|)
+    entries for k generators.  Only a new coset gets a whole image row: its
+    parent's row times g, canonicalized, in blocks of at most
+    ``_rows_per_block(n)`` rows of n points.  When Ω is every point the
+    canonical products are those rows.  It raises ResourceExhausted, before
+    any product, when the index |G:H| passes COSET_LIMIT.  ``reps`` lists
+    the canonical representatives as permutations.  ``image`` is the group
+    the ``gen_images`` generate, built on first use; its kernel is
     ``core(G, H)`` and |G| bounds its order."""
 
     def __init__(self, G: PermutationGroup, H: PermutationGroup):
@@ -100,62 +165,106 @@ class CosetSpace:
             raise ValueError("H is not a subgroup of G")
         self.G = G
         self.H = H
-        self._u = {}  # u_a images by (level, a), for _canonicalize
         n, levels = G.degree, H.levels()
+        omega = self._omega = _columns(G, H)
+        m = G.order() // H.order()
+        if m > COSET_LIMIT:
+            raise ResourceExhausted("coset enumeration exceeded %d" % COSET_LIMIT)
+        w = len(omega)
+        self._u = {}  # u_a images by (level, a), for _canonicalize on whole rows
         k = len(G.gens)
         gens = np.array([g.images for g in G.gens], dtype=_DTYPE).reshape(k, n)
         which = np.arange(k)[:, None]  # gens[which, block[:, None]][r, g] is r·g
         rep0 = _canonicalize(levels, np.arange(n, dtype=_DTYPE)[None], self._u)
         reps = [_wrap(rep0[0].copy())]
-        index = {reps[0].key(): 0}
+        # unless Ω is every point: each point's column of Ω, the reps' Ω-rows
+        # and the u_a as gathers of Ω-rows
+        self._pos = rows = None
+        self._uc = self._u
+        if w < n:
+            self._pos = np.full(n, -1, dtype=np.int64)
+            self._pos[omega] = np.arange(w)
+            rows = np.empty((m, w), dtype=_DTYPE)
+            rows[0] = rep0[0, omega]
+            self._uc = {}
+        index = {_row_keys(rep0[:, omega])[0]: 0}
         flat = []  # the coset index of each product r·g, in (r, g) order
-        step = _rows_per_block(k * n)
+        step = _rows_per_block(k * w)
         head = 0
         while head < len(reps):
-            block = np.array([r.images for r in reps[head : head + step]])
+            start = head
+            block = _block_rows(reps, rows, head, min(head + step, len(reps)))
             head += len(block)
-            products = gens[which, block[:, None]].reshape(len(block) * k, n)
-            _canonicalize(levels, products, self._u)
+            products = gens[which, block[:, None]].reshape(len(block) * k, w)
+            self._canonicalize(products)
+            new = []  # the products that are new cosets, in order
             for q, key in enumerate(_row_keys(products)):
                 i = index.get(key)
                 if i is None:
-                    if len(reps) >= COSET_LIMIT:
-                        raise ResourceExhausted("coset enumeration exceeded %d" % COSET_LIMIT)
-                    i = index[key] = len(reps)
-                    reps.append(_wrap(products[q].copy()))
+                    i = index[key] = len(index)
+                    new.append(q)
                 flat.append(i)
+            if rows is None:
+                reps += [_wrap(products[q].copy()) for q in new]
+            elif new:
+                rows[len(reps) : len(reps) + len(new)] = products[new]
+                reps += self._full_reps(levels, gens, reps, start, new)
+        if len(reps) != m:
+            raise AssertionError("%d cosets enumerated, index %d" % (len(reps), m))
         self.reps = reps
-        self.index = index
+        self._index = index
+        self._rows = rows
         self.gen_images = [_wrap(np.array(flat[j::k], dtype=_DTYPE)) for j in range(k)]
 
     def __len__(self):
         return len(self.reps)
 
+    def _canonicalize(self, rows):
+        return _canonicalize(self.H.levels(), rows, self._uc, self._pos, self._omega)
+
+    def _full_reps(self, levels, gens, reps, start, new):
+        """The representatives of the new cosets ``new``, products r·g
+        numbered from the block that begins at reps[start]: the parent's
+        image row gathered by g, then canonicalized."""
+        k, step, out = len(gens), _rows_per_block(gens.shape[1]), []
+        for s in range(0, len(new), step):
+            q = np.array(new[s : s + step])
+            parents = np.array([reps[i].images for i in (start + q // k).tolist()])
+            full = _canonicalize(levels, gens[(q % k)[:, None], parents], self._u)
+            out += [_wrap(row.copy()) for row in full]
+        return out
+
     def _indices(self, rows):
-        """The coset index of each row of the fresh array rows; ValueError
-        for a row outside G."""
+        """The coset index of each Ω-row of the fresh array rows, whose
+        elements are in G; a miss is an internal error."""
         try:
-            return [self.index[k] for k in _row_keys(_canonicalize(self.H.levels(), rows, self._u))]
+            return [self._index[k] for k in _row_keys(self._canonicalize(rows))]
         except KeyError:
-            raise ValueError("the permutation is not in G") from None
+            raise AssertionError("a member of G lies in no enumerated coset") from None
+
+    def _require_members(self, xs):
+        if any(x.degree != self.G.degree for x in xs):
+            raise ValueError("the permutation is not in G: its degree is not G's")
+        if not _members(self.G, xs):
+            raise ValueError("the permutation is not in G")
 
     def coset_of(self, x: Permutation) -> int:
         return self.cosets_of([x])[0]
 
     def cosets_of(self, xs):
         """The coset index of each permutation in xs; ValueError unless
-        every one is in G."""
-        if any(x.degree != self.G.degree for x in xs):
-            raise ValueError("the permutation is not in G: its degree is not G's")
-        rows = np.array([x.images for x in xs], dtype=_DTYPE).reshape(len(xs), self.G.degree)
-        step = _rows_per_block(self.G.degree)
-        return [i for s in range(0, len(rows), step) for i in self._indices(rows[s : s + step])]
+        every one is in G, each checked by one sift."""
+        step, out = _rows_per_block(self.G.degree), []
+        for s in range(0, len(xs), step):
+            self._require_members(xs[s : s + step])
+            out += self._indices(np.array([x.images[self._omega] for x in xs[s : s + step]]))
+        return out
 
     def action_of(self, g: Permutation) -> Permutation:
-        step = _rows_per_block(self.G.degree)
-        blocks = (
-            np.array([r.images for r in self.reps[s : s + step]]) for s in range(0, len(self), step)
-        )
+        """The permutation of the cosets by g; ValueError unless g is in G."""
+        self._require_members([g])
+        step = _rows_per_block(len(self._omega))
+        blocks = (_block_rows(self.reps, self._rows, s, s + step) for s in range(0, len(self), step))
         return _wrap(np.array([i for b in blocks for i in self._indices(g.images[b])], dtype=_DTYPE))
 
     @cached_property

@@ -106,16 +106,31 @@ def conjugacy_class_representatives(Hu: PermutationGroup, candidates, deadline=N
     The candidate set is closed under conjugation (its defining conditions
     are conjugation-invariant), so each generator of Hu permutes its
     indices, and the classes are the orbits of those index permutations.
-    Each orbit starts at its least index, which represents it.  Raises
-    BudgetExpired once ``time.time()`` passes ``deadline``.
+    Each orbit starts at its least index, which represents it.  A subgroup
+    is keyed by its elements' images of Hu's base points (ints for a
+    one-point base), which determine them; the image of b under g^-1 p g
+    is g(p(g^-1(b))), read from p's column g^-1(b) without forming the
+    conjugate.  Raises BudgetExpired once ``time.time()`` passes
+    ``deadline``.
     """
-    index = {frozenset(X.element_set()): i for i, X in enumerate(candidates)}
+    base = [lvl.base for lvl in Hu.levels()]
+    width = len(base)
+    # the columns base, then g^-1(base) for each generator g
+    cols = np.array(base + [b for g in Hu.gens for b in g.inverse().images[base].tolist()])
+    tables = [
+        np.array([p.images[cols] for p in X.element_set().values()]) for X in candidates
+    ]
+
+    def key_set(rows):
+        return frozenset(rows[:, 0].tolist() if width == 1 else map(tuple, rows.tolist()))
+
+    index = {key_set(t[:, :width]): i for i, t in enumerate(tables)}
     perms = []
-    for g in Hu.gens:
+    for j, g in enumerate(Hu.gens, 1):
         images = []
-        for X in candidates:
+        for t in tables:
             _check_deadline(deadline)
-            k = index.get(frozenset(p.conj(g).key() for p in X.element_set().values()))
+            k = index.get(key_set(g.images[t[:, j * width : (j + 1) * width]]))
             if k is None:
                 raise AssertionError("conjugate of a candidate is not a candidate")
             images.append(k)

@@ -93,6 +93,22 @@ def _coset_cases(seed):
     return cases
 
 
+def _assert_matches_element_bfs(G, H, rng):
+    """CosetSpace(G, H) against ``CosetsByElements``: the same
+    representatives, generator images and index, and the same
+    ``coset_of``, ``cosets_of`` and ``action_of`` on random elements."""
+    space, ref = CosetSpace(G, H), CosetsByElements(G, H)
+    assert [r.key() for r in space.reps] == [r.key() for r in ref.reps]
+    assert [p.images.tolist() for p in space.gen_images] == ref.gen_images
+    assert {r.key(): i for i, r in enumerate(space.reps)} == ref.index
+    xs = [random_element(G, rng) for _ in range(4)]
+    assert space.cosets_of(xs) == [ref.coset_of(x) for x in xs]
+    for x in xs[:2]:
+        assert space.coset_of(x) == ref.coset_of(x)
+        assert space.action_of(x).images.tolist() == ref.action_of(x)
+    return space
+
+
 @pytest.mark.parametrize("one_row", [False, True], ids=["blocks", "one-row-blocks"])
 @pytest.mark.parametrize("seed", range(2))
 def test_coset_spaces_match_the_element_bfs(monkeypatch, seed, one_row):
@@ -105,27 +121,136 @@ def test_coset_spaces_match_the_element_bfs(monkeypatch, seed, one_row):
     rng = random.Random(seed)
     depths = set()
     for G, H in _coset_cases(seed):
-        space, ref = CosetSpace(G, H), CosetsByElements(G, H)
-        assert [r.key() for r in space.reps] == [r.key() for r in ref.reps]
-        assert [p.images.tolist() for p in space.gen_images] == ref.gen_images
-        assert space.index == ref.index
-        xs = [random_element(G, rng) for _ in range(4)]
-        assert space.cosets_of(xs) == [ref.coset_of(x) for x in xs]
-        for x in xs[:2]:
-            assert space.coset_of(x) == ref.coset_of(x)
-            assert space.action_of(x).images.tolist() == ref.action_of(x)
+        _assert_matches_element_bfs(G, H, rng)
         depths.add((len(H.levels()), H.order() == G.order()))
     assert (0, False) in depths and any(same for _, same in depths)
     assert max(d for d, _ in depths) >= 3
 
 
+def _random_perm(rng, points, n):
+    """A random permutation of degree n moving only ``points``."""
+    imgs = list(range(n))
+    for a, b in zip(points, rng.sample(points, len(points))):
+        imgs[a] = b
+    return Permutation(imgs)
+
+
+def _column_cases(kind, seed):
+    """Seeded (G, H) whose column set is a proper subset of the points
+    (trivial H in a regular G; a small semiregular H in a regular G; an H
+    with fixed points in an intransitive G), or every point (a transitive
+    H)."""
+    rng = random.Random(f"{kind}-{seed}")
+    cases = []
+    while len(cases) < 6:
+        if kind in ("regular-trivial", "regular-semiregular"):
+            n = rng.randrange(3, 6)
+            G0 = PermutationGroup([_random_perm(rng, list(range(n)), n) for _ in range(2)])
+            if not 2 < G0.order() <= 60:
+                continue
+            R = _regular(G0)
+            G = PermutationGroup(R.gens, order=R.degree, base_prefix=[rng.randrange(R.degree)])
+            H = G.subgroup([] if kind == "regular-trivial" else [random_element(G, rng)])
+        elif kind == "intransitive-fixed":
+            a, b = rng.randrange(3, 5), rng.randrange(3, 5)
+            n = a + b
+            gens = [_random_perm(rng, list(range(a)), n), _random_perm(rng, list(range(a, n)), n)]
+            gens.append(gens[0] * gens[1] * _random_perm(rng, list(range(a)), n))
+            G = PermutationGroup(gens)
+            H = G.subgroup([random_element(G, rng)])
+            if not H.gens or H.gens[0].support().size == n:
+                continue
+        else:
+            n = rng.randrange(4, 7)
+            cycle = Permutation([(i + 1) % n for i in range(n)])
+            G = PermutationGroup([cycle, _random_perm(rng, rng.sample(range(n), 3), n)])
+            H = G.subgroup([cycle] + [random_element(G, rng)] * rng.randrange(2))
+        if kind == "every-point" or H.order() < G.order():
+            cases.append((G, H))
+    return cases
+
+
+COLUMN_KINDS = ["regular-trivial", "regular-semiregular", "intransitive-fixed", "every-point"]
+
+
+@pytest.mark.parametrize("one_row", [False, True], ids=["blocks", "one-row-blocks"])
+@pytest.mark.parametrize("kind", COLUMN_KINDS)
+@pytest.mark.parametrize("seed", range(2))
+def test_column_route_matches_the_element_bfs(monkeypatch, seed, kind, one_row):
+    """The BFS on the column set Ω numbers the cosets as the element BFS
+    does, where Ω is one point (trivial H, regular G), the H-orbits of two
+    points (semiregular H), a proper subset of an intransitive G's points
+    or every point.  A regular G has its base at a random point, so a
+    semiregular H's base point, the least point it moves, often lies in
+    another H-orbit."""
+    if one_row:
+        monkeypatch.setattr(cosets, "BLOCK_ENTRIES", 1)
+    rng = random.Random(seed)
+    widths = set()
+    for G, H in _column_cases(kind, seed):
+        omega = _assert_matches_element_bfs(G, H, rng)._omega.tolist()
+        base = [lvl.base for lvl in G.levels() + H.levels()]
+        labels = H.orbit_labels()
+        assert omega == [v for v in range(G.degree) if labels[v] in labels[base]]
+        if kind == "regular-trivial":
+            assert len(omega) == 1
+        elif kind == "regular-semiregular":
+            assert len(omega) in (H.order(), 2 * H.order()) and len(omega) < G.degree
+            widths.add(len(omega) // H.order())
+        elif kind == "intransitive-fixed":
+            assert len(omega) < G.degree
+        else:
+            assert len(omega) == G.degree
+    assert kind != "regular-semiregular" or widths == {1, 2}
+
+
+def test_jordan_proven_g_gets_no_chain_in_a_coset_space():
+    """Sym(9), proven by Jordan's theorem, over Sym(8) on its first 8
+    points: Ω is every point, and G builds no chain."""
+    G = PermutationGroup([Permutation([(i + 1) % 9 for i in range(9)]), g("(0 1)", 9)])
+    H = G.subgroup([Permutation([(i + 1) % 8 for i in range(8)] + [8]), g("(0 1)", 9)])
+    assert G.order() == 362880 and G._proof is not None
+    space = CosetSpace(G, H)
+    assert len(space) == 9 and G._levels is None and len(space._omega) == 9
+    assert [space.action_of(p).images.tolist() for p in G.gens] == [
+        p.images.tolist() for p in space.gen_images
+    ]
+    # Hx = Hy exactly when 8^x = 8^y
+    assert space.cosets_of([g("(7 8)", 9), g("(0 1)(7 8)", 9), g("(0 8)", 9), g("(0 1)", 9)]) == [
+        space.coset_of(g("(7 8)", 9))
+    ] * 2 + [space.coset_of(g("(0 8)", 9)), 0]
+    assert len({space.coset_of(g("(%d 8)" % v, 9)) for v in range(8)} - {0}) == 8
+    assert G._levels is None
+
+
 def test_coset_of_outside_g_raises():
+    """x = (0 1) agrees with (0 1 2), a member, on Ω = {0} of
+    <(0 1 2)> over the trivial group: each entry point checks membership
+    with a sift, not with the Ω-row alone."""
     G, H = S4(), S4().point_stabilizer(3)
     space = CosetSpace(G.subgroup([g("(0 1 2)", 4)]), G.subgroup([]))
+    x = g("(0 1)", 4)
+    assert space._omega.tolist() == [0] and x(0) == g("(0 1 2)", 4)(0)
+    for call in (space.coset_of, lambda x: space.cosets_of([x]), space.action_of):
+        with pytest.raises(ValueError, match="not in G"):
+            call(x)
     with pytest.raises(ValueError, match="not in G"):
-        space.coset_of(g("(0 1)", 4))
+        space.cosets_of([g("(0 1 2)", 4), x])
     with pytest.raises(ValueError, match="not in G"):
         CosetSpace(G, H).coset_of(g("(0 1)", 5))
+    with pytest.raises(ValueError, match="not in G"):
+        CosetSpace(G, H).action_of(g("(0 1)", 5))
+
+
+def test_a_miss_after_the_membership_check_raises(monkeypatch):
+    """Once x is known to be in G, an Ω-row missing from the index is an
+    internal error: it raises, and never yields an index."""
+    space = CosetSpace(S4(), S4().point_stabilizer(3))
+    monkeypatch.setattr(space, "_index", {})
+    x = g("(0 1)", 4)
+    for call in (space.coset_of, lambda x: space.cosets_of([x]), space.action_of):
+        with pytest.raises(AssertionError, match="no enumerated coset"):
+            call(x)
 
 
 def test_coset_enumeration_computes_only_the_transversals_it_hits(monkeypatch):
@@ -571,3 +696,29 @@ def test_wreath_square_s3():
     assert X.order() == 72
     p = g("(0 1 2)", 3)
     assert e1(p).conj(swap) == e2(p)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_block_membership_matches_the_sift(seed):
+    """``cosets_of`` sifts a block of rows together: it answers for a block
+    of members and raises for a block with one non-member anywhere in it,
+    as ``x in G`` decides each x; random permutations of G's points give
+    both base images outside an orbit and residues left at the bottom."""
+    rng = random.Random(50 + seed)
+    seen = set()
+    for G, H in _coset_cases(seed)[::4]:
+        space = CosetSpace(G, H)
+        members = [random_element(G, rng) for _ in range(5)]
+        assert space.cosets_of(members) == [space.coset_of(x) for x in members]
+        for _ in range(6):
+            x = Permutation(rng.sample(range(G.degree), G.degree))
+            block = members[:]
+            block.insert(rng.randrange(len(block) + 1), x)
+            if x in G:
+                assert len(space.cosets_of(block)) == len(block)
+            else:
+                with pytest.raises(ValueError, match="not in G"):
+                    space.cosets_of(block)
+                for top in G.levels()[:1]:
+                    seen.add(x(top.base) in top)
+    assert seen == {True, False}
