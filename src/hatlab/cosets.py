@@ -110,24 +110,6 @@ def _block_rows(reps, rows, start, stop):
     return rows[start:stop]
 
 
-def _members(G, xs):
-    """Whether every permutation in xs, of G's degree, is in G, by one sift
-    each: two or more rows are sifted together, per level one gather by
-    u_a^-1 for each distinct base image a; a single x, or any x of a
-    Jordan-proven G, goes through ``x in G``."""
-    if len(xs) < 2 or G.prove_giant():
-        return all(x in G for x in xs)
-    P = np.array([x.images for x in xs], dtype=_DTYPE).reshape(len(xs), G.degree)
-    for lvl in G.levels():
-        hit = P[:, lvl.base]
-        for a in set(hit.tolist()) - {lvl.base}:
-            if a not in lvl:
-                return False
-            rows = np.flatnonzero(hit == a)
-            P[rows] = lvl.transversal(a).inverse().images[P[rows]]
-    return bool((P == np.arange(G.degree)).all())
-
-
 COSET_LIMIT = 10**6
 
 
@@ -143,8 +125,9 @@ class CosetSpace:
     G, so elements of G with equal Ω-rows are equal.  So two canonical
     products are the same coset exactly when their Ω-rows are equal, and
     the Ω-rows' bytes key the cosets.  An Ω-row alone does not prove an
-    element in G, so ``coset_of``, ``cosets_of`` and ``action_of`` sift
-    each element first and raise ValueError outside G.
+    element in G, so ``coset_of``, ``cosets_of`` and ``action_of``
+    canonicalize an element's whole row and raise ValueError unless it is
+    the representative its Ω-row names.
 
     The BFS takes a block of consecutive representatives at a time, forms
     the Ω-row of every product r·g in (r, g) order with one gather,
@@ -235,37 +218,43 @@ class CosetSpace:
         return out
 
     def _indices(self, rows):
-        """The coset index of each Ω-row of the fresh array rows, whose
-        elements are in G; a miss is an internal error."""
-        try:
-            return [self._index[k] for k in _row_keys(self._canonicalize(rows))]
-        except KeyError:
-            raise AssertionError("a member of G lies in no enumerated coset") from None
-
-    def _require_members(self, xs):
-        if any(x.degree != self.G.degree for x in xs):
-            raise ValueError("the permutation is not in G: its degree is not G's")
-        if not _members(self.G, xs):
-            raise ValueError("the permutation is not in G")
+        """The coset index of each whole image row of the fresh array rows;
+        ValueError for a row outside G.  A row x whose canonical form h·x
+        is reps[i] is h^-1·reps[i], in G; one in G has reps[i] as its
+        canonical form, so the whole rows decide membership."""
+        P = _canonicalize(self.H.levels(), rows, self._u)
+        keys = _row_keys(P if self._pos is None else np.ascontiguousarray(P[:, self._omega]))
+        out = []
+        for key, row in zip(keys, _row_keys(P)):
+            i = self._index.get(key)
+            if i is None or self.reps[i].images.tobytes() != row:
+                raise ValueError("the permutation is not in G")
+            out.append(i)
+        return out
 
     def coset_of(self, x: Permutation) -> int:
         return self.cosets_of([x])[0]
 
     def cosets_of(self, xs):
         """The coset index of each permutation in xs; ValueError unless
-        every one is in G, each checked by one sift."""
-        step, out = _rows_per_block(self.G.degree), []
-        for s in range(0, len(xs), step):
-            self._require_members(xs[s : s + step])
-            out += self._indices(np.array([x.images[self._omega] for x in xs[s : s + step]]))
-        return out
+        every one is in G."""
+        if any(x.degree != self.G.degree for x in xs):
+            raise ValueError("the permutation is not in G: its degree is not G's")
+        rows = np.array([x.images for x in xs], dtype=_DTYPE).reshape(len(xs), self.G.degree)
+        step = _rows_per_block(self.G.degree)
+        return [i for s in range(0, len(rows), step) for i in self._indices(rows[s : s + step])]
 
     def action_of(self, g: Permutation) -> Permutation:
-        """The permutation of the cosets by g; ValueError unless g is in G."""
-        self._require_members([g])
+        """The permutation of the cosets by g; ValueError unless g is in G.
+        Once g's whole row has passed, every r·g is in G and is looked up by
+        its Ω-row."""
+        self.cosets_of([g])
         step = _rows_per_block(len(self._omega))
         blocks = (_block_rows(self.reps, self._rows, s, s + step) for s in range(0, len(self), step))
-        return _wrap(np.array([i for b in blocks for i in self._indices(g.images[b])], dtype=_DTYPE))
+        return _wrap(np.array(
+            [self._index[k] for b in blocks for k in _row_keys(self._canonicalize(g.images[b]))],
+            dtype=_DTYPE,
+        ))
 
     @cached_property
     def image(self) -> PermutationGroup:

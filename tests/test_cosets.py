@@ -226,7 +226,7 @@ def test_jordan_proven_g_gets_no_chain_in_a_coset_space():
 def test_coset_of_outside_g_raises():
     """x = (0 1) agrees with (0 1 2), a member, on Ω = {0} of
     <(0 1 2)> over the trivial group: each entry point checks membership
-    with a sift, not with the Ω-row alone."""
+    on the whole row, not on the Ω-row alone."""
     G, H = S4(), S4().point_stabilizer(3)
     space = CosetSpace(G.subgroup([g("(0 1 2)", 4)]), G.subgroup([]))
     x = g("(0 1)", 4)
@@ -240,17 +240,6 @@ def test_coset_of_outside_g_raises():
         CosetSpace(G, H).coset_of(g("(0 1)", 5))
     with pytest.raises(ValueError, match="not in G"):
         CosetSpace(G, H).action_of(g("(0 1)", 5))
-
-
-def test_a_miss_after_the_membership_check_raises(monkeypatch):
-    """Once x is known to be in G, an Ω-row missing from the index is an
-    internal error: it raises, and never yields an index."""
-    space = CosetSpace(S4(), S4().point_stabilizer(3))
-    monkeypatch.setattr(space, "_index", {})
-    x = g("(0 1)", 4)
-    for call in (space.coset_of, lambda x: space.cosets_of([x]), space.action_of):
-        with pytest.raises(AssertionError, match="no enumerated coset"):
-            call(x)
 
 
 def test_coset_enumeration_computes_only_the_transversals_it_hits(monkeypatch):
@@ -696,29 +685,3 @@ def test_wreath_square_s3():
     assert X.order() == 72
     p = g("(0 1 2)", 3)
     assert e1(p).conj(swap) == e2(p)
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_block_membership_matches_the_sift(seed):
-    """``cosets_of`` sifts a block of rows together: it answers for a block
-    of members and raises for a block with one non-member anywhere in it,
-    as ``x in G`` decides each x; random permutations of G's points give
-    both base images outside an orbit and residues left at the bottom."""
-    rng = random.Random(50 + seed)
-    seen = set()
-    for G, H in _coset_cases(seed)[::4]:
-        space = CosetSpace(G, H)
-        members = [random_element(G, rng) for _ in range(5)]
-        assert space.cosets_of(members) == [space.coset_of(x) for x in members]
-        for _ in range(6):
-            x = Permutation(rng.sample(range(G.degree), G.degree))
-            block = members[:]
-            block.insert(rng.randrange(len(block) + 1), x)
-            if x in G:
-                assert len(space.cosets_of(block)) == len(block)
-            else:
-                with pytest.raises(ValueError, match="not in G"):
-                    space.cosets_of(block)
-                for top in G.levels()[:1]:
-                    seen.add(x(top.base) in top)
-    assert seen == {True, False}
