@@ -103,8 +103,8 @@ def _columns(G, H):
 
 
 def _block_rows(reps, rows, start, stop):
-    """The Ω-rows of reps[start:stop]: a slice of their stored array
-    ``rows``, or their images when Ω is every point (``rows`` None)."""
+    """The Ω-rows of reps[start:stop]: a slice of the array ``rows`` of
+    them, or their images when Ω is every point (``rows`` None)."""
     if rows is None:
         return np.array([r.images for r in reps[start:stop]])
     return rows[start:stop]
@@ -162,14 +162,14 @@ class CosetSpace:
         reps = [_wrap(rep0[0].copy())]
         # unless Ω is every point: each point's column of Ω, the reps' Ω-rows
         # and the u_a as gathers of Ω-rows
-        self._pos = rows = None
-        self._uc = self._u
+        pos = rows = None
+        uc = self._u
         if w < n:
-            self._pos = np.full(n, -1, dtype=np.int64)
-            self._pos[omega] = np.arange(w)
+            pos = np.full(n, -1, dtype=np.int64)
+            pos[omega] = np.arange(w)
             rows = np.empty((m, w), dtype=_DTYPE)
             rows[0] = rep0[0, omega]
-            self._uc = {}
+            uc = {}
         index = {_row_keys(rep0[:, omega])[0]: 0}
         flat = []  # the coset index of each product r·g, in (r, g) order
         step = _rows_per_block(k * w)
@@ -179,7 +179,7 @@ class CosetSpace:
             block = _block_rows(reps, rows, head, min(head + step, len(reps)))
             head += len(block)
             products = gens[which, block[:, None]].reshape(len(block) * k, w)
-            self._canonicalize(products)
+            _canonicalize(levels, products, uc, pos, omega)
             new = []  # the products that are new cosets, in order
             for q, key in enumerate(_row_keys(products)):
                 i = index.get(key)
@@ -196,14 +196,10 @@ class CosetSpace:
             raise AssertionError("%d cosets enumerated, index %d" % (len(reps), m))
         self.reps = reps
         self._index = index
-        self._rows = rows
         self.gen_images = [_wrap(np.array(flat[j::k], dtype=_DTYPE)) for j in range(k)]
 
     def __len__(self):
         return len(self.reps)
-
-    def _canonicalize(self, rows):
-        return _canonicalize(self.H.levels(), rows, self._uc, self._pos, self._omega)
 
     def _full_reps(self, levels, gens, reps, start, new):
         """The representatives of the new cosets ``new``, products r·g
@@ -221,16 +217,26 @@ class CosetSpace:
         """The coset index of each whole image row of the fresh array rows;
         ValueError for a row outside G.  A row x whose canonical form h·x
         is reps[i] is h^-1·reps[i], in G; one in G has reps[i] as its
-        canonical form, so the whole rows decide membership."""
+        canonical form.  So the canonical row, found by its Ω-columns, must
+        equal reps[i] on the other points too."""
         P = _canonicalize(self.H.levels(), rows, self._u)
-        keys = _row_keys(P if self._pos is None else np.ascontiguousarray(P[:, self._omega]))
-        out = []
-        for key, row in zip(keys, _row_keys(P)):
-            i = self._index.get(key)
-            if i is None or self.reps[i].images.tobytes() != row:
-                raise ValueError("the permutation is not in G")
-            out.append(i)
+        whole = _row_keys(P)
+        if len(self._omega) == self.G.degree:
+            out = [self._index.get(key) for key in whole]
+        else:
+            keys = _row_keys(np.ascontiguousarray(P[:, self._omega]))
+            out = [self._index.get(key) for key in keys]
+            out = [
+                i if i is not None and self.reps[i].images.tobytes() == row else None
+                for i, row in zip(out, whole)
+            ]
+        if None in out:
+            raise ValueError("the permutation is not in G")
         return out
+
+    def _check_degree(self, xs):
+        if any(x.degree != self.G.degree for x in xs):
+            raise ValueError("the permutation is not in G: its degree is not G's")
 
     def coset_of(self, x: Permutation) -> int:
         return self.cosets_of([x])[0]
@@ -238,23 +244,20 @@ class CosetSpace:
     def cosets_of(self, xs):
         """The coset index of each permutation in xs; ValueError unless
         every one is in G."""
-        if any(x.degree != self.G.degree for x in xs):
-            raise ValueError("the permutation is not in G: its degree is not G's")
+        self._check_degree(xs)
         rows = np.array([x.images for x in xs], dtype=_DTYPE).reshape(len(xs), self.G.degree)
         step = _rows_per_block(self.G.degree)
         return [i for s in range(0, len(rows), step) for i in self._indices(rows[s : s + step])]
 
     def action_of(self, g: Permutation) -> Permutation:
-        """The permutation of the cosets by g; ValueError unless g is in G.
-        Once g's whole row has passed, every r·g is in G and is looked up by
-        its Ω-row."""
-        self.cosets_of([g])
-        step = _rows_per_block(len(self._omega))
-        blocks = (_block_rows(self.reps, self._rows, s, s + step) for s in range(0, len(self), step))
-        return _wrap(np.array(
-            [self._index[k] for b in blocks for k in _row_keys(self._canonicalize(g.images[b]))],
-            dtype=_DTYPE,
-        ))
+        """The permutation of the cosets by g, from the whole rows r·g in
+        blocks; ValueError unless g is in G."""
+        self._check_degree([g])
+        step = _rows_per_block(self.G.degree)
+        blocks = (
+            np.array([r.images for r in self.reps[s : s + step]]) for s in range(0, len(self), step)
+        )
+        return _wrap(np.array([i for b in blocks for i in self._indices(g.images[b])], dtype=_DTYPE))
 
     @cached_property
     def image(self) -> PermutationGroup:
