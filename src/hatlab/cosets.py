@@ -224,7 +224,7 @@ class CosetSpace:
         if len(self._omega) == self.G.degree:
             out = [self._index.get(key) for key in whole]
         else:
-            keys = _row_keys(np.ascontiguousarray(P[:, self._omega]))
+            keys = _row_keys(P.take(self._omega, axis=1))
             out = [self._index.get(key) for key in keys]
             out = [
                 i if i is not None and self.reps[i].images.tobytes() == row else None
