@@ -125,9 +125,11 @@ class CosetSpace:
     G, so elements of G with equal Ω-rows are equal.  So two canonical
     products are the same coset exactly when their Ω-rows are equal, and
     the Ω-rows' bytes key the cosets.  An Ω-row alone does not prove an
-    element in G, so ``coset_of``, ``cosets_of`` and ``action_of``
-    canonicalize an element's whole row and raise ValueError unless it is
-    the representative its Ω-row names.
+    element in G, so ``coset_of`` and ``cosets_of`` canonicalize an
+    element's whole row and raise ValueError unless it is the
+    representative its Ω-row names; ``action_of(g)`` checks g so, then
+    reads the products r·g off the representatives' Ω-rows, kept as one
+    array unless Ω is every point, where they are the representatives.
 
     The BFS takes a block of consecutive representatives at a time, forms
     the Ω-row of every product r·g in (r, g) order with one gather,
@@ -162,14 +164,15 @@ class CosetSpace:
         reps = [_wrap(rep0[0].copy())]
         # unless Ω is every point: each point's column of Ω, the reps' Ω-rows
         # and the u_a as gathers of Ω-rows
-        pos = rows = None
-        uc = self._u
+        self._pos = self._rows = None
+        self._uc = self._u
         if w < n:
-            pos = np.full(n, -1, dtype=np.int64)
-            pos[omega] = np.arange(w)
-            rows = np.empty((m, w), dtype=_DTYPE)
-            rows[0] = rep0[0, omega]
-            uc = {}
+            self._pos = np.full(n, -1, dtype=np.int64)
+            self._pos[omega] = np.arange(w)
+            self._rows = np.empty((m, w), dtype=_DTYPE)
+            self._rows[0] = rep0[0, omega]
+            self._uc = {}
+        rows = self._rows
         index = {_row_keys(rep0[:, omega])[0]: 0}
         flat = []  # the coset index of each product r·g, in (r, g) order
         step = _rows_per_block(k * w)
@@ -179,7 +182,7 @@ class CosetSpace:
             block = _block_rows(reps, rows, head, min(head + step, len(reps)))
             head += len(block)
             products = gens[which, block[:, None]].reshape(len(block) * k, w)
-            _canonicalize(levels, products, uc, pos, omega)
+            _canonicalize(levels, products, self._uc, self._pos, omega)
             new = []  # the products that are new cosets, in order
             for q, key in enumerate(_row_keys(products)):
                 i = index.get(key)
@@ -250,14 +253,19 @@ class CosetSpace:
         return [i for s in range(0, len(rows), step) for i in self._indices(rows[s : s + step])]
 
     def action_of(self, g: Permutation) -> Permutation:
-        """The permutation of the cosets by g, from the whole rows r·g in
-        blocks; ValueError unless g is in G."""
-        self._check_degree([g])
-        step = _rows_per_block(self.G.degree)
-        blocks = (
-            np.array([r.images for r in self.reps[s : s + step]]) for s in range(0, len(self), step)
-        )
-        return _wrap(np.array([i for b in blocks for i in self._indices(g.images[b])], dtype=_DTYPE))
+        """The permutation of the cosets by g; ValueError unless g is in G.
+        Membership is checked once, on g's whole row.  The products r·g are
+        then in G, so their Ω-rows, gathered from the representatives'
+        Ω-rows in blocks, determine their cosets; a miss is an internal
+        error and raises KeyError."""
+        self.coset_of(g)
+        step = _rows_per_block(len(self._omega))
+        out = []
+        for s in range(0, len(self), step):
+            P = g.images[_block_rows(self.reps, self._rows, s, s + step)]
+            _canonicalize(self.H.levels(), P, self._uc, self._pos, self._omega)
+            out += [self._index[key] for key in _row_keys(P)]
+        return _wrap(np.array(out, dtype=_DTYPE))
 
     @cached_property
     def image(self) -> PermutationGroup:

@@ -242,6 +242,16 @@ def test_coset_of_outside_g_raises():
         CosetSpace(G, H).action_of(g("(0 1)", 5))
 
 
+def test_action_of_raises_on_a_miss_after_the_membership_check():
+    """Once g passes the whole-row check, action_of looks the products r·g
+    up by their Ω-rows alone: a miss there raises and returns no index."""
+    space = CosetSpace(S4().subgroup([g("(0 1 2)", 4)]), S4().subgroup([]))
+    assert space._omega.tolist() == [0]
+    del space._index[space.reps[2].images[:1].tobytes()]
+    with pytest.raises(KeyError):
+        space.action_of(space.G.identity())
+
+
 def test_coset_enumeration_computes_only_the_transversals_it_hits(monkeypatch):
     """The rotations of a 1000-gon are regular of index 2 in its dihedral
     group: enumerating their cosets and one action multiplies by a few u_a,
