@@ -90,12 +90,15 @@ def _row_keys(P):
 
 def _columns(G, H):
     """The column set Ω of ``CosetSpace(G, H)``, sorted: the union of the
-    H-orbits of the base points of G and of H, or every point when Jordan's
-    theorem proves G a giant, which gets no chain here."""
+    H-orbits of the base points of G and of H.  It is every point when
+    Jordan's theorem proves G a giant, which gets no chain here, and when
+    H's first chain orbit is, so H is transitive; H's orbit labels, which
+    copy every generator's image array, are then not computed."""
     G.order()
-    if G.prove_giant():
+    levels = H.levels()
+    if G.prove_giant() or levels and len(levels[0].points_arr) == G.degree:
         return np.arange(G.degree)
-    base = [lvl.base for lvl in G.levels()] + [lvl.base for lvl in H.levels()]
+    base = [lvl.base for lvl in G.levels()] + [lvl.base for lvl in levels]
     labels = H.orbit_labels()
     keep = np.zeros(G.degree, dtype=bool)
     keep[labels[base]] = True
