@@ -2,13 +2,9 @@
 
 Right cosets Hx are identified by a canonical representative: the unique
 element of Hx whose base-image tuple under H's chain is lexicographically
-minimal.  Coset enumeration is a BFS over blocks of image rows restricted
-to a column set Ω, the H-orbits of the base points of G and of H: each
-block of representatives is multiplied by every generator in one gather,
-canonicalized as a whole by the routine behind ``coset_canonical`` and keyed
-on the bytes of the rows' Ω-columns, which determine an element of G (Holt,
-Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 4).  Only a
-new coset's representative is formed on every point.
+minimal (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+ch. 4).  ``CosetSpace`` enumerates them by a BFS over blocks of image rows.
+The core of a small H is a fixpoint on the indices of H's ``ElementTable``.
 """
 
 from __future__ import annotations
@@ -19,9 +15,10 @@ from itertools import combinations
 import numpy as np
 
 from .group import (
-    PermutationGroup, ResourceExhausted, _check_deadline, _level_gens, closure_elements,
+    ElementTable, PermutationGroup, ResourceExhausted, _check_deadline, _level_gens,
+    closure_elements,
 )
-from .perm import _DTYPE, Permutation, _wrap
+from .perm import _DTYPE, Permutation, _key_view, _wrap
 
 
 def commutator(a: Permutation, b: Permutation) -> Permutation:
@@ -81,11 +78,10 @@ def _canonicalize(levels, P, u, pos=None, omega=None):
 
 
 def _row_keys(P):
-    """The bytes of each row of the C-contiguous int32 array P, as
-    ``Permutation.key`` gives them."""
+    """The ``Permutation.key`` bytes of each row of the int32 array P."""
     if not P.shape[1]:
         return [b""] * len(P)  # numpy has no void type of size 0
-    return P.view(np.dtype((np.void, P.shape[1] * P.itemsize))).ravel().tolist()
+    return _key_view(P).tolist()
 
 
 def _columns(G, H):
@@ -134,19 +130,16 @@ class CosetSpace:
     reads the products r·g off the representatives' Ω-rows, kept as one
     array unless Ω is every point, where they are the representatives.
 
-    The BFS takes a block of consecutive representatives at a time, forms
-    the Ω-row of every product r·g in (r, g) order with one gather,
-    canonicalizes the block and then walks it in order, so each new coset
-    gets the next index as in a one-product-at-a-time BFS.  A block holds
-    at least one representative, so up to max(BLOCK_ENTRIES, k·|Ω|)
-    entries for k generators.  Only a new coset gets a whole image row: its
-    parent's row times g, canonicalized, in blocks of at most
-    ``_rows_per_block(n)`` rows of n points.  When Ω is every point the
-    canonical products are those rows.  It raises ResourceExhausted, before
-    any product, when the index |G:H| passes COSET_LIMIT.  ``reps`` lists
-    the canonical representatives as permutations.  ``image`` is the group
-    the ``gen_images`` generate, built on first use; its kernel is
-    ``core(G, H)`` and |G| bounds its order."""
+    The BFS forms the Ω-rows of every product r·g, in (r, g) order, for a
+    block of at least one representative and up to max(BLOCK_ENTRIES,
+    k·|Ω|) entries at a time, canonicalizes them at once and walks them in
+    order, so each new coset gets the next index as in a one-product BFS.
+    Only a new coset gets a whole image row, its parent's row times g
+    canonicalized; when Ω is every point those are the products.  An index
+    |G:H| past COSET_LIMIT raises ResourceExhausted before any product.
+    ``reps`` lists the representatives; ``image``, the group the
+    ``gen_images`` generate, with kernel ``core(G, H)``, is built on first
+    use and bounded by |G|."""
 
     def __init__(self, G: PermutationGroup, H: PermutationGroup):
         if not all(g in G for g in H.gens):
@@ -276,7 +269,7 @@ class CosetSpace:
 
 
 def core(G: PermutationGroup, H: PermutationGroup):
-    """Core_G(H): the largest normal subgroup of G contained in H.
+    """Core_G(H): the largest normal subgroup of G inside H <= G (unchecked).
 
     Two strategies: when H is small enough to enumerate, keep the largest
     subset of H closed under conjugation by G's generators (that subset is
@@ -290,17 +283,14 @@ def core(G: PermutationGroup, H: PermutationGroup):
 
 
 def _core_fixpoint(G, H):
-    # drop the elements with a conjugate outside the rest until none is left
-    alive = dict(H.element_set())
-    while doomed := [
-        k for k, u in alive.items()
-        if not u.is_identity() and any(u.conj(g).key() not in alive for g in G.gens)
-    ]:
-        for k in doomed:
-            del alive[k]
-    return PermutationGroup.from_generator_stream(
-        (p for _, p in sorted(alive.items())), G.degree, order=len(alive), parent=G
-    )
+    # drop the elements with a conjugate outside the rest; alive[-1] reads conj's -1
+    table = ElementTable(list(H.element_set().values()))
+    conj = table.conjugates(G.gens)
+    alive = np.append(np.ones(len(table.elems), dtype=bool), False)
+    while (doomed := alive[:-1] & ~alive[conj].all(axis=0)).any():
+        alive[:-1] &= ~doomed
+    kept = sorted((table.elems[i] for i in np.flatnonzero(alive[:-1])), key=Permutation.key)
+    return PermutationGroup.from_generator_stream(kept, G.degree, order=len(kept), parent=G)
 
 
 def _core_via_combined(G, H):

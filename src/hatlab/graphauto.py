@@ -223,11 +223,11 @@ def automorphism_group(graph: Graph, transitive_seed=None) -> PermutationGroup:
 
     ``transitive_seed`` may pass a vertex-transitive group of automorphisms;
     the result is then assembled as <seed, Aut_0>, which is how the large
-    Cayley/coset graphs stay cheap.  Its claimed order n*|Aut_0| holds by
-    orbit-stabilizer: the seed is transitive and checked to act by
-    automorphisms, so Aut is transitive, and ``stab`` is all of Aut_0, the
-    stabilizer of vertex 0 that the search finds.  A seed generator that is
-    not an automorphism raises ValueError.
+    Cayley/coset graphs stay cheap.  Its claimed order n*|Aut_0| counts by
+    orbit-stabilizer, as the seed is transitive and checked to act by
+    automorphisms; that ``stab``, the vertex-0 stabilizer the search finds,
+    is all of Aut_0 is trusted from the search and not proved.  A seed
+    generator that is not an automorphism raises ValueError.
     """
     if graph.n == 0:
         raise ValueError("empty graph")

@@ -19,15 +19,9 @@ targets (the pair search's arc reversers, example 4.2's witness).  Its two
 cuts are exact, since g*g normalizes S and induces alpha o alpha when g
 induces alpha: alpha is realized only when some target induces alpha o
 alpha on S's generators, and a partial g is cut once a known g(g(a)) is
-no target's image of a.
-
-The assembly works on blocks of image rows of at most BLOCK_ENTRIES
-entries.  Each orbit is assigned as one array: it multiplies the rows by
-its candidates with one gather and drops the rows that reuse an image
-orbit.  The rows are then split into chunks of as many rows as still fit
-the budget once completed over the later orbits (at least one), and the
-walk goes on chunk by chunk.  Each block is yielded as soon as it is
-built.
+no target's image of a.  Rows become element indices only through
+``group.ElementTable``: S's classes are the orbits of its ``conjugates``
+maps, and the squares are looked up in a table of the targets.
 
 Budgets are explicit; exceeding one raises ResourceExhausted rather than
 returning a truncated answer.
@@ -39,7 +33,8 @@ from math import prod
 
 import numpy as np
 
-from .group import PermutationGroup, ResourceExhausted, orbit_labels
+from .cosets import CosetSpace
+from .group import ElementTable, PermutationGroup, ResourceExhausted, orbit_labels
 from .perm import _DTYPE
 
 SCAN_LIMIT = 10**5
@@ -57,8 +52,6 @@ def normalizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
     of the right cosets Sr of S whose representative r normalizes S.  Past
     both limits it raises ResourceExhausted.
     """
-    from .cosets import CosetSpace
-
     if S.order() == 1:
         return G
     if not all(g in G for g in S.gens):
@@ -77,27 +70,6 @@ def normalizer(G: PermutationGroup, S: PermutationGroup) -> PermutationGroup:
 
 
 # -- homomorphisms from generator images ------------------------------------
-
-
-class ElementTable:
-    """A finite group's elements in a fixed order, each with an invariant
-    that the homomorphisms sought must preserve, and stacked as ``images``;
-    ``row(t)[p]`` is the index of elems[p] * elems[t]."""
-
-    def __init__(self, elems, invariants):
-        self.elems = elems
-        self.invariants = invariants
-        self.index_of = {p.key(): i for i, p in enumerate(elems)}
-        self.identity = next(i for i, p in enumerate(elems) if p.is_identity())
-        self.images = np.stack([p.images for p in elems])
-        self._rows = {}
-
-    def row(self, t):
-        if t not in self._rows:
-            self._rows[t] = [
-                self.index_of[r.tobytes()] for r in self.elems[t].images[self.images]
-            ]
-        return self._rows[t]
 
 
 def extend_homomorphism(src: ElementTable, dst: ElementTable, pairs):
@@ -152,16 +124,10 @@ class SymNormalizerData:
         self.S = S
         self.n = S.degree
         # the invariants, set below, are read off the table itself
-        self.table = table = ElementTable([p for _, p in sorted(S.element_set().items())], None)
-        m = len(table.elems)
+        self.table = table = ElementTable([p for _, p in sorted(S.element_set().items())])
         self._fixes = table.images == np.arange(self.n)  # [i, v]: elems[i] fixes v
-        # conjugation by g permutes the element indices (row i of
-        # g[T[:, g^-1]] is elems[i]^g); the classes are the orbits
-        conj = [
-            [table.index_of[r.tobytes()] for r in g.images[table.images[:, g.inverse().images]]]
-            for g in S.gens
-        ]
-        labels = orbit_labels(conj, m)
+        # the classes: the orbits of conjugation by S's generators on indices
+        labels = orbit_labels(table.conjugates(S.gens), len(table.elems))
         class_size = np.bincount(labels)[labels]
         table.invariants = [(p.order(), int(class_size[i]), p.cycle_type()) for i, p in enumerate(table.elems)]
         # orbits (points, sigma), rep first, sigma[j] the index of an element
@@ -169,8 +135,8 @@ class SymNormalizerData:
         self.orbits = []
         reps, self._orbit_of = np.unique(S.orbit_labels(), return_inverse=True)
         for orb in map(S.orbit, reps.tolist()):
-            sigma = [table.index_of[orb.transversal(a).key()] for a in orb.points]
-            self.orbits.append((orb.points_arr, np.array(sigma)))
+            sigma = table.indices(np.array([orb.transversal(a).images for a in orb.points]))
+            self.orbits.append((orb.points_arr, sigma))
 
     def automorphisms(self):
         """All automorphisms of S as index permutations of the element list.
@@ -243,14 +209,15 @@ class SymNormalizerData:
 
         Orbits are assigned in order, each over its candidate images of the
         rep in increasing order, so the rows come in that lexicographic
-        order.  Each orbit is assigned to a block of rows as one array; the
-        rows are then split into chunks whose rows, completed over the later
-        orbits, fit BLOCK_ENTRIES entries (or one row, when even one does
-        not fit), and the walk goes on chunk by chunk.  ``prune``, when
-        given, maps a block of partial rows (-1 where still unknown) to a
-        boolean mask of the rows to cut, after each orbit is assigned.
-        Raises ResourceExhausted when the realization bound of alpha passes
-        40 times SYM_NORM_SIZE_LIMIT.
+        order.  Each orbit is assigned to a block of rows as one array, which
+        drops the rows that reuse an image orbit; the rows are then split
+        into chunks whose rows, completed over the later orbits, fit
+        BLOCK_ENTRIES entries (or one row, when even one does not fit), and
+        the walk goes on chunk by chunk, yielding each block as it is built.
+        ``prune``, when given, maps a block of partial rows (-1 where still
+        unknown) to a boolean mask of the rows to cut, after each orbit is
+        assigned.  Raises ResourceExhausted when the realization bound of
+        alpha passes 40 times SYM_NORM_SIZE_LIMIT.
         """
         orbit_cands = self._orbit_candidates(alpha)
         sizes = [len(cands) for *_, cands in orbit_cands]
@@ -296,16 +263,30 @@ class SymNormalizerData:
         ResourceExhausted past SYM_NORM_SIZE_LIMIT realized rows, or when the
         realization bound of one alpha passes 40 times that.
         """
-        index_of = self.table.index_of
-        gens = [index_of[s.key()] for s in self.S.gens]
-        T = np.stack([tau.images for tau in targets])
-        # the generator images of what each target induces on S, with a -1,
-        # which no alpha o alpha matches, where it does not normalize S
-        induced = set()
-        for tau in T:
-            inv = np.argsort(tau)  # tau[s[tau^-1]] is the image row of s^tau
-            induced.add(tuple(index_of.get(tau[s.images[inv]].tobytes(), -1) for s in self.S.gens))
-        prune, member = _square_filters(T)
+        gen_rows = np.array([s.images for s in self.S.gens], dtype=_DTYPE).reshape(-1, self.n)
+        gens = self.table.indices(gen_rows).tolist()
+        roots = ElementTable(list(targets))
+        T = roots.images
+        # S's generator images under each target tau, -1 (matched by no alpha o
+        # alpha) outside S; the row r of s^tau has r[tau] = tau[s]
+        induced = np.empty((len(gen_rows), len(T)), dtype=np.intp)
+        conj = np.empty_like(T)
+        for j, s in enumerate(gen_rows):
+            conj[np.arange(len(T))[:, None], T] = T[:, s]
+            induced[j] = self.table.indices(conj)
+        del conj  # the realization walk below keeps this frame alive
+        induced = set(map(tuple, induced.T.tolist()))
+        base = np.arange(self.n) * self.n  # allowed[a * n + b]: some target takes a to b
+        allowed = np.zeros(self.n**2, dtype=bool)
+        allowed[base + T] = True
+
+        def prune(rows):
+            # an unknown g(a) = -1 reads the last column; ``known`` drops it
+            gga = _squares(rows)
+            known = (rows >= 0) & (gga >= 0)
+            return (known & ~allowed[base + gga]).any(axis=1)
+
+        prune = None if allowed.all() else prune
         count = 0
         for alpha in self.automorphisms():
             if tuple(alpha[alpha[s]] for s in gens) not in induced:
@@ -317,33 +298,9 @@ class SymNormalizerData:
                         "more than %d realized rows in N_Sym(n)(S)" % SYM_NORM_SIZE_LIMIT
                     )
                 squares = _squares(rows)
-                hit = member(squares)
+                hit = roots.indices(squares) >= 0
                 if hit.any():
                     yield rows[hit], squares[hit]
-
-
-def _square_filters(roots):
-    """For the image rows ``roots``: a prune cutting the partial rows g with
-    some known g(g(a)) that no root has at a (None when every pair occurs),
-    and a membership test of full rows among the roots."""
-    n = roots.shape[1]
-    base = np.arange(n) * n  # allowed[a * n + b]: some root takes a to b
-    allowed = np.zeros(n * n, dtype=bool)
-    allowed[base + roots] = True
-    as_bytes = np.dtype((np.void, roots.itemsize * n))
-    keys = np.sort(roots.view(as_bytes).ravel())
-
-    def member(rows):
-        v = rows.view(as_bytes).ravel()
-        return np.searchsorted(keys, v, "right") > np.searchsorted(keys, v)
-
-    def prune(rows):
-        # an unknown g(a) = -1 reads the last column; ``known`` drops it
-        gga = _squares(rows)
-        known = (rows >= 0) & (gga >= 0)
-        return (known & ~allowed[base + gga]).any(axis=1)
-
-    return (None if allowed.all() else prune), member
 
 
 def _squares(rows):

@@ -198,6 +198,14 @@ class Permutation:
         return "Permutation[%d] %s" % (self.degree, self.cycle_string())
 
 
+def _key_view(rows):
+    """Each row of the 2-D image array ``rows`` as one np.void scalar of
+    its ``Permutation.key`` bytes, which numpy sorts and searches as bytes;
+    width 0 has no such type."""
+    rows = np.ascontiguousarray(rows, dtype=_DTYPE)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
 def _wrap(arr) -> Permutation:
     """Own ``arr``, an int32 bijection array that owns its buffer and is never
     written again, as a frozen Permutation, unchecked.  Copy a list, another

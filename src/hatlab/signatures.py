@@ -15,8 +15,10 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .group import PermutationGroup
-from .normalizers import ElementTable, extend_homomorphism
+import numpy as np
+
+from .group import ElementTable, PermutationGroup
+from .normalizers import extend_homomorphism
 from .perm import Permutation
 
 # name: (degree, generators in cycle notation)
@@ -58,7 +60,7 @@ def _references():
     for name, (degree, *cycles) in REFERENCES.items():
         R = PermutationGroup([Permutation.parse(c, degree) for c in cycles], degree)
         table, orders = _order_table(R)
-        gens = [table.index_of[g.key()] for g in R.gens]
+        gens = table.indices(np.stack([g.images for g in R.gens])).tolist()
         refs[name] = (R.order(), orders, table, gens)
     return refs
 

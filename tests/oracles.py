@@ -71,6 +71,16 @@ def element_scan_normalizer(ambient_elems, sub_elems):
     return out
 
 
+def core_by_conjugates(g_gens, h_gens, degree):
+    """The keys of Core_G(H), the intersection of the conjugates H^g over
+    every g in G, with G and H the closures of their generators."""
+    H = list(closure_elements(h_gens, degree).values())
+    keys = {h.key() for h in H}
+    for g in closure_elements(g_gens, degree).values():
+        keys &= {h.conj(g).key() for h in H}
+    return keys
+
+
 def h_candidates_by_scan(L_elems, B_elems, n):
     """Every h in Sym(n) that normalizes the group with elements B_elems,
     lies outside the group with elements L_elems, has h^2 inside it and has

@@ -22,6 +22,7 @@ from oracles import (
     all_subgroups,
     block_systems_exhaustive,
     closure_order,
+    core_by_conjugates,
     finest_block_system,
     is_maximal_by_lattice,
     random_element,
@@ -313,16 +314,67 @@ def test_core_contains_every_normal_subgroup_inside_h():
             assert len(sub_keys) == 1
 
 
-def test_core_combined_path_matches_fixpoint():
-    from hatlab.cosets import _core_fixpoint, _core_via_combined
+def _fixpoint_rounds(G, H):
+    """The rounds of the core fixpoint on H's elements, on plain key sets:
+    each round drops every element with a conjugate by a generator of G
+    outside the rest."""
+    alive = closure_elements(H.gens, H.degree)
+    rounds = 0
+    while doomed := [k for k, p in alive.items() if any(p.conj(x).key() not in alive for x in G.gens)]:
+        for k in doomed:
+            del alive[k]
+        rounds += 1
+    return rounds
 
+
+def _core_cases():
+    """(G, H) with H <= G <= Sym(4..8): S4's Klein four, transposition and
+    3-cycle subgroups; a trivial H; H = G; S3 in S4 and S4 in S5, whose
+    fixpoints need 2 and 3 rounds; and seeded G of order up to 120 with H
+    generated by one or two random elements."""
     G = S4()
-    for sub_gens in ([g("(0 1)(2 3)", 4), g("(0 2)(1 3)", 4)], [g("(0 1)", 4)], [g("(0 1 2)", 4)]):
-        H = G.subgroup(sub_gens)
-        a = _core_fixpoint(G, H)
-        b = _core_via_combined(G, H)
-        assert a.order() == b.order()
-        assert all(p in b for p in a.gens)
+    cases = [(G, G.subgroup(sub)) for sub in (
+        [g("(0 1)(2 3)", 4), g("(0 2)(1 3)", 4)], [g("(0 1)", 4)], [g("(0 1 2)", 4)],
+    )]
+    cases += [(G, G.subgroup([])), (G, G)]
+    for n, gens, sub in (
+        (4, ["(0 1 3)", "(1 2)"], ["(0 1)", "(0 1 2)"]),
+        (5, ["(0 2 1 3)", "(1 3 4)"], ["(0 1 2 3)", "(1 2 3)"]),
+    ):
+        G = PermutationGroup([g(c, n) for c in gens])
+        cases.append((G, G.subgroup([g(c, n) for c in sub])))
+    rng = random.Random(2600)
+    while len(cases) < 47:
+        n = rng.randrange(4, 9)
+        gens = []
+        for _ in range(2):
+            moved = rng.sample(range(n), rng.randrange(2, n + 1))
+            imgs = list(range(n))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                imgs[a] = b
+            gens.append(Permutation(imgs))
+        G = PermutationGroup(gens, n)
+        if 2 <= G.order() <= 120:
+            cases.append((G, G.subgroup([random_element(G, rng) for _ in range(rng.choice([1, 2]))])))
+    return cases
+
+
+@pytest.mark.parametrize("route", ["fixpoint", "combined"])
+def test_core_matches_the_intersection_of_conjugates(route):
+    """Both core strategies against the intersection of H^g over every g in
+    G, on cases that include trivial and nontrivial cores and fixpoints of
+    0 to 3 rounds."""
+    find = cosets._core_fixpoint if route == "fixpoint" else cosets._core_via_combined
+    rounds, nontrivial = [], 0
+    for G, H in _core_cases():
+        want = core_by_conjugates(G.gens, H.gens, G.degree)
+        K = find(G, H)
+        assert set(closure_elements(K.gens, G.degree)) == want
+        assert K.order() == len(want)
+        rounds.append(_fixpoint_rounds(G, H))
+        nontrivial += len(want) > 1
+    assert rounds[3:7] == [0, 0, 2, 3]
+    assert 0 < nontrivial < len(rounds)
 
 
 def _as_sets(system):

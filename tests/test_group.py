@@ -1,10 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hatlab import group as group_mod
-from hatlab.group import PermutationGroup, _level_gens, closure_elements
+from hatlab.group import ElementTable, PermutationGroup, _level_gens, closure_elements
 from hatlab.perm import Permutation
 
 from oracles import closure_order, orbit_points, random_element
@@ -318,6 +319,61 @@ def test_generator_stream_over_sorted_elements(seed):
             p = Permutation(rng.sample(range(n), n))
             assert (p in G) == (p.key() in closure)
         done += 1
+
+
+def _on_points(n, points, rng):
+    """A random permutation of degree n moving only ``points``."""
+    imgs = list(range(n))
+    for a, b in zip(points, rng.sample(points, len(points))):
+        imgs[a] = b
+    return Permutation(imgs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_element_table_matches_keys_and_conj(seed):
+    """``indices`` and ``conjugates`` against a dict of ``key()``s and
+    ``Permutation.conj``, on seeded groups of degree 4-9 and 250-300 (where
+    image bytes and values sort differently) listed in a shuffled order:
+    rows outside the table read -1, the caller's order is kept, and no
+    generators give an empty (0, m) map."""
+    rng = random.Random(2700 + seed)
+    done = 0
+    while done < 4:
+        n = rng.randrange(250, 300) if done % 2 else rng.randrange(4, 10)
+        points = rng.sample(range(n), rng.randrange(3, min(n, 7)))
+        closure = closure_elements([_on_points(n, points, rng) for _ in range(2)], n)
+        if not 2 <= len(closure) < math.factorial(len(points)):
+            continue
+        elems = list(closure.values())
+        rng.shuffle(elems)
+        table = ElementTable(elems)
+        index = {p.key(): i for i, p in enumerate(elems)}
+        assert table.elems is elems and table.identity == index[Permutation.identity(n).key()]
+        assert table.indices(table.images).tolist() == list(range(len(elems)))
+        probes = elems + [_on_points(n, points, rng) for _ in range(20)]
+        rng.shuffle(probes)
+        want = [index.get(p.key(), -1) for p in probes]
+        assert -1 in want
+        assert table.indices(np.array([p.images for p in probes])).tolist() == want
+        xs = [_on_points(n, points, rng) for _ in range(3)] + [elems[1]]
+        conj = table.conjugates(xs)
+        assert conj.tolist() == [[index.get(p.conj(x).key(), -1) for p in elems] for x in xs]
+        assert table.conjugates([]).shape == (0, len(elems))
+        done += 1
+
+
+def test_element_table_rows_with_a_long_common_prefix():
+    """Rows that agree on their first 297 images, 1,188 bytes: the 3-cycles
+    of the last three points are found, the transpositions are not, and so
+    is a row past the last key."""
+    n = 300
+    A3 = closure_elements([Permutation.from_cycles(n, [(297, 298, 299)])], n)
+    table = ElementTable(list(A3.values()))
+    S3 = closure_elements([Permutation.from_cycles(n, [(297, 298)]), Permutation.from_cycles(n, [(298, 299)])], n)
+    probes = list(S3.values()) + [Permutation.from_cycles(n, [(0, 255)])]
+    want = [table.elems.index(p) if p.key() in A3 else -1 for p in probes]
+    assert sorted(want) == [-1, -1, -1, -1, 0, 1, 2]
+    assert table.indices(np.array([p.images for p in probes])).tolist() == want
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -313,7 +313,7 @@ def test_one_element_table_per_group(monkeypatch):
     built = []
     table = normalizers.ElementTable
 
-    def spy(elems, invariants):
+    def spy(elems, invariants=None):
         built.append(len(elems))
         return table(elems, invariants)
 

@@ -272,8 +272,8 @@ print(out.complete, len(out.results), out.stats["candidates"], time.time() - t0)
 
 def test_time_budget_covers_the_candidate_enumeration():
     """7-AT enumerates the small subgroups of its regular representation on
-    11,664 points for many minutes before its first candidate; a budget of
-    two seconds must end the search there, flagged incomplete.  The search
+    11,664 points for about half a minute before its first candidate; a
+    budget of two seconds must end the search there, flagged incomplete.  The search
     runs in a child process, killed after 90 s, so a search that ignores the
     budget fails the test instead of hanging it."""
     src = str(Path(hatlab.__file__).resolve().parent.parent)

@@ -1,5 +1,7 @@
 import random
 
+import numpy as np
+
 from hatlab.fpgroups import FpPresentation, todd_coxeter
 from hatlab.group import PermutationGroup
 from hatlab.perm import Permutation
@@ -88,7 +90,7 @@ def _relabelled(G, rng, extra=3):
 def _by_extension(A, B):
     ta, _ = _order_table(A)
     tb, _ = _order_table(B)
-    return _isomorphic(ta, [ta.index_of[p.key()] for p in A.gens], tb)
+    return _isomorphic(ta, ta.indices(np.stack([p.images for p in A.gens])).tolist(), tb)
 
 
 def _by_oracle(A, B):
