@@ -320,7 +320,9 @@ def _fixpoint_rounds(G, H):
     outside the rest."""
     alive = closure_elements(H.gens, H.degree)
     rounds = 0
-    while doomed := [k for k, p in alive.items() if any(p.conj(x).key() not in alive for x in G.gens)]:
+    while doomed := [
+        k for k, p in alive.items() if any(p.conj(x).key() not in alive for x in G.gens)
+    ]:
         for k in doomed:
             del alive[k]
         rounds += 1
@@ -355,7 +357,8 @@ def _core_cases():
             gens.append(Permutation(imgs))
         G = PermutationGroup(gens, n)
         if 2 <= G.order() <= 120:
-            cases.append((G, G.subgroup([random_element(G, rng) for _ in range(rng.choice([1, 2]))])))
+            sub = [random_element(G, rng) for _ in range(rng.choice([1, 2]))]
+            cases.append((G, G.subgroup(sub)))
     return cases
 
 

@@ -369,7 +369,7 @@ def test_element_table_rows_with_a_long_common_prefix():
     n = 300
     A3 = closure_elements([Permutation.from_cycles(n, [(297, 298, 299)])], n)
     table = ElementTable(list(A3.values()))
-    S3 = closure_elements([Permutation.from_cycles(n, [(297, 298)]), Permutation.from_cycles(n, [(298, 299)])], n)
+    S3 = closure_elements([Permutation.from_cycles(n, [c]) for c in ((297, 298), (298, 299))], n)
     probes = list(S3.values()) + [Permutation.from_cycles(n, [(0, 255)])]
     want = [table.elems.index(p) if p.key() in A3 else -1 for p in probes]
     assert sorted(want) == [-1, -1, -1, -1, 0, 1, 2]
